@@ -7,10 +7,14 @@ with comfort score and then lexicographic order breaking ties.  Cells where
 no candidate qualifies store a NaN marker.  Lookup snaps a query to the
 nearest cell per axis and refuses queries outside the grid.
 
-The builder simulates every candidate of many cells simultaneously as one
-batched explicit-integration run, but goes through the same update and
-evaluation arithmetic as the per-run harness, so a single re-simulated run
-reproduces any stored decision exactly.
+The builder simulates every candidate of a chunk of cells as one batched
+explicit-integration run and scores it as it goes: after each block of
+steps it folds the new rows into a few numbers per run (last band break,
+first sustained index, armed flag, first gap-floor violation) and settles
+every cell whose stored gains can no longer change, so most cells stop long
+before the horizon.  Update, band and comfort arithmetic are those of the
+per-run harness and evaluate_run, so a single re-simulated run reproduces
+any stored decision exactly.
 """
 
 from __future__ import annotations
@@ -21,15 +25,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import GainPair, consensus_command
+from .controllers import GainPair, consensus_command, desired_gap
 from .dynamics import _euler
 from .metrics import (
+    ONSET_EXCLUDED_SAMPLES,
     ComfortWeights,
     ConsensusThresholds,
     RunMetrics,
     SafetyMode,
-    Trajectory,
-    evaluate_run,
+    _bands_ok,
+    _jerk,
+    _window_extrema,
+    omega_score,
 )
 
 __all__ = [
@@ -48,6 +55,11 @@ FORMAT_VERSION = "gaintable-v1"
 
 # Fixed for this format version; recorded on the table for documentation.
 TIE_RULE = "min convergence time, then min comfort score, then smallest (gamma, k)"
+
+# Rows simulated between two scorings of a batch.  Decisions are exact at
+# any block length; a longer block amortizes the scoring over more steps
+# but runs a settled cell on for longer (half a block on average).
+_BLOCK_STEPS = 256
 
 
 def _ascending_floats(values, name: str) -> np.ndarray:
@@ -137,12 +149,22 @@ class BuildConfig:
     hold_window: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in (
+            "dt", "t_max", "comm_delay", "leader_length", "time_gap", "hold_window"
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if self.hold_window < 0:
             raise ValueError("hold_window must be non-negative")
         if not self.t_max > self.hold_window:
             raise ValueError("t_max must exceed hold_window")
+        if round(self.t_max / self.dt) < 1:
+            raise ValueError(
+                f"t_max {self.t_max!r} must span at least one step of dt {self.dt!r}"
+            )
         if not self.leader_length > 0:
             raise ValueError("leader_length must be positive")
         if not self.time_gap > 0:
@@ -228,72 +250,220 @@ class GainTable:
         )
 
 
-def _simulate_candidate_batch(dr0, vi0, vj0, gamma, k, cfg: BuildConfig):
+class _CandidateRuns:
     """Batched car-following runs, one column per (cell, candidate).
 
-    Leader holds its initial speed; the follower starts at the origin with
-    zero acceleration and is driven by the consensus law.  Returns the
-    follower speed, follower acceleration, and delayed-gap series as
-    (n_samples, columns) arrays.  Arithmetic matches the scalar harness
-    step for step.
+    The leader holds its initial speed; the follower starts at the origin
+    with zero acceleration and is driven by the consensus law.  advance()
+    returns the next rows of follower speed, follower acceleration and
+    delayed gap; keep() drops columns.  The delayed leader comes from a ring
+    of the last delay + 1 leader positions, which holds the initial position
+    until the delay has passed.  Arithmetic matches the scalar harness step
+    for step.
     """
-    dt = cfg.dt
-    n_steps = round(cfg.t_max / dt)
-    delay = cfg.delay_steps()
-    headway = cfg.headway_time
-    lj = cfg.leader_length
 
-    m = len(dr0)
-    v_follower = np.empty((n_steps + 1, m))
-    a_follower = np.empty((n_steps + 1, m))
-    gap = np.empty((n_steps + 1, m))
+    def __init__(self, dr0, vi0, vj0, gamma, k, cfg: BuildConfig):
+        self.cfg = cfg
+        self.row = 0
+        self.ri = np.zeros(len(dr0))
+        self.vi = np.array(vi0, dtype=float)
+        self.accel = np.zeros(len(dr0))
+        self.vj = np.array(vj0, dtype=float)
+        self.gamma = np.array(gamma, dtype=float)
+        self.k = np.array(k, dtype=float)
+        self.ring = [np.array(dr0, dtype=float)] * (cfg.delay_steps() + 1)
 
-    ri = np.zeros(m)
-    vi = np.array(vi0, dtype=float, copy=True)
-    accel = np.zeros(m)
-    rj = np.array(dr0, dtype=float, copy=True)
-    vj = np.asarray(vj0, dtype=float)
-    leader_track = [rj]
+    def advance(self, n_rows: int):
+        """Rows row .. row + n_rows - 1 as three (n_rows, columns) arrays."""
+        m = len(self.ri)
+        v_follower = np.empty((n_rows, m))
+        a_follower = np.empty((n_rows, m))
+        gap = np.empty((n_rows, m))
+        dt, lj, headway = self.cfg.dt, self.cfg.leader_length, self.cfg.headway_time
+        ri, vi, accel = self.ri, self.vi, self.accel
+        vj, k, gamma = self.vj, self.k, self.gamma
+        leader_step = vj * dt
+        ring = self.ring
+        size = len(ring)
+        delayed_rj = ring[self.row % size]  # seen at the last row returned
+        for j in range(n_rows):
+            row = self.row + j
+            if row:
+                cmd = consensus_command(ri, delayed_rj, vi, vj, lj, headway, k, gamma)
+                ri, vi = _euler(ri, vi, cmd, dt)
+                accel = cmd
+                ring[row % size] = ring[(row - 1) % size] + leader_step
+            delayed_rj = ring[(row + 1) % size]
+            v_follower[j] = vi
+            a_follower[j] = accel
+            gap[j] = delayed_rj - ri
+        self.row += n_rows
+        self.ri, self.vi, self.accel = ri, vi, accel
+        return v_follower, a_follower, gap
 
-    for idx in range(n_steps + 1):
-        delayed_rj = leader_track[idx - delay if idx >= delay else 0]
-        v_follower[idx] = vi
-        a_follower[idx] = accel
-        gap[idx] = delayed_rj - ri
-        if idx == n_steps:
-            break
-        cmd = consensus_command(ri, delayed_rj, vi, vj, lj, headway, k, gamma)
-        ri, vi = _euler(ri, vi, cmd, dt)
-        accel = cmd
-        rj = rj + vj * dt
-        leader_track.append(rj)
-
-    return v_follower, a_follower, gap
+    def keep(self, mask: np.ndarray) -> None:
+        if mask.all():
+            return
+        for name in ("ri", "vi", "accel", "vj", "gamma", "k"):
+            setattr(self, name, getattr(self, name)[mask])
+        self.ring = [rj[mask] for rj in self.ring]
 
 
-def _select_cell(metrics_by_candidate: list[RunMetrics], pairs) -> tuple[float, float]:
-    """Stored gains for one cell from its candidate run metrics.
+class _CellScorer:
+    """Streaming evaluation and staged selection for a batch of cells.
 
-    Stage 1 keeps candidates that pass the gap floor; none left means a
-    marker cell.  Stage 2 keeps the converged ones with minimum convergence
-    time; none converged also means a marker cell.  A unique minimizer wins
-    outright; otherwise minimum comfort score, then smallest (gamma, k).
+    Columns come in cell order, one per candidate pair.  score() takes the
+    next rows of every open column and judges them with the band arithmetic
+    of evaluate_run; it carries, per column, the row of the last band break,
+    the first sustained index, the projected-mode armed flag and the first
+    armed gap-floor violation, and keeps only the acceleration rows, which
+    the comfort tie-break reads.  decide() settles every cell whose stored
+    gains can no longer change and drops its columns.
     """
-    safe = [
-        i for i, m in enumerate(metrics_by_candidate) if not m.safety_violated
-    ]
+
+    def __init__(self, vj, pairs, n_samples: int, cfg: BuildConfig):
+        m = len(vj)
+        self.pairs = pairs
+        self.cfg = cfg
+        self.n_samples = n_samples
+        self.window = round(cfg.hold_window / cfg.dt)
+        self.rows = 0
+        n_cells = m // len(pairs)
+        self.k = np.full(n_cells, math.nan)
+        self.gamma = np.full(n_cells, math.nan)
+        # Open cells and columns, by their index in the batch.
+        self.cells = np.arange(n_cells)
+        self.cols = np.arange(m)
+        # Rows never reached are never written, so their pages stay unused.
+        self.accel = np.empty((n_samples, m))
+        self.vj = np.asarray(vj, dtype=float)[None, :]
+        self.prev_accel = np.zeros(m)
+        self.last_break = np.full(m, -1)
+        self.first_hold = np.full(m, -1)  # -1 until the bands have held
+        self.armed = np.full(m, cfg.safety_mode is SafetyMode.SAME_LANE)
+        self.first_violation = np.full(m, n_samples)  # n_samples: none yet
+
+    def score(self, v_follower, a_follower, gap) -> None:
+        """Fold the next rows of the open columns into the carried state."""
+        cfg = self.cfg
+        lo = self.rows
+        hi = lo + len(a_follower)
+        self.accel[lo:hi, self.cols] = a_follower
+        jerk = np.empty_like(a_follower)
+        jerk[0] = (a_follower[0] - self.prev_accel) / cfg.dt if lo else 0.0
+        jerk[1:] = (a_follower[1:] - a_follower[:-1]) / cfg.dt
+        self.prev_accel = a_follower[-1]
+        desired = desired_gap(
+            v_follower, cfg.leader_length, cfg.time_gap, cfg.comm_delay
+        )
+        ok = _bands_ok(
+            gap, desired, self.vj, v_follower, a_follower, jerk, cfg.thresholds
+        )
+
+        rows = np.arange(lo, hi)[:, None]
+        breaks = np.maximum.accumulate(np.where(ok, -1, rows), axis=0)
+        np.maximum(breaks, self.last_break, out=breaks)
+        held = ok & (rows - breaks > self.window)
+        # The first held row closes the first run of window + 1 in-band rows.
+        new_hold = held.any(axis=0) & (self.first_hold < 0)
+        self.first_hold = np.where(
+            new_hold, lo + held.argmax(axis=0) - self.window, self.first_hold
+        )
+        self.last_break = breaks[-1]
+
+        armed = np.logical_or.accumulate(gap > cfg.leader_length, axis=0) | self.armed
+        below = armed & (gap <= cfg.leader_length)
+        new_violation = below.any(axis=0) & (self.first_violation == self.n_samples)
+        self.first_violation = np.where(
+            new_violation, lo + below.argmax(axis=0), self.first_violation
+        )
+        self.armed = armed[-1]
+        self.rows = hi
+
+    def decide(self) -> np.ndarray:
+        """Settle the cells whose gains are final; returns the kept-column mask.
+
+        Exact after L scored rows with a hold window of w rows.  A safe
+        converged column (first sustained index i with i + w < L, first
+        violation after i) settles its cell: a column not converged yet has
+        index >= L - w > i, so it can neither win nor tie.  A cell is also
+        settled, as a marker, when every column is excluded: converged but
+        unsafe, or not converged with its first armed violation at or before
+        the start of its current band run.  At the horizon every cell is
+        settled.
+        """
+        n_cand = len(self.pairs)
+        converged = self.first_hold >= 0
+        safe = converged & (self.first_violation > self.first_hold)
+        excluded = np.where(
+            converged, ~safe, self.first_violation <= self.last_break + 1
+        )
+        done = safe.reshape(-1, n_cand).any(axis=1)
+        done |= excluded.reshape(-1, n_cand).all(axis=1)
+        if self.rows == self.n_samples:
+            done[:] = True
+        keep = np.repeat(~done, n_cand)
+        if done.any():
+            # Columns not converged yet go in as unconverged; see above.
+            t_consensus = np.where(converged, self.first_hold * self.cfg.dt, math.inf)
+            end = np.where(converged, self.first_hold, self.rows - 1)
+            violated = self.first_violation <= end
+            for pos in np.flatnonzero(done):
+                lo = pos * n_cand
+
+                def comfort(i, lo=lo):
+                    return self._comfort(lo + i, int(end[lo + i]))
+
+                cell = self.cells[pos]
+                self.k[cell], self.gamma[cell] = _select_cell(
+                    t_consensus[lo : lo + n_cand],
+                    violated[lo : lo + n_cand],
+                    comfort,
+                    self.pairs,
+                )
+            self.cells = self.cells[~done]
+            self.cols = self.cols[keep]
+            self.vj = self.vj[:, keep]
+            for name in (
+                "prev_accel", "last_break", "first_hold", "armed", "first_violation"
+            ):
+                setattr(self, name, getattr(self, name)[keep])
+        return keep
+
+    def _comfort(self, col: int, end_idx: int) -> float:
+        """Comfort score of open column col over rows [0, end_idx]."""
+        a = self.accel[: end_idx + 1, self.cols[col]]
+        jerk = _jerk(a, self.cfg.dt)
+        extrema = _window_extrema(a, jerk, end_idx, ONSET_EXCLUDED_SAMPLES)
+        # Only the extrema enter the score; the other fields are unused.
+        comfort = RunMetrics(math.inf, *extrema, 0.0, math.nan, False)
+        return omega_score(comfort, self.cfg.weights)
+
+
+def _select_cell(t_consensus, violated, comfort, pairs) -> tuple[float, float]:
+    """Stored gains for one cell from its candidates' run outcomes.
+
+    t_consensus[i] is candidate i's consensus time (inf when not reached),
+    violated[i] whether it broke the gap floor up to then (or over the whole
+    run), and comfort(i) its comfort score, asked for only to break a time
+    tie.  Stage 1 keeps candidates that pass the gap floor; none left means
+    a marker cell.  Stage 2 keeps the converged ones with minimum
+    convergence time; none converged also means a marker cell.  A unique
+    minimizer wins outright; otherwise minimum comfort score, then smallest
+    (gamma, k).
+    """
+    safe = [i for i in range(len(pairs)) if not violated[i]]
     if not safe:
         return math.nan, math.nan
-    converged = [i for i in safe if metrics_by_candidate[i].consensus_reached]
+    converged = [i for i in safe if math.isfinite(t_consensus[i])]
     if not converged:
         return math.nan, math.nan
-    t_best = min(metrics_by_candidate[i].t_consensus for i in converged)
-    fastest = [
-        i for i in converged if metrics_by_candidate[i].t_consensus == t_best
-    ]
+    t_best = min(t_consensus[i] for i in converged)
+    fastest = [i for i in converged if t_consensus[i] == t_best]
     if len(fastest) > 1:
-        omega_best = min(metrics_by_candidate[i].omega for i in fastest)
-        tied = [i for i in fastest if metrics_by_candidate[i].omega == omega_best]
+        omega = {i: comfort(i) for i in fastest}
+        omega_best = min(omega.values())
+        tied = [i for i in fastest if omega[i] == omega_best]
         winner = min(tied, key=lambda i: pairs[i])
     else:
         winner = fastest[0]
@@ -302,7 +472,15 @@ def _select_cell(metrics_by_candidate: list[RunMetrics], pairs) -> tuple[float, 
 
 
 def _evaluate_cells(args):
-    """Worker: evaluate a list of flat cell indices, return their gains."""
+    """Worker: stored gains of a list of flat cell indices.
+
+    Simulates every candidate of the cells as one batch, _BLOCK_STEPS rows
+    at a time.  After each block the rows are scored, every cell whose
+    stored gains are final is settled and its columns leave the batch
+    (_CellScorer.decide); the batch stops when no column is left.  Cells
+    where a safe candidate converged early stop early; a marker cell stops
+    once every candidate has broken the gap floor, else at the horizon.
+    """
     flat_indices, axes, candidates, cfg = args
     pairs = candidates.pairs()
     n_cand = len(pairs)
@@ -315,38 +493,13 @@ def _evaluate_cells(args):
     gamma = np.tile([p[0] for p in pairs], len(cells))
     k = np.tile([p[1] for p in pairs], len(cells))
 
-    v_follower, a_follower, gap = _simulate_candidate_batch(
-        dr0, vi0, vj0, gamma, k, cfg
-    )
-    n_samples = v_follower.shape[0]
-
-    k_out = np.empty(len(cells))
-    gamma_out = np.empty(len(cells))
-    for ci in range(len(cells)):
-        metrics = []
-        for cand in range(n_cand):
-            col = ci * n_cand + cand
-            traj = Trajectory(
-                dt=cfg.dt,
-                leader_length=cfg.leader_length,
-                time_gap=cfg.time_gap,
-                comm_delay=cfg.comm_delay,
-                v_follower=v_follower[:, col],
-                a_follower=a_follower[:, col],
-                gap=gap[:, col],
-                v_leader_delayed=np.full(n_samples, vj0[col]),
-            )
-            metrics.append(
-                evaluate_run(
-                    traj,
-                    cfg.thresholds,
-                    cfg.weights,
-                    cfg.safety_mode,
-                    cfg.hold_window,
-                )
-            )
-        k_out[ci], gamma_out[ci] = _select_cell(metrics, pairs)
-    return flat_indices, k_out, gamma_out
+    n_samples = round(cfg.t_max / cfg.dt) + 1
+    runs = _CandidateRuns(dr0, vi0, vj0, gamma, k, cfg)
+    scorer = _CellScorer(vj0, pairs, n_samples, cfg)
+    while len(scorer.cols):
+        scorer.score(*runs.advance(min(_BLOCK_STEPS, n_samples - runs.row)))
+        runs.keep(scorer.decide())
+    return flat_indices, scorer.k, scorer.gamma
 
 
 def build_table(

@@ -169,9 +169,14 @@ def jerk_series(trajectory: Trajectory) -> np.ndarray:
     a = np.asarray(trajectory.a_follower, dtype=float)
     if len(a) < 2:
         raise ValueError("jerk needs at least two samples")
+    return _jerk(a, trajectory.dt)
+
+
+def _jerk(a: np.ndarray, dt: float) -> np.ndarray:
+    """Backward-difference jerk of an acceleration series; first entry zero."""
     jerk = np.empty_like(a)
     jerk[0] = 0.0
-    jerk[1:] = (a[1:] - a[:-1]) / trajectory.dt
+    jerk[1:] = (a[1:] - a[:-1]) / dt
     return jerk
 
 

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from caccsim.controllers import GainPair, consensus_command
+from caccsim.controllers import GainPair, consensus_command, desired_gap
 from caccsim.dynamics import _euler
 from caccsim.gaintable import (
     FORMAT_VERSION,
@@ -16,15 +19,27 @@ from caccsim.gaintable import (
     CandidateSets,
     GainTable,
     TableFormatError,
+    _CandidateRuns,
+    _CellScorer,
     _nearest_index,
     _select_cell,
-    _simulate_candidate_batch,
     build_table,
     load_table,
     lookup,
     save_table,
 )
-from caccsim.metrics import RunMetrics
+from caccsim.harness import ScenarioConfig, run_scenario
+from caccsim.metrics import RunMetrics, SafetyMode, Trajectory, evaluate_run
+
+
+def select(metrics, pairs):
+    """_select_cell fed from per-candidate RunMetrics."""
+    return _select_cell(
+        [m.t_consensus for m in metrics],
+        [m.safety_violated for m in metrics],
+        lambda i: metrics[i].omega,
+        pairs,
+    )
 
 
 def metrics_stub(t_consensus, omega=1.0, violated=False):
@@ -69,17 +84,35 @@ def test_build_config_delay_steps():
         BuildConfig(t_max=0.5, hold_window=1.0)
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("dt", {"dt": math.inf}),
+        ("t_max", {"t_max": math.inf}),
+        ("comm_delay", {"comm_delay": math.inf}),
+        ("comm_delay", {"comm_delay": math.nan}),
+        ("hold_window", {"hold_window": math.nan}),
+        ("t_max", {"t_max": 0.005, "hold_window": 0.0}),
+    ],
+    ids=["dt-inf", "t_max-inf", "comm_delay-inf", "comm_delay-nan",
+         "hold_window-nan", "t_max-under-one-step"],
+)
+def test_build_config_rejects_bad_value_naming_the_field(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        BuildConfig(**kwargs)
+
+
 def test_select_cell_no_safe_candidate_is_marker():
     pairs = [(1.0, 0.1), (2.0, 0.1)]
     metrics = [metrics_stub(10.0, violated=True), metrics_stub(5.0, violated=True)]
-    k, gamma = _select_cell(metrics, pairs)
+    k, gamma = select(metrics, pairs)
     assert math.isnan(k) and math.isnan(gamma)
 
 
 def test_select_cell_no_converged_candidate_is_marker():
     pairs = [(1.0, 0.1), (2.0, 0.1)]
     metrics = [metrics_stub(math.inf), metrics_stub(math.inf)]
-    k, gamma = _select_cell(metrics, pairs)
+    k, gamma = select(metrics, pairs)
     assert math.isnan(k) and math.isnan(gamma)
 
 
@@ -90,14 +123,14 @@ def test_select_cell_unique_fastest_wins_despite_worse_comfort():
         metrics_stub(20.0, omega=99.0),
         metrics_stub(25.0, omega=0.1),
     ]
-    assert _select_cell(metrics, pairs) == (0.1, 2.0)
+    assert select(metrics, pairs) == (0.1, 2.0)
 
 
 def test_select_cell_violating_candidate_is_excluded():
     """The fastest run loses if it crossed the gap floor."""
     pairs = [(1.0, 0.1), (2.0, 0.1)]
     metrics = [metrics_stub(10.0, violated=True), metrics_stub(40.0)]
-    assert _select_cell(metrics, pairs) == (0.1, 2.0)
+    assert select(metrics, pairs) == (0.1, 2.0)
 
 
 def test_select_cell_time_tie_broken_by_comfort():
@@ -107,25 +140,28 @@ def test_select_cell_time_tie_broken_by_comfort():
         metrics_stub(20.0, omega=2.0),
         metrics_stub(20.0, omega=3.0),
     ]
-    assert _select_cell(metrics, pairs) == (0.1, 2.0)
+    assert select(metrics, pairs) == (0.1, 2.0)
 
 
 def test_select_cell_full_tie_takes_smallest_gains():
     pairs = [(1.0, 0.1), (1.0, 0.2), (2.0, 0.1)]
     metrics = [metrics_stub(20.0), metrics_stub(20.0), metrics_stub(20.0)]
-    assert _select_cell(metrics, pairs) == (0.1, 1.0)
+    assert select(metrics, pairs) == (0.1, 1.0)
 
 
 def test_batch_simulation_matches_manual_scalar_loop():
-    """One batched column equals a hand-written scalar loop bit for bit."""
+    """One batched column, advanced in uneven blocks, equals a hand-written
+    scalar loop bit for bit."""
     cfg = BuildConfig(t_max=10.0)
     dr0, vi0, vj0, gamma, k = 30.0, 24.0, 18.0, 3.0, 0.1
-    v_b, a_b, gap_b = _simulate_candidate_batch(
+    delay = cfg.delay_steps()
+    n = round(cfg.t_max / cfg.dt)
+    runs = _CandidateRuns(
         np.array([dr0]), np.array([vi0]), np.array([vj0]), np.array([gamma]),
         np.array([k]), cfg,
     )
-    delay = cfg.delay_steps()
-    n = round(cfg.t_max / cfg.dt)
+    blocks = [runs.advance(rows) for rows in (1, delay, 2, 256, n + 1 - delay - 259)]
+    v_b, a_b, gap_b = (np.concatenate(series) for series in zip(*blocks))
     ri, vi, accel, rj = 0.0, vi0, 0.0, dr0
     leader = [rj]
     vs, accels, gaps = [], [], []
@@ -146,6 +182,181 @@ def test_batch_simulation_matches_manual_scalar_loop():
     assert v_b[:, 0].tolist() == vs
     assert a_b[:, 0].tolist() == accels
     assert gap_b[:, 0].tolist() == gaps
+
+
+# Follower accelerations of the random runs: two inside the acceleration
+# band, two outside it on either side.  Swapping the two outside values
+# changes no band flag (the jerk band breaks next to either), only comfort.
+PROPERTY_ACCELS = np.array([0.0, 0.0004, 0.5, -0.7])
+
+
+def draw_column(data, n, vj, cfg):
+    """Random (v, a, gap) series: noise until a settling row, in band after,
+    plus one glitch row anywhere."""
+    codes = data.draw(arrays(np.int8, (n, 3), elements=st.integers(0, 3)))
+    settle = data.draw(st.integers(0, n))
+    codes[settle:] = 0
+    glitch = data.draw(st.integers(0, n - 1))
+    codes[glitch] = data.draw(arrays(np.int8, 3, elements=st.integers(0, 3)))
+    v = np.where(codes[:, 0] == 1, 1.5 * vj + 1.0, vj)
+    desired = desired_gap(v, cfg.leader_length, cfg.time_gap, cfg.comm_delay)
+    floor = np.full(n, cfg.leader_length)
+    gap = np.choose(codes[:, 1], [desired, desired + 3.0, floor - 1.0, floor + 0.5])
+    return v, PROPERTY_ACCELS[codes[:, 2]], gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_streaming_decision_matches_per_column_evaluation(data):
+    """Random runs scored in random blocks: each column's carried outcome
+    matches evaluate_run of the whole run, and each cell, whichever block
+    settles it, gets the gains _select_cell picks from those evaluations."""
+    n = data.draw(st.integers(2, 40), label="samples")
+    window = data.draw(st.integers(0, 4), label="hold window rows")
+    mode = data.draw(st.sampled_from(list(SafetyMode)))
+    n_cells = data.draw(st.integers(1, 3))
+    n_cand = data.draw(st.integers(1, 4))
+    pairs = data.draw(st.permutations([(float(g), 0.1) for g in range(1, n_cand + 1)]))
+    cfg = BuildConfig(dt=0.5, t_max=100.0, comm_delay=0.5, hold_window=0.5 * window,
+                      safety_mode=mode)
+
+    columns, vj = [], []
+    for _ in range(n_cells):
+        cell_vj = data.draw(st.sampled_from([0.0, 10.0, 20.0]))
+        first = len(columns)
+        for cand in range(n_cand):
+            source = data.draw(st.sampled_from([None, *range(first, first + cand)]))
+            if source is None:
+                columns.append(draw_column(data, n, cell_vj, cfg))
+            else:  # a time tie, broken by comfort or by pair order
+                v, a, gap = columns[source]
+                if data.draw(st.booleans()):
+                    a = np.where(a == 0.5, -0.7, np.where(a == -0.7, 0.5, a))
+                columns.append((v, a, gap))
+            vj.append(cell_vj)
+    v, a, gap = (np.stack(series, axis=1) for series in zip(*columns))
+
+    metrics = [
+        evaluate_run(
+            Trajectory(
+                dt=cfg.dt, leader_length=cfg.leader_length, time_gap=cfg.time_gap,
+                comm_delay=cfg.comm_delay, v_follower=v[:, col], a_follower=a[:, col],
+                gap=gap[:, col], v_leader_delayed=np.full(n, vj[col]),
+            ),
+            cfg.thresholds, cfg.weights, cfg.safety_mode, cfg.hold_window,
+        )
+        for col in range(len(vj))
+    ]
+    expected = [
+        select(metrics[cell * n_cand : (cell + 1) * n_cand], pairs)
+        for cell in range(n_cells)
+    ]
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)), label="block cuts"))
+    blocks = list(zip([0, *cuts], [*cuts, n]))
+
+    # Scored to the end without settling, every column's carried outcome
+    # matches its own evaluate_run.
+    whole = _CellScorer(np.array(vj), pairs, n, cfg)
+    for lo, hi in blocks:
+        whole.score(v[lo:hi], a[lo:hi], gap[lo:hi])
+    for col, m in enumerate(metrics):
+        hold = int(whole.first_hold[col])
+        assert (hold >= 0) == m.consensus_reached
+        end = hold if hold >= 0 else n - 1
+        if hold >= 0:
+            assert hold * cfg.dt == m.t_consensus
+        assert (whole.first_violation[col] <= end) == m.safety_violated
+        assert whole._comfort(col, end) == m.omega
+
+    scorer = _CellScorer(np.array(vj), pairs, n, cfg)
+    for lo, hi in blocks:
+        cols = scorer.cols
+        scorer.score(v[lo:hi, cols], a[lo:hi, cols], gap[lo:hi, cols])
+        open_cells = scorer.cells
+        scorer.decide()
+        for cell in np.setdiff1d(open_cells, scorer.cells):
+            got = (scorer.k[cell], scorer.gamma[cell])
+            assert np.array_equal(got, expected[cell], equal_nan=True), (cell, hi)
+    assert len(scorer.cells) == 0
+    assert len(scorer.cols) == 0
+
+
+def test_scorer_keeps_a_cell_open_past_a_run_unsafe_at_its_consensus_row():
+    """A run whose first violation is its consensus row is unsafe, so a
+    slower safe run can still win the cell."""
+    cfg = BuildConfig(dt=0.5, t_max=100.0, comm_delay=0.5, hold_window=0.0)
+    floor = cfg.leader_length  # the desired gap at standstill
+    # Column 0 arms at row 0 and converges on the floor at row 1; column 1
+    # never arms and converges at row 2.
+    gap = np.array([[floor + 0.5, floor - 1.0], [floor, floor - 1.0], [floor, floor]])
+    gap = np.vstack([gap, np.full((3, 2), floor)])
+    scorer = _CellScorer(np.zeros(2), [(1.0, 0.1), (2.0, 0.1)], len(gap), cfg)
+    scorer.score(np.zeros((2, 2)), np.zeros((2, 2)), gap[:2])
+    scorer.decide()
+    assert list(scorer.cells) == [0]
+    scorer.score(np.zeros((4, 2)), np.zeros((4, 2)), gap[2:])
+    scorer.decide()
+    assert len(scorer.cells) == 0
+    assert (scorer.k[0], scorer.gamma[0]) == (0.1, 2.0)
+
+
+@pytest.fixture(scope="module")
+def mixed_grid():
+    """A short-horizon grid with every kind of cell: valid ones, markers
+    where every candidate breaks the gap floor within 50 steps, and markers
+    where no candidate converges before t_max."""
+    axes = AxisGrid(dr=[6.0, 13.0], vi=[10.0, 30.0], vj=[5.0, 10.0, 11.0])
+    candidates = CandidateSets(gammas=[2.0, 5.0], ks=[0.1, 0.2])
+    return axes, candidates, BuildConfig(t_max=20.0)
+
+
+@pytest.fixture(scope="module")
+def mixed_grid_oracle(mixed_grid):
+    """Per-cell gains from scalar runs, evaluate_run and _select_cell, and
+    the set of cell kinds seen."""
+    axes, candidates, cfg = mixed_grid
+    k_cells = np.full(axes.shape, math.nan)
+    gamma_cells = np.full(axes.shape, math.nan)
+    kinds = set()
+    for i1, i2, i3 in np.ndindex(axes.shape):
+        metrics, early_floor = [], []
+        for gamma, k in candidates.pairs():
+            scenario = ScenarioConfig(
+                "cell", float(axes.dr[i1]), float(axes.vi[i2]), float(axes.vj[i3]),
+                duration=cfg.t_max, controller="fixed_consensus",
+                controller_params={"gamma": gamma, "k": k},
+            )
+            report, traj = run_scenario(scenario, cfg)
+            metrics.append(report.metrics)
+            early_floor.append(bool((traj.gap[:50] <= cfg.leader_length).any()))
+        pair = select(metrics, candidates.pairs())
+        k_cells[i1, i2, i3], gamma_cells[i1, i2, i3] = pair
+        if not math.isnan(pair[0]):
+            kinds.add("valid")
+        elif all(m.safety_violated for m in metrics) and all(early_floor):
+            kinds.add("early-floor marker")
+        elif not any(m.consensus_reached for m in metrics):
+            kinds.add("unconverged marker")
+    return k_cells, gamma_cells, kinds
+
+
+def test_mixed_grid_has_every_kind_of_cell(mixed_grid_oracle):
+    _, _, kinds = mixed_grid_oracle
+    assert kinds == {"valid", "early-floor marker", "unconverged marker"}
+
+
+@pytest.mark.parametrize(
+    "build_kwargs",
+    [{"cell_chunk": 1}, {"cell_chunk": 3}, {}, {"workers": 2}],
+    ids=["chunk-1", "chunk-3", "default", "workers-2"],
+)
+def test_build_with_markers_matches_per_cell_oracle(
+    mixed_grid, mixed_grid_oracle, build_kwargs
+):
+    k_cells, gamma_cells, _ = mixed_grid_oracle
+    table = build_table(*mixed_grid, **build_kwargs)
+    assert np.array_equal(table.k_cells, k_cells, equal_nan=True)
+    assert np.array_equal(table.gamma_cells, gamma_cells, equal_nan=True)
 
 
 def test_build_tiny_table_shape_and_membership(tiny_table, tiny_candidates):

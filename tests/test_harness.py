@@ -9,7 +9,7 @@ import pytest
 
 from caccsim.controllers import ControllerInput, GainPair, consensus_accel
 from caccsim.dynamics import VehicleState
-from caccsim.gaintable import BuildConfig, _simulate_candidate_batch
+from caccsim.gaintable import BuildConfig, _CandidateRuns
 from caccsim.harness import (
     BENCHMARK_POINTS,
     CONTROLLER_KINDS,
@@ -109,10 +109,11 @@ def test_simulate_pair_matches_batched_builder_bit_for_bit():
     traj = simulate_pair(
         dr0, vi0, vj0, consensus_control(GainPair(k=k, gamma=gamma)), cfg, cfg.t_max
     )
-    v_b, a_b, gap_b = _simulate_candidate_batch(
+    runs = _CandidateRuns(
         np.array([dr0]), np.array([vi0]), np.array([vj0]),
         np.array([gamma]), np.array([k]), cfg,
     )
+    v_b, a_b, gap_b = runs.advance(len(traj))
     assert np.array_equal(traj.v_follower, v_b[:, 0])
     assert np.array_equal(traj.a_follower, a_b[:, 0])
     assert np.array_equal(traj.gap, gap_b[:, 0])

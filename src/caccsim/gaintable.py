@@ -12,9 +12,11 @@ explicit-integration run and scores it as it goes: after each block of
 steps it folds the new rows into a few numbers per run (last band break,
 first sustained index, armed flag, first gap-floor violation) and settles
 every cell whose stored gains can no longer change, so most cells stop long
-before the horizon.  Update, band and comfort arithmetic are those of the
-per-run harness and evaluate_run, so a single re-simulated run reproduces
-any stored decision exactly.
+before the horizon.  No rows outlive their block: the rare time tie, which
+compares comfort scores over whole runs, re-simulates the tied runs.
+Update, band and comfort arithmetic are those of the per-run harness and
+evaluate_run, so a single re-simulated run reproduces any stored decision
+exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import GainPair, consensus_command, desired_gap
-from .dynamics import _euler
+from .controllers import GainPair, desired_gap
 from .metrics import (
     ONSET_EXCLUDED_SAMPLES,
     ComfortWeights,
@@ -256,57 +257,97 @@ class _CandidateRuns:
     The leader holds its initial speed; the follower starts at the origin
     with zero acceleration and is driven by the consensus law.  advance()
     returns the next rows of follower speed, follower acceleration and
-    delayed gap; keep() drops columns.  The delayed leader comes from a ring
-    of the last delay + 1 leader positions, which holds the initial position
-    until the delay has passed.  Arithmetic matches the scalar harness step
-    for step.
+    delayed gap; keep() drops columns.
+
+    Only the step loop cannot be vectorized over rows, and its cost is
+    the number of array operations per step, not their length, so it does
+    as few as it can: nine, writing into buffers of the block, with operand
+    pairs laid side by side so that one call serves both.  Leader positions
+    and gaps are computed for the whole block outside the loop; the running
+    sum adds the leader's step in the same order as a step-by-step update.
+    The arithmetic is that of controllers.consensus_command and
+    dynamics._euler, operation for operation, so every column equals the
+    scalar harness bit for bit (pinned by the tests that compare them).
     """
 
     def __init__(self, dr0, vi0, vj0, gamma, k, cfg: BuildConfig):
         self.cfg = cfg
         self.row = 0
-        self.ri = np.zeros(len(dr0))
-        self.vi = np.array(vi0, dtype=float)
-        self.accel = np.zeros(len(dr0))
+        self.delay = cfg.delay_steps()
+        # Follower (position, speed) at the last row returned.
+        self.state = np.concatenate([np.zeros(len(dr0)), np.array(vi0, dtype=float)])
         self.vj = np.array(vj0, dtype=float)
         self.gamma = np.array(gamma, dtype=float)
-        self.k = np.array(k, dtype=float)
-        self.ring = [np.array(dr0, dtype=float)] * (cfg.delay_steps() + 1)
+        self.neg_k = -np.array(k, dtype=float)  # -(adjacency * k), adjacency 1
+        self.leader_step = self.vj * cfg.dt
+        # Leader position at row max(row - 1 - delay, 0).
+        self.leader = np.array(dr0, dtype=float)
 
     def advance(self, n_rows: int):
         """Rows row .. row + n_rows - 1 as three (n_rows, columns) arrays."""
-        m = len(self.ri)
-        v_follower = np.empty((n_rows, m))
-        a_follower = np.empty((n_rows, m))
-        gap = np.empty((n_rows, m))
-        dt, lj, headway = self.cfg.dt, self.cfg.leader_length, self.cfg.headway_time
-        ri, vi, accel = self.ri, self.vi, self.accel
-        vj, k, gamma = self.vj, self.k, self.gamma
-        leader_step = vj * dt
-        ring = self.ring
-        size = len(ring)
-        delayed_rj = ring[self.row % size]  # seen at the last row returned
-        for j in range(n_rows):
-            row = self.row + j
-            if row:
-                cmd = consensus_command(ri, delayed_rj, vi, vj, lj, headway, k, gamma)
-                ri, vi = _euler(ri, vi, cmd, dt)
-                accel = cmd
-                ring[row % size] = ring[(row - 1) % size] + leader_step
-            delayed_rj = ring[(row + 1) % size]
-            v_follower[j] = vi
-            a_follower[j] = accel
-            gap[j] = delayed_rj - ri
+        lo, m = self.row, len(self.vj)
+        cfg, d = self.cfg, self.delay
+        # lead[i]: leader position at row max(lo - 1 - d + i, 0), which is the
+        # delayed leader the command of row lo + i sees.
+        lead = np.empty((n_rows + 1, m))
+        # Rows before 0 clamp to row 0, so lead[1 : still + 1] repeat lead[0].
+        still = min(max(d + 1 - lo, 0), n_rows)
+        lead[: still + 1] = self.leader
+        lead[still + 1 :] = self.leader_step
+        np.add.accumulate(lead[still:], axis=0, out=lead[still:])
+        # rows[i]: positions, speeds and the commands that take them on,
+        # each m long, at row lo - 1 + i.  Flat rows keep every operand of
+        # the loop one contiguous vector.
+        rows = np.empty((n_rows + 1, 3 * m))
+        first = 0
+        if lo == 0:  # row 0 is the initial state, reached by no command
+            rows[0, 2 * m :] = 0.0
+            rows[1, : 2 * m] = self.state
+            first = 1
+        else:
+            rows[0, : 2 * m] = self.state
+        aim = np.empty((n_rows, 2 * m))  # delayed leader position and speed
+        aim[:, :m] = lead[:-1]
+        aim[:, m:] = self.vj
+        err = np.empty(2 * m)
+        spacing, speed_err = err[:m], err[m:]
+        term = np.empty(m)
+        delta = np.empty(2 * m)
+        # 0-d arrays: a cheaper ufunc operand than a float, same value.
+        lj, headway = np.array(cfg.leader_length), np.array(cfg.headway_time)
+        dt = np.full(2 * m, cfg.dt)
+        gamma, neg_k = self.gamma, self.neg_k
+        subtract, add, multiply = np.subtract, np.add, np.multiply
+        steps = zip(
+            rows[first:-1, : 2 * m],  # position and speed
+            rows[first:-1, m : 2 * m],  # speed
+            rows[first:-1, m:],  # speed and command
+            rows[first:-1, 2 * m :],  # command
+            rows[first + 1 :, : 2 * m],  # next position and speed
+            aim[first:],
+        )
+        for state, speed, rates, cmd, nxt, target in steps:
+            subtract(state, target, err)
+            add(spacing, lj, spacing)
+            multiply(speed, headway, term)
+            add(spacing, term, spacing)
+            multiply(gamma, speed_err, speed_err)
+            add(spacing, speed_err, spacing)
+            multiply(neg_k, spacing, cmd)
+            multiply(rates, dt, delta)
+            add(state, delta, nxt)
         self.row += n_rows
-        self.ri, self.vi, self.accel = ri, vi, accel
-        return v_follower, a_follower, gap
+        self.state = rows[-1, : 2 * m].copy()
+        self.leader = lead[-1].copy()
+        gap = lead[1:] - rows[1:, :m]
+        return rows[1:, m : 2 * m], rows[:-1, 2 * m :], gap
 
     def keep(self, mask: np.ndarray) -> None:
         if mask.all():
             return
-        for name in ("ri", "vi", "accel", "vj", "gamma", "k"):
+        self.state = self.state[np.tile(mask, 2)]
+        for name in ("vj", "gamma", "neg_k", "leader_step", "leader"):
             setattr(self, name, getattr(self, name)[mask])
-        self.ring = [rj[mask] for rj in self.ring]
 
 
 class _CellScorer:
@@ -316,14 +357,17 @@ class _CellScorer:
     next rows of every open column and judges them with the band arithmetic
     of evaluate_run; it carries, per column, the row of the last band break,
     the first sustained index, the projected-mode armed flag and the first
-    armed gap-floor violation, and keeps only the acceleration rows, which
-    the comfort tie-break reads.  decide() settles every cell whose stored
-    gains can no longer change and drops its columns.
+    armed gap-floor violation.  No rows are kept: the comfort tie-break,
+    which needs a column's whole acceleration series and is rare, gets it
+    from accel_of(column, n_rows), column being the index in the batch.
+    decide() settles every cell whose stored gains can no longer change and
+    drops its columns.
     """
 
-    def __init__(self, vj, pairs, n_samples: int, cfg: BuildConfig):
+    def __init__(self, vj, pairs, n_samples: int, cfg: BuildConfig, accel_of):
         m = len(vj)
         self.pairs = pairs
+        self.accel_of = accel_of
         self.cfg = cfg
         self.n_samples = n_samples
         self.window = round(cfg.hold_window / cfg.dt)
@@ -334,8 +378,6 @@ class _CellScorer:
         # Open cells and columns, by their index in the batch.
         self.cells = np.arange(n_cells)
         self.cols = np.arange(m)
-        # Rows never reached are never written, so their pages stay unused.
-        self.accel = np.empty((n_samples, m))
         self.vj = np.asarray(vj, dtype=float)[None, :]
         self.prev_accel = np.zeros(m)
         self.last_break = np.full(m, -1)
@@ -348,7 +390,6 @@ class _CellScorer:
         cfg = self.cfg
         lo = self.rows
         hi = lo + len(a_follower)
-        self.accel[lo:hi, self.cols] = a_follower
         jerk = np.empty_like(a_follower)
         jerk[0] = (a_follower[0] - self.prev_accel) / cfg.dt if lo else 0.0
         jerk[1:] = (a_follower[1:] - a_follower[:-1]) / cfg.dt
@@ -432,7 +473,7 @@ class _CellScorer:
 
     def _comfort(self, col: int, end_idx: int) -> float:
         """Comfort score of open column col over rows [0, end_idx]."""
-        a = self.accel[: end_idx + 1, self.cols[col]]
+        a = self.accel_of(int(self.cols[col]), end_idx + 1)
         jerk = _jerk(a, self.cfg.dt)
         extrema = _window_extrema(a, jerk, end_idx, ONSET_EXCLUDED_SAMPLES)
         # Only the extrema enter the score; the other fields are unused.
@@ -480,6 +521,8 @@ def _evaluate_cells(args):
     (_CellScorer.decide); the batch stops when no column is left.  Cells
     where a safe candidate converged early stop early; a marker cell stops
     once every candidate has broken the gap floor, else at the horizon.
+    A time tie re-simulates the tied runs alone for their comfort scores;
+    the arithmetic is per column, so they come out the same.
     """
     flat_indices, axes, candidates, cfg = args
     pairs = candidates.pairs()
@@ -493,9 +536,14 @@ def _evaluate_cells(args):
     gamma = np.tile([p[0] for p in pairs], len(cells))
     k = np.tile([p[1] for p in pairs], len(cells))
 
+    def accel_of(col, n_rows):
+        one = slice(col, col + 1)
+        run = _CandidateRuns(dr0[one], vi0[one], vj0[one], gamma[one], k[one], cfg)
+        return run.advance(n_rows)[1][:, 0]
+
     n_samples = round(cfg.t_max / cfg.dt) + 1
     runs = _CandidateRuns(dr0, vi0, vj0, gamma, k, cfg)
-    scorer = _CellScorer(vj0, pairs, n_samples, cfg)
+    scorer = _CellScorer(vj0, pairs, n_samples, cfg, accel_of)
     while len(scorer.cols):
         scorer.score(*runs.advance(min(_BLOCK_STEPS, n_samples - runs.row)))
         runs.keep(scorer.decide())

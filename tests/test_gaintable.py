@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from caccsim.controllers import GainPair, consensus_command, desired_gap
+from caccsim import gaintable
 from caccsim.dynamics import _euler
 from caccsim.gaintable import (
     FORMAT_VERSION,
@@ -256,7 +257,10 @@ def test_streaming_decision_matches_per_column_evaluation(data):
 
     # Scored to the end without settling, every column's carried outcome
     # matches its own evaluate_run.
-    whole = _CellScorer(np.array(vj), pairs, n, cfg)
+    def accel_of(col, n_rows):
+        return a[:n_rows, col]
+
+    whole = _CellScorer(np.array(vj), pairs, n, cfg, accel_of)
     for lo, hi in blocks:
         whole.score(v[lo:hi], a[lo:hi], gap[lo:hi])
     for col, m in enumerate(metrics):
@@ -268,7 +272,7 @@ def test_streaming_decision_matches_per_column_evaluation(data):
         assert (whole.first_violation[col] <= end) == m.safety_violated
         assert whole._comfort(col, end) == m.omega
 
-    scorer = _CellScorer(np.array(vj), pairs, n, cfg)
+    scorer = _CellScorer(np.array(vj), pairs, n, cfg, accel_of)
     for lo, hi in blocks:
         cols = scorer.cols
         scorer.score(v[lo:hi, cols], a[lo:hi, cols], gap[lo:hi, cols])
@@ -290,7 +294,7 @@ def test_scorer_keeps_a_cell_open_past_a_run_unsafe_at_its_consensus_row():
     # never arms and converges at row 2.
     gap = np.array([[floor + 0.5, floor - 1.0], [floor, floor - 1.0], [floor, floor]])
     gap = np.vstack([gap, np.full((3, 2), floor)])
-    scorer = _CellScorer(np.zeros(2), [(1.0, 0.1), (2.0, 0.1)], len(gap), cfg)
+    scorer = _CellScorer(np.zeros(2), [(1.0, 0.1), (2.0, 0.1)], len(gap), cfg, None)
     scorer.score(np.zeros((2, 2)), np.zeros((2, 2)), gap[:2])
     scorer.decide()
     assert list(scorer.cells) == [0]
@@ -357,6 +361,37 @@ def test_build_with_markers_matches_per_cell_oracle(
     table = build_table(*mixed_grid, **build_kwargs)
     assert np.array_equal(table.k_cells, k_cells, equal_nan=True)
     assert np.array_equal(table.gamma_cells, gamma_cells, equal_nan=True)
+
+
+def test_time_tie_comfort_comes_from_re_simulated_runs(monkeypatch):
+    """The shipped grid's one time tie (dr 80, vi 34, vj 6; gamma 5 and 6
+    converge together): the comfort scores the build compares, taken from
+    re-simulated runs, equal evaluate_run's over the scalar runs."""
+    axes = AxisGrid(dr=[80.0], vi=[34.0], vj=[6.0])
+    candidates = CandidateSets(gammas=[5.0, 6.0], ks=[0.1])
+    cfg = BuildConfig()
+    asked = {}
+    real_select = gaintable._select_cell
+
+    def recording_select(t_consensus, violated, comfort, pairs):
+        def recorded(i):
+            asked[pairs[i]] = comfort(i)
+            return asked[pairs[i]]
+
+        return real_select(t_consensus, violated, recorded, pairs)
+
+    monkeypatch.setattr(gaintable, "_select_cell", recording_select)
+    table = build_table(axes, candidates, cfg)
+    expected = {}
+    for gamma, k in candidates.pairs():
+        scenario = ScenarioConfig(
+            "tie", 80.0, 34.0, 6.0, duration=cfg.t_max, controller="fixed_consensus",
+            controller_params={"gamma": gamma, "k": k},
+        )
+        expected[(gamma, k)] = run_scenario(scenario, cfg)[0].metrics.omega
+    assert asked == expected
+    assert expected[(5.0, 0.1)] != expected[(6.0, 0.1)]
+    assert table.cell(0, 0, 0) == GainPair(k=0.1, gamma=5.0)
 
 
 def test_build_tiny_table_shape_and_membership(tiny_table, tiny_candidates):

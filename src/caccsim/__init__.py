@@ -8,23 +8,15 @@ on a miss.  Stability checks and a benchmark harness round out the toolkit.
 """
 
 from .controllers import (
-    ControllerInput,
+    ConsensusLaw,
     GainPair,
     InvalidGainsError,
     LinearFeedbackGains,
-    consensus_accel,
+    LinearFeedbackLaw,
     desired_gap,
-    fixed_gain_consensus_accel,
     linear_feedback_accel,
 )
-from .dynamics import (
-    SimClock,
-    StateHistory,
-    VehicleSpec,
-    VehicleState,
-    delayed_state,
-    step,
-)
+from .dynamics import FollowerRuns
 from .gaintable import (
     AxisGrid,
     BuildConfig,
@@ -51,11 +43,7 @@ from .metrics import (
     ConsensusThresholds,
     RunMetrics,
     SafetyMode,
-    StepSample,
     Trajectory,
-    check_safety,
-    consensus_reached,
-    convergence_time,
     evaluate_run,
     jerk_series,
     omega_score,

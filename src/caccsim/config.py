@@ -1,18 +1,20 @@
 """Parsing of the line-oriented configuration files.
 
 All files share one shape: `key = value` lines under `[section]` headers,
-with `#` comments.  Missing optional keys fall back to the dataclass
-defaults; structurally required keys raise with the file and key named.
+with `#` comments.  A section is read into a settings dataclass by one
+reader: each key is named after a field and parsed as the type of that
+field's default, and missing optional keys keep the default.  Structurally
+required keys raise with the file and key named.
 """
 
 from __future__ import annotations
 
 import configparser
+from dataclasses import fields, replace
+from enum import Enum
 
 from .gaintable import AxisGrid, BuildConfig, CandidateSets
-from .controllers import GainPair, LinearFeedbackGains
 from .harness import BaselineConfig, ScenarioConfig
-from .metrics import ComfortWeights, ConsensusThresholds, SafetyMode
 from .stability import FrequencySweep
 
 __all__ = [
@@ -42,46 +44,42 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
+def _section(parser, section: str, defaults, path, **given):
+    """defaults, a dataclass instance, with its fields read from [section].
+
+    A key is parsed as the type of its field's default value: float, int,
+    str or an Enum.  Other fields, such as nested settings, are not read;
+    given sets them.
+    """
+    values = {}
+    for f in fields(defaults):
+        kind = type(getattr(defaults, f.name))
+        enum = issubclass(kind, Enum)
+        if not (enum or kind in (float, int, str)):
+            continue
+        if not parser.has_option(section, f.name):
+            continue
+        text = parser.get(section, f.name)
+        try:
+            values[f.name] = kind(text)
+        except ValueError as exc:
+            if not enum:
+                raise
+            raise ValueError(f"{path}: unknown {f.name} {text!r}") from exc
+    return replace(defaults, **values, **given)
+
+
 def load_build_config(path) -> BuildConfig:
     """Build and run settings from [build], [thresholds], [weights]."""
     parser = _read(path)
     defaults = BuildConfig()
-    thr_defaults = ConsensusThresholds()
-    w_defaults = ComfortWeights()
-
-    def get(section, key, fallback):
-        if parser.has_option(section, key):
-            return parser.getfloat(section, key)
-        return fallback
-
-    mode_text = (
-        parser.get("build", "safety_mode")
-        if parser.has_option("build", "safety_mode")
-        else defaults.safety_mode.value
-    )
-    try:
-        mode = SafetyMode(mode_text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: unknown safety_mode {mode_text!r}") from exc
-
-    return BuildConfig(
-        dt=get("build", "dt", defaults.dt),
-        t_max=get("build", "t_max", defaults.t_max),
-        comm_delay=get("build", "comm_delay", defaults.comm_delay),
-        leader_length=get("build", "leader_length", defaults.leader_length),
-        time_gap=get("build", "time_gap", defaults.time_gap),
-        thresholds=ConsensusThresholds(
-            eta_r=get("thresholds", "eta_r", thr_defaults.eta_r),
-            eta_v=get("thresholds", "eta_v", thr_defaults.eta_v),
-            delta_a=get("thresholds", "delta_a", thr_defaults.delta_a),
-            delta_jerk=get("thresholds", "delta_jerk", thr_defaults.delta_jerk),
-        ),
-        weights=ComfortWeights(
-            omega_1=get("weights", "omega_1", w_defaults.omega_1),
-            omega_2=get("weights", "omega_2", w_defaults.omega_2),
-        ),
-        safety_mode=mode,
-        hold_window=get("build", "hold_window", defaults.hold_window),
+    return _section(
+        parser,
+        "build",
+        defaults,
+        path,
+        thresholds=_section(parser, "thresholds", defaults.thresholds, path),
+        weights=_section(parser, "weights", defaults.weights, path),
     )
 
 
@@ -110,81 +108,26 @@ def load_scenario(path) -> ScenarioConfig:
     params: dict = {}
     if parser.has_section("controller_params"):
         params = {key: value for key, value in parser.items("controller_params")}
-    scenario_id = (
-        parser.get("scenario", "id")
-        if parser.has_option("scenario", "id")
-        else str(path)
-    )
-    defaults = ScenarioConfig(scenario_id="x", dr0=0.0, vi0=0.0, vj0=0.0)
-    return ScenarioConfig(
-        scenario_id=scenario_id,
+    scenario = ScenarioConfig(
+        scenario_id=parser.get("scenario", "id", fallback=str(path)),
         dr0=float(_require(parser, "scenario", "dr0", path)),
         vi0=float(_require(parser, "scenario", "vi0", path)),
         vj0=float(_require(parser, "scenario", "vj0", path)),
-        duration=(
-            parser.getfloat("scenario", "duration")
-            if parser.has_option("scenario", "duration")
-            else defaults.duration
-        ),
-        leader_profile=(
-            parser.get("scenario", "leader_profile")
-            if parser.has_option("scenario", "leader_profile")
-            else defaults.leader_profile
-        ),
-        controller=(
-            parser.get("scenario", "controller")
-            if parser.has_option("scenario", "controller")
-            else defaults.controller
-        ),
         controller_params=params,
     )
+    return _section(parser, "scenario", scenario, path)
 
 
 def load_baselines(path) -> BaselineConfig:
     """Baseline controller gains from [fixed_consensus] and [linear_feedback]."""
     parser = _read(path)
-    fixed_default = GainPair(k=0.1, gamma=1.0)
-    lf_default = LinearFeedbackGains()
-
-    def get(section, key, fallback):
-        if parser.has_option(section, key):
-            return parser.getfloat(section, key)
-        return fallback
-
+    defaults = BaselineConfig()
     return BaselineConfig(
-        fixed=GainPair(
-            k=get("fixed_consensus", "k", fixed_default.k),
-            gamma=get("fixed_consensus", "gamma", fixed_default.gamma),
-        ),
-        linear=LinearFeedbackGains(
-            k_a=get("linear_feedback", "k_a", lf_default.k_a),
-            k_v=get("linear_feedback", "k_v", lf_default.k_v),
-            k_d=get("linear_feedback", "k_d", lf_default.k_d),
-            standstill_gap=get(
-                "linear_feedback", "standstill_gap", lf_default.standstill_gap
-            ),
-        ),
+        fixed=_section(parser, "fixed_consensus", defaults.fixed, path),
+        linear=_section(parser, "linear_feedback", defaults.linear, path),
     )
 
 
 def load_sweep(path) -> FrequencySweep:
     """Frequency sweep settings from [sweep]."""
-    parser = _read(path)
-    defaults = FrequencySweep()
-    return FrequencySweep(
-        omega_min=(
-            parser.getfloat("sweep", "omega_min")
-            if parser.has_option("sweep", "omega_min")
-            else defaults.omega_min
-        ),
-        omega_max=(
-            parser.getfloat("sweep", "omega_max")
-            if parser.has_option("sweep", "omega_max")
-            else defaults.omega_max
-        ),
-        points=(
-            parser.getint("sweep", "points")
-            if parser.has_option("sweep", "points")
-            else defaults.points
-        ),
-    )
+    return _section(_read(path), "sweep", FrequencySweep(), path)

@@ -5,24 +5,29 @@ leader sample handed to a controller is the delayed one.  The consensus law
 regulates the gap toward a speed-dependent target spacing and weights the
 speed error with a tunable gain; the linear feedback law is a conventional
 fallback used when no scheduled gain is available.
+
+Each law exists twice: as a function on raw values (consensus_command,
+linear_feedback_accel), the reference, and as a law object (ConsensusLaw,
+LinearFeedbackLaw) whose in-place step the simulation kernel calls.  The
+step does the reference's arithmetic operation for operation, so both give
+the same floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .dynamics import VehicleState
+import numpy as np
 
 __all__ = [
     "GainPair",
-    "ControllerInput",
     "LinearFeedbackGains",
     "InvalidGainsError",
+    "ConsensusLaw",
+    "LinearFeedbackLaw",
     "desired_gap",
     "consensus_command",
-    "consensus_accel",
-    "fixed_gain_consensus_accel",
     "linear_feedback_accel",
 ]
 
@@ -62,27 +67,6 @@ class GainPair:
 
 
 @dataclass(frozen=True)
-class ControllerInput:
-    """Everything a longitudinal controller sees at one control step.
-
-    follower : own state at the current time.
-    leader_delayed : leader state observed through the communication delay.
-    leader_length : m, body length of the leader.
-    time_gap : s, desired time gap of the spacing policy.
-    comm_delay : s, communication delay (also part of the spacing policy).
-    adjacency : 1.0 when the leader is connected, 0.0 when it is not; an
-        unconnected leader yields a zero command.
-    """
-
-    follower: VehicleState
-    leader_delayed: VehicleState
-    leader_length: float = 5.0
-    time_gap: float = 0.7
-    comm_delay: float = 0.06
-    adjacency: float = 1.0
-
-
-@dataclass(frozen=True)
 class LinearFeedbackGains:
     """Gains of the linear feedback fallback controller.
 
@@ -94,6 +78,12 @@ class LinearFeedbackGains:
     k_v: float = 0.58
     k_d: float = 0.1
     standstill_gap: float = 1.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 # Conservative defaults for the fallback path when a lookup misses.
@@ -124,55 +114,112 @@ def consensus_command(
 
     headway_time is the combined spacing horizon (time gap + delay).  The
     command drives the spacing disagreement and the speed disagreement to
-    zero together.  Both the per-run loop and the batched table builder call
-    this, keeping their trajectories bit-identical.
+    zero together.  The simulation kernel runs ConsensusLaw's in-place step
+    instead; this is its reference, and it must give the same floats.
     """
     spacing_error = r_follower - r_leader_delayed + leader_length + v_follower * headway_time
     speed_error = v_follower - v_leader_delayed
     return -(adjacency * k) * (spacing_error + gamma * speed_error)
 
 
-def consensus_accel(inp: ControllerInput, gains: GainPair) -> float:
-    """Commanded acceleration of the consensus controller (m/s^2)."""
-    if not gains.valid:
-        raise InvalidGainsError(
-            "invalid gain pair; engage the fallback controller"
-        )
-    return consensus_command(
-        inp.follower.position,
-        inp.leader_delayed.position,
-        inp.follower.speed,
-        inp.leader_delayed.speed,
-        inp.leader_length,
-        inp.time_gap + inp.comm_delay,
-        gains.k,
-        gains.gamma,
-        inp.adjacency,
-    )
-
-
-def fixed_gain_consensus_accel(inp: ControllerInput, static_gains: GainPair) -> float:
-    """Consensus law with one static gain pair for every operating point."""
-    return consensus_accel(inp, static_gains)
-
-
 def linear_feedback_accel(
-    inp: ControllerInput,
-    leader_accel_delayed: float,
+    r_follower,
+    r_leader_delayed,
+    v_follower,
+    v_leader_delayed,
+    a_leader_delayed,
+    leader_length,
+    time_gap,
     gains: LinearFeedbackGains,
-) -> float:
-    """Linear feedback fallback: feedforward accel + speed + spacing terms."""
-    spacing_target = (
-        gains.standstill_gap
-        + inp.leader_length
-        + inp.follower.speed * inp.time_gap
-    )
-    spacing_error = (
-        inp.leader_delayed.position - inp.follower.position - spacing_target
-    )
-    speed_error = inp.leader_delayed.speed - inp.follower.speed
+):
+    """Linear feedback fallback on raw values: feedforward accel + speed +
+    spacing terms.  The reference of LinearFeedbackLaw's in-place step."""
+    spacing_target = gains.standstill_gap + leader_length + v_follower * time_gap
+    spacing_error = r_leader_delayed - r_follower - spacing_target
+    speed_error = v_leader_delayed - v_follower
     return (
-        gains.k_a * leader_accel_delayed
+        gains.k_a * a_leader_delayed
         + gains.k_v * speed_error
         + gains.k_d * spacing_error
     )
+
+
+# A law's command(cfg, m) returns the kernel's per-step callable for m
+# columns: step(state, speed, target, cmd) with state = [positions, speeds]
+# of the followers, speed its second half, target = [positions, speeds] of
+# the delayed leaders, writing the commands into cmd.  Buffers and 0-d
+# operands (cheaper for a ufunc than a float, same value) are made once per
+# call, so a step only runs ufuncs in place.
+
+
+class ConsensusLaw:
+    """consensus_command with one (gamma, k) per column, adjacency 1."""
+
+    def __init__(self, gamma, k):
+        self.gamma = np.array(gamma, dtype=float)
+        self.neg_k = -np.array(k, dtype=float)  # -(adjacency * k)
+
+    @classmethod
+    def of(cls, gains: GainPair) -> "ConsensusLaw":
+        """One-column law; an invalid pair calls for the fallback instead."""
+        if not gains.valid:
+            raise InvalidGainsError("invalid gain pair; engage the fallback controller")
+        return cls([gains.gamma], [gains.k])
+
+    def keep(self, mask) -> None:
+        self.gamma, self.neg_k = self.gamma[mask], self.neg_k[mask]
+
+    def command(self, cfg, m: int):
+        err = np.empty(2 * m)
+        spacing, speed_err = err[:m], err[m:]
+        term = np.empty(m)
+        lj, headway = np.array(cfg.leader_length), np.array(cfg.headway_time)
+        gamma, neg_k = self.gamma, self.neg_k
+        subtract, add, multiply = np.subtract, np.add, np.multiply
+
+        def step(state, speed, target, cmd):
+            subtract(state, target, err)
+            add(spacing, lj, spacing)
+            multiply(speed, headway, term)
+            add(spacing, term, spacing)
+            multiply(gamma, speed_err, speed_err)
+            add(spacing, speed_err, spacing)
+            multiply(neg_k, spacing, cmd)
+
+        return step
+
+
+class LinearFeedbackLaw:
+    """linear_feedback_accel with one gain set shared by every column.
+
+    The kernel's leader holds its speed, so its delayed acceleration is 0;
+    the feedforward term k_a * 0 is still taken, for its signed zero.
+    """
+
+    def __init__(self, gains: LinearFeedbackGains):
+        self.gains = gains
+
+    def keep(self, mask) -> None:
+        pass
+
+    def command(self, cfg, m: int):
+        g = self.gains
+        err = np.empty(2 * m)
+        spacing, speed_err = err[:m], err[m:]
+        term = np.empty(m)
+        base = np.array(g.standstill_gap + cfg.leader_length)
+        time_gap = np.array(cfg.time_gap)
+        feedforward = np.array(g.k_a * 0.0)
+        k_dv = np.repeat([g.k_d, g.k_v], m)  # against err's two halves
+        subtract, add, multiply = np.subtract, np.add, np.multiply
+
+        def step(state, speed, target, cmd):
+            subtract(target, state, err)
+            multiply(speed, time_gap, term)
+            add(base, term, term)
+            subtract(spacing, term, spacing)
+            multiply(k_dv, err, err)
+            add(feedforward, speed_err, speed_err)
+            add(speed_err, spacing, cmd)
+
+        return step

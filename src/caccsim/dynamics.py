@@ -1,206 +1,103 @@
-"""Longitudinal point-mass vehicle model on a fixed-step grid.
+"""The simulation kernel: batched car-following runs on a fixed-step grid.
 
-Explicit first-order integration: position advances with the pre-step speed,
-speed advances with the commanded acceleration, and the commanded value is
-recorded as the acceleration of the new sample.  State retrieval with a
-communication delay returns the stored sample from an integer number of steps
-back and never interpolates.
+Every run, offline for the table build and online for a scheduled
+scenario, is integrated here.  A leader holds its initial speed; a
+follower starts at the origin with zero acceleration and is driven by a
+control law that sees the leader only through the communication delay.
+Integration is explicit first order: position advances with the pre-step
+speed, speed with the command, and the command is recorded as the
+acceleration of the next sample.  A delay is a whole number of steps and
+is never interpolated; before any delayed sample exists the initial one is
+held.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import numpy as np
 
-__all__ = [
-    "VehicleSpec",
-    "VehicleState",
-    "SimClock",
-    "StateHistory",
-    "step",
-    "delayed_state",
-]
+__all__ = ["FollowerRuns"]
 
 
-def _require_finite(value: float, field_name: str) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value for {field_name}: {value!r}")
+class FollowerRuns:
+    """Batched car-following runs, one column per run.
 
+    law is a control law of caccsim.controllers with one entry per column
+    (or one shared by all); cfg supplies dt, the delay and the spacing
+    policy.  advance() returns the next rows of follower position, speed,
+    acceleration and delayed gap; keep() drops columns.
 
-@dataclass(frozen=True)
-class VehicleSpec:
-    """Static vehicle attributes.
-
-    length : m, body length of the vehicle.
-    accel_min / accel_max : m/s^2, actuation limits.  Defaults are unbounded;
-        commands are not clamped unless a caller opts in via clamp().
+    Only the step loop cannot be vectorized over rows, and its cost is
+    the number of array operations per step, not their length, so it does
+    as few as it can, writing into buffers of the block, with operand pairs
+    laid side by side so that one call serves both.  Leader positions and
+    gaps are computed for the whole block outside the loop; the running sum
+    adds the leader's step in the same order as a step-by-step update.
     """
 
-    length: float = 5.0
-    accel_min: float = -math.inf
-    accel_max: float = math.inf
+    def __init__(self, dr0, vi0, vj0, law, cfg):
+        self.cfg = cfg
+        self.law = law
+        self.row = 0
+        self.delay = cfg.delay_steps()
+        # Follower (position, speed) at the last row returned.
+        self.state = np.concatenate([np.zeros(len(vi0)), np.array(vi0, dtype=float)])
+        self.vj = np.array(vj0, dtype=float)
+        self.leader_step = self.vj * cfg.dt
+        # Leader position at row max(row - 1 - delay, 0).
+        self.leader = np.array(dr0, dtype=float)
 
-    def __post_init__(self) -> None:
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length!r}")
-        if not (self.accel_min < 0 < self.accel_max):
-            raise ValueError(
-                "accel limits must straddle zero, got "
-                f"[{self.accel_min!r}, {self.accel_max!r}]"
-            )
+    def advance(self, n_rows: int):
+        """Rows row .. row + n_rows - 1 as four (n_rows, columns) arrays."""
+        lo, m = self.row, len(self.vj)
+        d = self.delay
+        # lead[i]: leader position at row max(lo - 1 - d + i, 0), which is the
+        # delayed leader the command of row lo + i sees.
+        lead = np.empty((n_rows + 1, m))
+        # Rows before 0 clamp to row 0, so lead[1 : still + 1] repeat lead[0].
+        still = min(max(d + 1 - lo, 0), n_rows)
+        lead[: still + 1] = self.leader
+        lead[still + 1 :] = self.leader_step
+        np.add.accumulate(lead[still:], axis=0, out=lead[still:])
+        # rows[i]: positions, speeds and the commands that take them on,
+        # each m long, at row lo - 1 + i.  Flat rows keep every operand of
+        # the loop one contiguous vector.
+        rows = np.empty((n_rows + 1, 3 * m))
+        first = 0
+        if lo == 0:  # row 0 is the initial state, reached by no command
+            rows[0, 2 * m :] = 0.0
+            rows[1, : 2 * m] = self.state
+            first = 1
+        else:
+            rows[0, : 2 * m] = self.state
+        aim = np.empty((n_rows, 2 * m))  # delayed leader position and speed
+        aim[:, :m] = lead[:-1]
+        aim[:, m:] = self.vj
+        command = self.law.command(self.cfg, m)
+        delta = np.empty(2 * m)
+        dt = np.full(2 * m, self.cfg.dt)
+        multiply, add = np.multiply, np.add
+        steps = zip(
+            rows[first:-1, : 2 * m],  # position and speed
+            rows[first:-1, m : 2 * m],  # speed
+            rows[first:-1, m:],  # speed and command
+            rows[first:-1, 2 * m :],  # command
+            rows[first + 1 :, : 2 * m],  # next position and speed
+            aim[first:],
+        )
+        for state, speed, rates, cmd, nxt, target in steps:
+            command(state, speed, target, cmd)
+            multiply(rates, dt, delta)
+            add(state, delta, nxt)
+        self.row += n_rows
+        self.state = rows[-1, : 2 * m].copy()
+        self.leader = lead[-1].copy()
+        gap = lead[1:] - rows[1:, :m]
+        return rows[1:, :m], rows[1:, m : 2 * m], rows[:-1, 2 * m :], gap
 
-    def clamp(self, accel_cmd: float) -> float:
-        """Clip a commanded acceleration to the actuation limits."""
-        return min(max(accel_cmd, self.accel_min), self.accel_max)
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    """Kinematic sample: position (m), speed (m/s), acceleration (m/s^2)."""
-
-    position: float
-    speed: float
-    accel: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_finite(self.position, "position")
-        _require_finite(self.speed, "speed")
-        _require_finite(self.accel, "accel")
-
-
-@dataclass
-class SimClock:
-    """Integer step counter over a fixed step size.
-
-    Time is always derived as step * dt, never accumulated by repeated
-    addition, so sample times are reproducible bit for bit.
-    """
-
-    dt: float
-    step: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-
-    @property
-    def t(self) -> float:
-        return self.step * self.dt
-
-    def tick(self) -> None:
-        self.step += 1
-
-    def steps_for(self, delay: float) -> int:
-        """Convert a delay in seconds to a whole number of steps.
-
-        The delay must be a non-negative integer multiple of dt; delayed
-        retrieval works by index shift and never interpolates.
-        """
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay!r}")
-        ratio = delay / self.dt
-        n = round(ratio)
-        if abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
-            raise ValueError(
-                f"delay {delay!r} is not an integer multiple of dt {self.dt!r}; "
-                "delayed retrieval never interpolates"
-            )
-        return n
-
-
-def _euler(position, speed, accel_cmd, dt):
-    """Shared update arithmetic; works elementwise on scalars or arrays.
-
-    Position uses the pre-step speed.  Both the scalar path and the batched
-    table builder call this, so trajectories agree bit for bit.
-    """
-    return position + speed * dt, speed + accel_cmd * dt
-
-
-def step(state: VehicleState, accel_cmd: float, dt: float) -> VehicleState:
-    """Advance one step of explicit integration.
-
-    The commanded acceleration becomes the acceleration of the returned
-    sample: commands issued at time t shape the step that lands on t + dt.
-    """
-    _require_finite(accel_cmd, "accel_cmd")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    position, speed = _euler(state.position, state.speed, accel_cmd, dt)
-    return VehicleState(position=position, speed=speed, accel=accel_cmd)
-
-
-class StateHistory:
-    """Timestamped state samples at fixed spacing dt, oldest first.
-
-    capacity bounds the retained sample count; it must cover the largest
-    delay that will be queried.  Queries before the first retained sample
-    return that first sample (start-of-run hold).
-    """
-
-    def __init__(self, dt: float, capacity: int | None = None):
-        if not dt > 0:
-            raise ValueError(f"dt must be positive, got {dt!r}")
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be at least 1, got {capacity!r}")
-        self.dt = dt
-        self.capacity = capacity
-        self._clock = SimClock(dt)
-        self._first_step = 0
-        self._times: list[float] = []
-        self._states: list[VehicleState] = []
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    @property
-    def times(self) -> list[float]:
-        return list(self._times)
-
-    def append(self, t: float, state: VehicleState) -> None:
-        """Append a sample; times must advance by exactly one dt spacing."""
-        if self._times:
-            expected = (self._first_step + len(self._times)) * self.dt
-            if abs(t - expected) > 1e-9 * max(1.0, abs(expected)):
-                raise ValueError(
-                    f"sample time {t!r} breaks the fixed spacing; expected {expected!r}"
-                )
-        self._times.append(t)
-        self._states.append(state)
-        if self.capacity is not None and len(self._states) > self.capacity:
-            self._times.pop(0)
-            self._states.pop(0)
-            self._first_step += 1
-
-    def sample_index(self, t: float) -> int:
-        """Index of the stored sample at time t (must lie on the grid)."""
-        if not self._times:
-            raise ValueError("history is empty")
-        ratio = (t - self._times[0]) / self.dt
-        n = round(ratio)
-        if abs(ratio - n) > 1e-6:
-            raise ValueError(f"time {t!r} is not on the sample grid")
-        if n < 0 or n >= len(self._states):
-            raise ValueError(f"time {t!r} outside stored history")
-        return n
-
-
-def delayed_state(history: StateHistory, t: float, delay: float) -> VehicleState:
-    """State sample observed at time t through a communication delay.
-
-    Returns the sample stored delay/dt steps before t.  For query times
-    earlier than the first retained sample the first sample is returned, so
-    before any delayed data arrives the initial state is observed.
-    """
-    steps_back = SimClock(history.dt).steps_for(delay)
-    if len(history) == 0:
-        raise ValueError("history is empty")
-    idx = history.sample_index(t) - steps_back
-    if idx < 0:
-        if history._first_step > 0:
-            raise ValueError(
-                "delayed query reaches samples evicted by capacity; "
-                "capacity * dt must cover the delay"
-            )
-        idx = 0
-    return history._states[idx]
+    def keep(self, mask: np.ndarray) -> None:
+        if mask.all():
+            return
+        self.state = self.state[np.tile(mask, 2)]
+        for name in ("vj", "leader_step", "leader"):
+            setattr(self, name, getattr(self, name)[mask])
+        self.law.keep(mask)

@@ -7,16 +7,17 @@ with comfort score and then lexicographic order breaking ties.  Cells where
 no candidate qualifies store a NaN marker.  Lookup snaps a query to the
 nearest cell per axis and refuses queries outside the grid.
 
-The builder simulates every candidate of a chunk of cells as one batched
-explicit-integration run and scores it as it goes: after each block of
-steps it folds the new rows into a few numbers per run (last band break,
-first sustained index, armed flag, first gap-floor violation) and settles
-every cell whose stored gains can no longer change, so most cells stop long
-before the horizon.  No rows outlive their block: the rare time tie, which
-compares comfort scores over whole runs, re-simulates the tied runs.
-Update, band and comfort arithmetic are those of the per-run harness and
-evaluate_run, so a single re-simulated run reproduces any stored decision
-exactly.
+The builder runs every candidate of a chunk of cells as columns of one
+batch of the simulation kernel (dynamics.FollowerRuns with the consensus
+law) and scores it as it goes: after each block of steps it folds the new
+rows into a few numbers per run (last band break, first sustained index,
+armed flag, first gap-floor violation) and settles every cell whose stored
+gains can no longer change, so most cells stop long before the horizon.
+No rows outlive their block: the rare time tie, which compares comfort
+scores over whole runs, re-simulates the tied runs.  The harness runs a
+scenario on the same kernel, as one column, and band and comfort
+arithmetic are those of evaluate_run, so a single re-run of a cell's
+operating point reproduces any stored decision exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import GainPair, desired_gap
+from .controllers import ConsensusLaw, GainPair, desired_gap
+from .dynamics import FollowerRuns
 from .metrics import (
     ONSET_EXCLUDED_SAMPLES,
     ComfortWeights,
@@ -251,105 +253,6 @@ class GainTable:
         )
 
 
-class _CandidateRuns:
-    """Batched car-following runs, one column per (cell, candidate).
-
-    The leader holds its initial speed; the follower starts at the origin
-    with zero acceleration and is driven by the consensus law.  advance()
-    returns the next rows of follower speed, follower acceleration and
-    delayed gap; keep() drops columns.
-
-    Only the step loop cannot be vectorized over rows, and its cost is
-    the number of array operations per step, not their length, so it does
-    as few as it can: nine, writing into buffers of the block, with operand
-    pairs laid side by side so that one call serves both.  Leader positions
-    and gaps are computed for the whole block outside the loop; the running
-    sum adds the leader's step in the same order as a step-by-step update.
-    The arithmetic is that of controllers.consensus_command and
-    dynamics._euler, operation for operation, so every column equals the
-    scalar harness bit for bit (pinned by the tests that compare them).
-    """
-
-    def __init__(self, dr0, vi0, vj0, gamma, k, cfg: BuildConfig):
-        self.cfg = cfg
-        self.row = 0
-        self.delay = cfg.delay_steps()
-        # Follower (position, speed) at the last row returned.
-        self.state = np.concatenate([np.zeros(len(dr0)), np.array(vi0, dtype=float)])
-        self.vj = np.array(vj0, dtype=float)
-        self.gamma = np.array(gamma, dtype=float)
-        self.neg_k = -np.array(k, dtype=float)  # -(adjacency * k), adjacency 1
-        self.leader_step = self.vj * cfg.dt
-        # Leader position at row max(row - 1 - delay, 0).
-        self.leader = np.array(dr0, dtype=float)
-
-    def advance(self, n_rows: int):
-        """Rows row .. row + n_rows - 1 as three (n_rows, columns) arrays."""
-        lo, m = self.row, len(self.vj)
-        cfg, d = self.cfg, self.delay
-        # lead[i]: leader position at row max(lo - 1 - d + i, 0), which is the
-        # delayed leader the command of row lo + i sees.
-        lead = np.empty((n_rows + 1, m))
-        # Rows before 0 clamp to row 0, so lead[1 : still + 1] repeat lead[0].
-        still = min(max(d + 1 - lo, 0), n_rows)
-        lead[: still + 1] = self.leader
-        lead[still + 1 :] = self.leader_step
-        np.add.accumulate(lead[still:], axis=0, out=lead[still:])
-        # rows[i]: positions, speeds and the commands that take them on,
-        # each m long, at row lo - 1 + i.  Flat rows keep every operand of
-        # the loop one contiguous vector.
-        rows = np.empty((n_rows + 1, 3 * m))
-        first = 0
-        if lo == 0:  # row 0 is the initial state, reached by no command
-            rows[0, 2 * m :] = 0.0
-            rows[1, : 2 * m] = self.state
-            first = 1
-        else:
-            rows[0, : 2 * m] = self.state
-        aim = np.empty((n_rows, 2 * m))  # delayed leader position and speed
-        aim[:, :m] = lead[:-1]
-        aim[:, m:] = self.vj
-        err = np.empty(2 * m)
-        spacing, speed_err = err[:m], err[m:]
-        term = np.empty(m)
-        delta = np.empty(2 * m)
-        # 0-d arrays: a cheaper ufunc operand than a float, same value.
-        lj, headway = np.array(cfg.leader_length), np.array(cfg.headway_time)
-        dt = np.full(2 * m, cfg.dt)
-        gamma, neg_k = self.gamma, self.neg_k
-        subtract, add, multiply = np.subtract, np.add, np.multiply
-        steps = zip(
-            rows[first:-1, : 2 * m],  # position and speed
-            rows[first:-1, m : 2 * m],  # speed
-            rows[first:-1, m:],  # speed and command
-            rows[first:-1, 2 * m :],  # command
-            rows[first + 1 :, : 2 * m],  # next position and speed
-            aim[first:],
-        )
-        for state, speed, rates, cmd, nxt, target in steps:
-            subtract(state, target, err)
-            add(spacing, lj, spacing)
-            multiply(speed, headway, term)
-            add(spacing, term, spacing)
-            multiply(gamma, speed_err, speed_err)
-            add(spacing, speed_err, spacing)
-            multiply(neg_k, spacing, cmd)
-            multiply(rates, dt, delta)
-            add(state, delta, nxt)
-        self.row += n_rows
-        self.state = rows[-1, : 2 * m].copy()
-        self.leader = lead[-1].copy()
-        gap = lead[1:] - rows[1:, :m]
-        return rows[1:, m : 2 * m], rows[:-1, 2 * m :], gap
-
-    def keep(self, mask: np.ndarray) -> None:
-        if mask.all():
-            return
-        self.state = self.state[np.tile(mask, 2)]
-        for name in ("vj", "gamma", "neg_k", "leader_step", "leader"):
-            setattr(self, name, getattr(self, name)[mask])
-
-
 class _CellScorer:
     """Streaming evaluation and staged selection for a batch of cells.
 
@@ -538,14 +441,16 @@ def _evaluate_cells(args):
 
     def accel_of(col, n_rows):
         one = slice(col, col + 1)
-        run = _CandidateRuns(dr0[one], vi0[one], vj0[one], gamma[one], k[one], cfg)
-        return run.advance(n_rows)[1][:, 0]
+        law = ConsensusLaw(gamma[one], k[one])
+        run = FollowerRuns(dr0[one], vi0[one], vj0[one], law, cfg)
+        return run.advance(n_rows)[2][:, 0]
 
     n_samples = round(cfg.t_max / cfg.dt) + 1
-    runs = _CandidateRuns(dr0, vi0, vj0, gamma, k, cfg)
+    runs = FollowerRuns(dr0, vi0, vj0, ConsensusLaw(gamma, k), cfg)
     scorer = _CellScorer(vj0, pairs, n_samples, cfg, accel_of)
     while len(scorer.cols):
-        scorer.score(*runs.advance(min(_BLOCK_STEPS, n_samples - runs.row)))
+        _, v, a, gap = runs.advance(min(_BLOCK_STEPS, n_samples - runs.row))
+        scorer.score(v, a, gap)
         runs.keep(scorer.decide())
     return flat_indices, scorer.k, scorer.gamma
 

@@ -1,15 +1,15 @@
 """Scenario runner and benchmark suite.
 
 A scenario is one follower tracking one constant-speed leader from a given
-initial gap and speed pair.  The follower's controller is chosen once at the
-start: scheduled gains from a table lookup (with a linear feedback fallback
-on a miss), a static consensus gain pair, or linear feedback.  The suite
-runs four benchmark operating points against all three controllers and
-reports convergence, comfort, and safety side by side.
+initial gap and speed pair.  The follower's control law is chosen once at
+the start: scheduled gains from a table lookup (with a linear feedback
+fallback on a miss), a static consensus gain pair, or linear feedback.  The
+suite runs four benchmark operating points against all three controllers
+and reports convergence, comfort, and safety side by side.
 
-The scalar loop here and the batched table builder share their update and
-controller arithmetic, so a re-run of any table cell's operating point
-reproduces the builder's trajectory bit for bit.
+A scenario runs on the table build's simulation kernel
+(dynamics.FollowerRuns) as a batch of one column, so a re-run of any table
+cell's operating point reproduces the builder's trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ import numpy as np
 
 from .controllers import (
     DEFAULT_FALLBACK_GAINS,
-    ControllerInput,
+    ConsensusLaw,
     GainPair,
     LinearFeedbackGains,
-    consensus_accel,
-    desired_gap,
-    linear_feedback_accel,
+    LinearFeedbackLaw,
 )
-from .dynamics import SimClock, StateHistory, VehicleState, delayed_state, step
+from .dynamics import FollowerRuns
 from .gaintable import BuildConfig, GainTable, lookup
 from .metrics import (
     RunMetrics,
@@ -79,6 +77,10 @@ class ScenarioConfig:
     controller_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("dr0", "vi0", "vj0", "duration"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.duration > 0:
             raise ValueError("duration must be positive")
         if self.vi0 < 0 or self.vj0 < 0:
@@ -153,60 +155,31 @@ def simulate_pair(
     cfg: BuildConfig,
     duration: float,
 ) -> Trajectory:
-    """Scalar leader-follower run; control(inp) returns the commanded accel.
+    """One leader-follower run: a one-column batch of the kernel.
 
+    control is a control law (controllers.ConsensusLaw or LinearFeedbackLaw).
     The leader starts at dr0 with constant speed vj0, the follower at the
     origin at vi0 with zero acceleration.  The leader is observed through
     the communication delay, with the initial sample held before any
     delayed data exists.  Commands computed at step t land on the sample at
-    t + dt.
+    t + dt.  A non-finite command anywhere in the run raises ValueError.
     """
     dt = cfg.dt
-    clock = SimClock(dt)
     n_steps = round(duration / dt)
-    delay = cfg.comm_delay
-
-    follower = VehicleState(position=0.0, speed=vi0, accel=0.0)
-    leader = VehicleState(position=dr0, speed=vj0, accel=0.0)
-    history = StateHistory(dt)
-    history.append(0.0, leader)
-
-    n = n_steps + 1
-    t = np.empty(n)
-    r_follower = np.empty(n)
-    v_follower = np.empty(n)
-    a_follower = np.empty(n)
-    r_leader = np.empty(n)
-    v_leader = np.empty(n)
-    gap = np.empty(n)
-    v_leader_delayed = np.empty(n)
-
-    for idx in range(n):
-        now = clock.t
-        observed = delayed_state(history, now, delay)
-        t[idx] = now
-        r_follower[idx] = follower.position
-        v_follower[idx] = follower.speed
-        a_follower[idx] = follower.accel
-        r_leader[idx] = leader.position
-        v_leader[idx] = leader.speed
-        gap[idx] = observed.position - follower.position
-        v_leader_delayed[idx] = observed.speed
-        if idx == n_steps:
-            break
-        inp = ControllerInput(
-            follower=follower,
-            leader_delayed=observed,
-            leader_length=cfg.leader_length,
-            time_gap=cfg.time_gap,
-            comm_delay=cfg.comm_delay,
+    if n_steps < 1:
+        raise ValueError(
+            f"duration {duration!r} must span at least one step of dt {dt!r}"
         )
-        cmd = control(inp)
-        follower = step(follower, cmd, dt)
-        leader = step(leader, 0.0, dt)
-        clock.tick()
-        history.append(clock.t, leader)
-
+    n = n_steps + 1
+    runs = FollowerRuns([dr0], [vi0], [vj0], control, cfg)
+    r_follower, v_follower, a_follower, gap = (
+        series[:, 0] for series in runs.advance(n)
+    )
+    if not np.isfinite(a_follower).all():
+        raise ValueError("non-finite value for accel_cmd in the run")
+    # The kernel's running sum for the leader, undelayed.
+    leader = np.full(n, vj0 * dt)
+    leader[0] = dr0
     return Trajectory(
         dt=dt,
         leader_length=cfg.leader_length,
@@ -215,11 +188,11 @@ def simulate_pair(
         v_follower=v_follower,
         a_follower=a_follower,
         gap=gap,
-        v_leader_delayed=v_leader_delayed,
-        t=t,
+        v_leader_delayed=np.full(n, float(vj0)),
+        t=np.arange(n) * dt,
         r_follower=r_follower,
-        r_leader=r_leader,
-        v_leader=v_leader,
+        r_leader=np.add.accumulate(leader),
+        v_leader=np.full(n, float(vj0)),
     )
 
 
@@ -228,9 +201,9 @@ def _resolve_controller(
     table: GainTable | None,
     fallback_gains: LinearFeedbackGains,
 ):
-    """Pick the control callable once, at the start of the run.
+    """Pick the control law once, at the start of the run.
 
-    Returns (control function, gains or None, fallback_engaged).
+    Returns (law, gains or None, fallback_engaged).
     """
     kind = scenario.controller
     params = scenario.controller_params
@@ -240,25 +213,12 @@ def _resolve_controller(
             raise ValueError("lookup controller needs a gain table")
         gains = lookup(table, scenario.dr0, scenario.vi0, scenario.vj0)
         if gains is None or not gains.valid:
-            fb = fallback_gains
-
-            def control(inp):
-                return linear_feedback_accel(inp, inp.leader_delayed.accel, fb)
-
-            return control, None, True
-
-        def control(inp, pair=gains):
-            return consensus_accel(inp, pair)
-
-        return control, gains, False
+            return LinearFeedbackLaw(fallback_gains), None, True
+        return ConsensusLaw.of(gains), gains, False
 
     if kind == "fixed_consensus":
         gains = GainPair(k=float(params["k"]), gamma=float(params["gamma"]))
-
-        def control(inp, pair=gains):
-            return consensus_accel(inp, pair)
-
-        return control, gains, False
+        return ConsensusLaw.of(gains), gains, False
 
     lf = LinearFeedbackGains(
         k_a=float(params.get("k_a", fallback_gains.k_a)),
@@ -268,11 +228,7 @@ def _resolve_controller(
             params.get("standstill_gap", fallback_gains.standstill_gap)
         ),
     )
-
-    def control(inp, gains_lf=lf):
-        return linear_feedback_accel(inp, inp.leader_delayed.accel, gains_lf)
-
-    return control, None, False
+    return LinearFeedbackLaw(lf), None, False
 
 
 def run_scenario(

@@ -21,14 +21,10 @@ __all__ = [
     "SafetyMode",
     "ConsensusThresholds",
     "ComfortWeights",
-    "StepSample",
     "Trajectory",
     "RunMetrics",
     "jerk_series",
-    "consensus_reached",
     "consensus_flags",
-    "convergence_time",
-    "check_safety",
     "omega_score",
     "evaluate_run",
 ]
@@ -84,18 +80,6 @@ class ComfortWeights:
     def __post_init__(self) -> None:
         if self.omega_1 < 0 or self.omega_2 < 0:
             raise ValueError("comfort weights must be non-negative")
-
-
-@dataclass(frozen=True)
-class StepSample:
-    """One evaluation sample of a run."""
-
-    gap: float
-    desired_gap: float
-    v_leader_delayed: float
-    v_follower: float
-    accel: float
-    jerk: float
 
 
 @dataclass
@@ -190,21 +174,6 @@ def _bands_ok(gap, desired, v_leader_delayed, v_follower, accel, jerk, threshold
     return gap_ok & speed_ok & accel_ok & jerk_ok
 
 
-def consensus_reached(sample: StepSample, thresholds: ConsensusThresholds) -> bool:
-    """Whether one sample sits inside all four consensus bands."""
-    return bool(
-        _bands_ok(
-            sample.gap,
-            sample.desired_gap,
-            sample.v_leader_delayed,
-            sample.v_follower,
-            sample.accel,
-            sample.jerk,
-            thresholds,
-        )
-    )
-
-
 def consensus_flags(
     trajectory: Trajectory, thresholds: ConsensusThresholds
 ) -> np.ndarray:
@@ -238,24 +207,6 @@ def _first_sustained_index(flags: np.ndarray, window_samples: int) -> int:
     return int(np.argmax(hits))
 
 
-def convergence_time(
-    trajectory: Trajectory,
-    thresholds: ConsensusThresholds,
-    hold_window: float,
-) -> float:
-    """Earliest time from which the bands hold throughout hold_window.
-
-    Returns math.inf when no such time exists within the run.  Weakly
-    antitone in hold_window: a longer window never reports earlier.
-    """
-    if hold_window < 0:
-        raise ValueError(f"hold_window must be non-negative, got {hold_window!r}")
-    flags = consensus_flags(trajectory, thresholds)
-    window_samples = round(hold_window / trajectory.dt)
-    idx = _first_sustained_index(flags, window_samples)
-    return math.inf if idx < 0 else idx * trajectory.dt
-
-
 def _safety_from_gap(
     gap: np.ndarray, leader_length: float, mode: SafetyMode
 ) -> tuple[bool, float]:
@@ -275,13 +226,6 @@ def _safety_from_gap(
     else:
         min_gap = math.nan
     return violated, min_gap
-
-
-def check_safety(
-    trajectory: Trajectory, leader_length: float, mode: SafetyMode
-) -> tuple[bool, float]:
-    """Gap-floor check over a whole trajectory (see _safety_from_gap)."""
-    return _safety_from_gap(trajectory.gap, leader_length, mode)
 
 
 def omega_score(metrics: RunMetrics, weights: ComfortWeights) -> float:

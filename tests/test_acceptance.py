@@ -20,8 +20,7 @@ from caccsim.config import (
     load_build_config,
     load_candidates,
 )
-from caccsim.controllers import ControllerInput, GainPair, consensus_accel, desired_gap
-from caccsim.dynamics import VehicleState
+from caccsim.controllers import GainPair, consensus_command, desired_gap
 from caccsim.gaintable import GainTable, build_table, load_table, lookup, save_table
 from caccsim.harness import (
     BENCHMARK_POINTS,
@@ -35,10 +34,8 @@ from caccsim.metrics import (
     ConsensusThresholds,
     RunMetrics,
     SafetyMode,
-    StepSample,
-    Trajectory,
-    check_safety,
-    consensus_reached,
+    _bands_ok,
+    _safety_from_gap,
     omega_score,
 )
 from caccsim.stability import (
@@ -161,15 +158,9 @@ def test_criterion_04_equilibrium_command_is_null(acceptance_log):
         tau = rng.uniform(0.0, 0.2)
         adjacency = rng.uniform(0.1, 1.0)
         gap = desired_gap(v, lj, tg, tau)
-        inp = ControllerInput(
-            follower=VehicleState(position=0.0, speed=v),
-            leader_delayed=VehicleState(position=gap, speed=v),
-            leader_length=lj,
-            time_gap=tg,
-            comm_delay=tau,
-            adjacency=adjacency,
+        cmd = consensus_command(
+            0.0, gap, v, v, lj, tg + tau, k, gamma, adjacency=adjacency
         )
-        cmd = consensus_accel(inp, GainPair(k=k, gamma=gamma))
         worst = max(worst, abs(cmd))
         assert abs(cmd) <= 1e-12
     acceptance_log(
@@ -347,16 +338,13 @@ def test_criterion_10_metric_property_sweeps(acceptance_log):
         v_leader = rng.uniform(0.0, 35.0)
         desired = rng.uniform(5.0, 40.0)
         near = rng.random() < 0.5
-        sample = StepSample(
-            gap=desired * (1 + rng.uniform(-0.04, 0.04))
-            if near
-            else rng.uniform(0.0, 80.0),
-            desired_gap=desired,
-            v_leader_delayed=v_leader,
-            v_follower=v_leader + rng.uniform(-0.5, 0.5),
-            accel=rng.uniform(-0.002, 0.002),
-            jerk=rng.uniform(-0.01, 0.01),
+        gap = (
+            desired * (1 + rng.uniform(-0.04, 0.04)) if near else rng.uniform(0.0, 80.0)
         )
+        v_follower = v_leader + rng.uniform(-0.5, 0.5)
+        accel = rng.uniform(-0.002, 0.002)
+        jerk = rng.uniform(-0.01, 0.01)
+        sample = (gap, desired, v_leader, v_follower, accel, jerk)
         tight = ConsensusThresholds(
             eta_r=rng.uniform(0.01, 0.1),
             eta_v=rng.uniform(0.01, 0.1),
@@ -369,8 +357,8 @@ def test_criterion_10_metric_property_sweeps(acceptance_log):
             delta_a=tight.delta_a * rng.uniform(1.0, 3.0),
             delta_jerk=tight.delta_jerk * rng.uniform(1.0, 3.0),
         )
-        if consensus_reached(sample, tight):
-            assert consensus_reached(sample, loose)
+        if _bands_ok(*sample, tight):
+            assert _bands_ok(*sample, loose)
 
     # The comfort score is linear in each weight.
     for _ in range(1000):
@@ -405,18 +393,7 @@ def test_criterion_10_metric_property_sweeps(acceptance_log):
         pre = lj - rng.uniform(0.0, 3.0, size=n_pre)
         post = lj + 0.01 + np.cumsum(rng.uniform(0.0, 0.3, size=n_post))
         gap = np.concatenate([pre, post])
-        n = gap.size
-        traj = Trajectory(
-            dt=0.01,
-            leader_length=lj,
-            time_gap=0.7,
-            comm_delay=0.06,
-            v_follower=np.full(n, 20.0),
-            a_follower=np.zeros(n),
-            gap=gap,
-            v_leader_delayed=np.full(n, 20.0),
-        )
-        violated, min_gap = check_safety(traj, lj, SafetyMode.PROJECTED)
+        violated, min_gap = _safety_from_gap(gap, lj, SafetyMode.PROJECTED)
         assert not violated
         assert min_gap > lj
 

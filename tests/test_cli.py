@@ -2,12 +2,34 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
 
 from caccsim.cli import main
 from caccsim.gaintable import load_table
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# sha256 of the suite's trajectory CSVs on the production table, recorded
+# from the per-step scalar harness that the array kernel replaced.
+SUITE_TRAJECTORY_SHA256 = {
+    "scenario1_fixed_consensus.csv": "88fb9a1a99b0fd3b62780f4607d25af9aca37d835eeeaaf2b58d9167f756b6d7",
+    "scenario1_linear_feedback.csv": "a5ff5b8e5d356c8fdcd86d35090b1a8e2049e87dab32c6618c31e05390374d46",
+    "scenario1_lookup.csv": "450821537ee25b8564a6ed2fbf73f66a42a1fb7c81bda0f136177e4723d85b65",
+    "scenario2_fixed_consensus.csv": "35590b92761894a31660c9e491eee52044a70a8e5ebfada99467a837d82a091f",
+    "scenario2_linear_feedback.csv": "914e726f5ce3548d3daaa409dd3fa64db2934f6341cfeca371aac9eb2ee65b9d",
+    "scenario2_lookup.csv": "eb59a5b39c52ecc6902084a92233d492870a1153a881950790ea87fd1ded5f0d",
+    "scenario3_fixed_consensus.csv": "f598625b16442fb8fbe80afa18b0bbc0bd6db10b27c268dcc9c1b01ffcec5f3b",
+    "scenario3_linear_feedback.csv": "9f6ea95b76964ad539bf23947c73bc778d0e558fddfabd8887cdd0f6e1714b0a",
+    "scenario3_lookup.csv": "d4e11efa9f17ff9e7868c335727c72063decc73713835b8a6764ccfb6292ab87",
+    "scenario4_fixed_consensus.csv": "6022f49d6dc8f51dc787a413f9f365af10812717125994629c73581cd21ebef9",
+    "scenario4_linear_feedback.csv": "bc77a1ccefcfa5ac4ac07f05ef4f90b41bcb8379bc0226ee46de2a8ae32cd1e2",
+    "scenario4_lookup.csv": "73241c159442a3a5a22c5e1b9e9b96be6d656fd2e918b18be9ae12bfeae8a8fb",
+}
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +297,31 @@ def test_stability_requires_arguments(capsys):
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_suite_on_the_production_table_reproduces_the_reference_bytes(tmp_path, capsys):
+    """The suite on the kept production table writes the summary and the
+    comparison the benchmark's manifest records, and trajectory CSVs equal
+    to the recorded ones, byte for byte."""
+    reference = ROOT / "perfbench" / "reference"
+    manifest = json.loads((reference / "manifest.json").read_text(encoding="utf-8"))
+    configs = ROOT / "configs"
+    code = main([
+        "suite",
+        "--table", str(reference / "table.txt"),
+        "--config", str(configs / "build_default.ini"),
+        "--baselines", str(configs / "baselines_default.ini"),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert manifest["suite"]["verdict_line"] in capsys.readouterr().out.splitlines()
+
+    def sha256(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    assert sha256("summary.txt") == manifest["suite"]["summary_sha256"]
+    assert sha256("comparison.csv") == manifest["suite"]["comparison_sha256"]
+    written = sorted(p.name for p in tmp_path.glob("*.csv") if p.name != "comparison.csv")
+    assert written == sorted(SUITE_TRAJECTORY_SHA256)
+    for name, digest in SUITE_TRAJECTORY_SHA256.items():
+        assert sha256(name) == digest, name

@@ -9,25 +9,16 @@ import pytest
 
 from caccsim.controllers import (
     DEFAULT_FALLBACK_GAINS,
-    ControllerInput,
+    ConsensusLaw,
     GainPair,
     InvalidGainsError,
     LinearFeedbackGains,
-    consensus_accel,
+    LinearFeedbackLaw,
     consensus_command,
     desired_gap,
-    fixed_gain_consensus_accel,
     linear_feedback_accel,
 )
-from caccsim.dynamics import VehicleState
-
-
-def make_input(ri, vi, rj, vj, adjacency=1.0):
-    return ControllerInput(
-        follower=VehicleState(position=ri, speed=vi),
-        leader_delayed=VehicleState(position=rj, speed=vj),
-        adjacency=adjacency,
-    )
+from caccsim.gaintable import BuildConfig
 
 
 def test_desired_gap_hand_values():
@@ -54,12 +45,32 @@ def test_consensus_command_hand_value_heavier_speed_weight():
     assert cmd == -1.8280000000000003
 
 
+def random_columns(rng, m):
+    """Follower [positions, speeds] and delayed leader [positions, speeds]."""
+    state = np.concatenate([rng.uniform(-50.0, 50.0, m), rng.uniform(0.0, 35.0, m)])
+    target = np.concatenate([rng.uniform(-50.0, 150.0, m), rng.uniform(0.0, 35.0, m)])
+    return state, target
+
+
 def test_consensus_accel_matches_raw_command():
-    inp = make_input(0.0, 28.0, 50.0, 14.0)
-    gains = GainPair(k=0.1, gamma=3.0)
-    assert consensus_accel(inp, gains) == consensus_command(
-        0.0, 50.0, 28.0, 14.0, 5.0, 0.7 + 0.06, k=0.1, gamma=3.0
-    )
+    """The kernel's in-place consensus step computes consensus_command,
+    bit for bit, column by column."""
+    rng = np.random.default_rng(17)
+    m = 256
+    gamma, k = rng.uniform(0.5, 10.0, m), rng.uniform(0.01, 2.0, m)
+    for cfg in (BuildConfig(), BuildConfig(leader_length=4.3, time_gap=1.13)):
+        step = ConsensusLaw(gamma, k).command(cfg, m)
+        state, target = random_columns(rng, m)
+        cmd = np.empty(m)
+        step(state, state[m:], target, cmd)
+        ri, vi = state[:m], state[m:]
+        rj, vj = target[:m], target[m:]
+        for n in range(m):
+            expected = consensus_command(
+                float(ri[n]), float(rj[n]), float(vi[n]), float(vj[n]),
+                cfg.leader_length, cfg.headway_time, float(k[n]), float(gamma[n]),
+            )
+            assert cmd[n] == expected
 
 
 def test_consensus_equilibrium_gives_zero_command():
@@ -71,8 +82,8 @@ def test_consensus_equilibrium_gives_zero_command():
 
 
 def test_consensus_unconnected_leader_commands_nothing():
-    inp = make_input(0.0, 28.0, 50.0, 14.0, adjacency=0.0)
-    assert consensus_accel(inp, GainPair(k=0.1, gamma=2.0)) == 0.0
+    cmd = consensus_command(0.0, 50.0, 28.0, 14.0, 5.0, 0.76, 0.1, 2.0, adjacency=0.0)
+    assert cmd == 0.0
 
 
 def test_consensus_command_scales_exactly_with_k_doubling():
@@ -129,21 +140,13 @@ def test_invalid_gain_pair_round_trip():
 
 
 def test_consensus_accel_refuses_invalid_gains():
-    inp = make_input(0.0, 20.0, 30.0, 20.0)
     with pytest.raises(InvalidGainsError):
-        consensus_accel(inp, GainPair.invalid())
-
-
-def test_fixed_gain_alias_behaves_identically():
-    inp = make_input(2.0, 24.0, 60.0, 22.0)
-    gains = GainPair(k=0.1, gamma=5.0)
-    assert fixed_gain_consensus_accel(inp, gains) == consensus_accel(inp, gains)
+        ConsensusLaw.of(GainPair.invalid())
 
 
 def test_linear_feedback_hand_value():
     """Feedforward 0.3, speed error 2 m/s, spacing error 10 m."""
-    inp = make_input(0.0, 20.0, 30.0, 22.0)
-    cmd = linear_feedback_accel(inp, 0.3, LinearFeedbackGains())
+    cmd = linear_feedback_accel(0.0, 30.0, 20.0, 22.0, 0.3, 5.0, 0.7, LinearFeedbackGains())
     assert cmd == 2.46
 
 
@@ -152,8 +155,34 @@ def test_linear_feedback_equilibrium():
     gains = LinearFeedbackGains()
     v = 14.0
     spacing = gains.standstill_gap + 5.0 + v * 0.7
-    inp = make_input(0.0, v, spacing, v)
-    assert linear_feedback_accel(inp, 0.0, gains) == 0.0
+    assert linear_feedback_accel(0.0, spacing, v, v, 0.0, 5.0, 0.7, gains) == 0.0
+
+
+def test_linear_feedback_law_step_matches_raw_command():
+    """The kernel's in-place linear feedback step computes
+    linear_feedback_accel with a leader acceleration of 0, bit for bit."""
+    rng = np.random.default_rng(23)
+    m = 256
+    cfg = BuildConfig(leader_length=4.3, time_gap=1.13)
+    for _ in range(4):
+        gains = LinearFeedbackGains(*rng.uniform(-1.0, 2.0, 4))
+        step = LinearFeedbackLaw(gains).command(cfg, m)
+        state, target = random_columns(rng, m)
+        cmd = np.empty(m)
+        step(state, state[m:], target, cmd)
+        for n in range(m):
+            expected = linear_feedback_accel(
+                float(state[n]), float(target[n]), float(state[m + n]),
+                float(target[m + n]), 0.0, cfg.leader_length, cfg.time_gap, gains,
+            )
+            assert cmd[n] == expected
+
+
+@pytest.mark.parametrize("field", ["k_a", "k_v", "k_d", "standstill_gap"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_linear_feedback_gains_reject_non_finite_value_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        LinearFeedbackGains(**{field: value})
 
 
 def test_default_fallback_gains_are_fixed():

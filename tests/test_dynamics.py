@@ -1,169 +1,214 @@
-"""Tests of the vehicle model: stepping, history, delayed retrieval."""
+"""Tests of the simulation kernel: stepping, delayed observation, the laws."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
-from caccsim.dynamics import (
-    SimClock,
-    StateHistory,
-    VehicleSpec,
-    VehicleState,
-    delayed_state,
-    step,
+from caccsim.controllers import (
+    ConsensusLaw,
+    LinearFeedbackGains,
+    LinearFeedbackLaw,
+    consensus_command,
+    linear_feedback_accel,
 )
+from caccsim.dynamics import FollowerRuns
+from caccsim.gaintable import BuildConfig
+from caccsim.harness import ScenarioConfig, simulate_pair
+
+CFG = BuildConfig(t_max=10.0)
+
+# A law that commands exactly 0 (zero gains times finite errors, summed).
+ZERO = LinearFeedbackLaw(LinearFeedbackGains(k_a=0.0, k_v=0.0, k_d=0.0))
+
+# k_v * (vj - vi) with vj = vi - 1 and nothing else: a command of exactly -1.
+BRAKE = LinearFeedbackLaw(LinearFeedbackGains(k_a=0.0, k_v=1.0, k_d=0.0))
+
+
+def run(dr0, vi0, vj0, law, n, cfg=CFG):
+    """Rows 0 .. n - 1 of one column: position, speed, accel, delayed gap."""
+    series = FollowerRuns([dr0], [vi0], [vj0], law, cfg).advance(n)
+    return tuple(s[:, 0] for s in series)
+
+
+def leader_positions(dr0, vj0, n, dt):
+    """The leader's positions as a step-by-step scalar update gives them."""
+    positions = [dr0]
+    for _ in range(n - 1):
+        positions.append(positions[-1] + vj0 * dt)
+    return np.array(positions)
 
 
 def test_step_cruise_from_standstill_command():
     """Position moves by v*dt, speed and accel keep the zero command."""
-    out = step(VehicleState(position=0.0, speed=10.0, accel=0.0), 0.0, 0.01)
-    assert out.position == 0.1
-    assert out.speed == 10.0
-    assert out.accel == 0.0
+    r, v, a, _ = run(50.0, 10.0, 10.0, ZERO, 2)
+    assert r[1] == 0.1
+    assert v[1] == 10.0
+    assert a[1] == 0.0
 
 
 def test_step_braking_uses_pre_step_speed():
     """The position update uses the speed before the command acts."""
-    out = step(VehicleState(position=100.0, speed=20.0, accel=0.0), -1.0, 0.01)
-    assert out.position == 100.2
-    assert out.speed == 19.99
-    assert out.accel == -1.0
+    r, v, a, _ = run(50.0, 20.0, 19.0, BRAKE, 3)
+    assert a[1] == -1.0
+    assert r[1] == 0.2
+    assert v[1] == 19.99
+    assert r[2] == 0.2 + 19.99 * 0.01
 
 
 def test_step_records_command_as_new_accel():
-    out = step(VehicleState(position=5.0, speed=0.0, accel=0.3), 2.5, 0.1)
-    assert out.accel == 2.5
+    """The command computed at row 0 is the acceleration of row 1."""
+    _, _, a, _ = run(30.0, 24.0, 18.0, ConsensusLaw([3.0], [0.1]), 2)
+    assert a[0] == 0.0
+    assert a[1] == consensus_command(
+        0.0, 30.0, 24.0, 18.0, CFG.leader_length, CFG.headway_time, 0.1, 3.0
+    )
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_rejects_nonfinite_command():
+    """A gain that overflows the command fails the run, not the numbers."""
     with pytest.raises(ValueError, match="accel_cmd"):
-        step(VehicleState(position=0.0, speed=0.0, accel=0.0), float("nan"), 0.01)
+        simulate_pair(30.0, 24.0, 18.0, ConsensusLaw([3.0], [1e308]), CFG, 1.0)
 
 
 def test_state_rejects_nonfinite_fields():
-    with pytest.raises(ValueError, match="position"):
-        VehicleState(position=float("inf"), speed=0.0, accel=0.0)
-    with pytest.raises(ValueError, match="speed"):
-        VehicleState(position=0.0, speed=float("nan"), accel=0.0)
+    """A run's initial state must be finite; the scenario refuses it."""
+    with pytest.raises(ValueError, match="dr0"):
+        ScenarioConfig("x", math.inf, 10.0, 10.0)
+    with pytest.raises(ValueError, match="vj0"):
+        ScenarioConfig("x", 10.0, 10.0, math.nan)
 
 
 def test_step_rejects_bad_dt():
     with pytest.raises(ValueError, match="dt"):
-        step(VehicleState(position=0.0, speed=0.0, accel=0.0), 0.0, 0.0)
+        BuildConfig(dt=0.0)
 
 
 def test_step_is_deterministic():
     """Identical inputs give bit-identical outputs."""
-    state = VehicleState(position=12.34, speed=5.67, accel=-0.1)
-    a = step(state, -0.456, 0.01)
-    b = step(state, -0.456, 0.01)
-    assert (a.position, a.speed, a.accel) == (b.position, b.speed, b.accel)
+    law = ConsensusLaw([4.0], [0.1])
+    a = run(12.34, 5.67, 8.9, law, 500)
+    b = run(12.34, 5.67, 8.9, law, 500)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_position_strictly_increases_while_speed_positive():
     rng = np.random.default_rng(7)
-    state = VehicleState(position=0.0, speed=3.0, accel=0.0)
-    for _ in range(500):
-        cmd = float(rng.uniform(-2.0, 2.0))
-        new = step(state, cmd, 0.01)
-        if state.speed > 0:
-            assert new.position > state.position
-        state = new
-
-
-def test_vehicle_spec_validation_and_clamp():
-    spec = VehicleSpec(length=4.5, accel_min=-3.0, accel_max=2.0)
-    assert spec.clamp(5.0) == 2.0
-    assert spec.clamp(-9.0) == -3.0
-    assert spec.clamp(0.5) == 0.5
-    with pytest.raises(ValueError, match="length"):
-        VehicleSpec(length=0.0)
-    with pytest.raises(ValueError, match="straddle"):
-        VehicleSpec(length=5.0, accel_min=1.0, accel_max=2.0)
+    for _ in range(20):
+        dr0 = float(rng.uniform(-100.0, 100.0))
+        vi0, vj0 = (float(x) for x in rng.uniform(2.0, 34.0, size=2))
+        gamma = float(rng.uniform(1.0, 10.0))
+        r, v, _, _ = run(dr0, vi0, vj0, ConsensusLaw([gamma], [0.1]), 1000)
+        moving = v[:-1] > 0
+        assert np.all(r[1:][moving] > r[:-1][moving])
 
 
 def test_simclock_time_is_step_times_dt():
-    clock = SimClock(0.01)
-    for _ in range(250):
-        clock.tick()
-    assert clock.t == 250 * 0.01
+    """Sample times are index * dt, never a running sum of dt."""
+    traj = simulate_pair(30.0, 24.0, 18.0, ZERO, CFG, 2.5)
+    assert len(traj) == 251
+    assert traj.t[250] == 250 * 0.01
+    assert np.array_equal(traj.t, np.arange(251) * 0.01)
 
 
 def test_simclock_delay_steps():
-    clock = SimClock(0.01)
-    assert clock.steps_for(0.06) == 6
-    assert clock.steps_for(0.0) == 0
-    with pytest.raises(ValueError, match="interpolates"):
-        clock.steps_for(0.005)
+    assert BuildConfig(comm_delay=0.06).delay_steps() == 6
+    assert BuildConfig(comm_delay=0.0).delay_steps() == 0
+    with pytest.raises(ValueError, match="multiple"):
+        BuildConfig(comm_delay=0.005)
     with pytest.raises(ValueError, match="non-negative"):
-        clock.steps_for(-0.01)
+        BuildConfig(comm_delay=-0.01)
 
 
 def test_delayed_state_returns_exact_stored_sample():
-    """A delay of n steps returns the sample stored n steps earlier."""
-    history = StateHistory(dt=0.06)
-    history.append(0.0, VehicleState(position=0.0, speed=14.0, accel=0.0))
-    history.append(0.06, VehicleState(position=0.84, speed=14.5, accel=0.2))
-    got = delayed_state(history, 0.06, 0.06)
-    assert got.speed == 14.0
-    assert got.position == 0.0
+    """A delay of d steps observes the leader position from d rows back.
+
+    A follower at standstill stays at the origin, so its gap is the
+    observed leader position itself."""
+    n, delay = 300, CFG.delay_steps()
+    _, _, _, gap = run(40.0, 0.0, 14.0, ZERO, n)
+    leader = leader_positions(40.0, 14.0, n, CFG.dt)
+    assert np.array_equal(gap[delay:], leader[: n - delay])
 
 
 def test_delayed_state_zero_delay_is_current_sample():
-    history = StateHistory(dt=0.06)
-    history.append(0.0, VehicleState(position=0.0, speed=14.0, accel=0.0))
-    history.append(0.06, VehicleState(position=0.84, speed=14.5, accel=0.2))
-    assert delayed_state(history, 0.06, 0.0).speed == 14.5
+    cfg = BuildConfig(t_max=10.0, comm_delay=0.0)
+    _, _, _, gap = run(40.0, 0.0, 14.0, ZERO, 300, cfg)
+    assert np.array_equal(gap, leader_positions(40.0, 14.0, 300, cfg.dt))
 
 
 def test_delayed_state_holds_initial_sample_before_start():
-    """Queries reaching before the first sample see the initial state."""
-    history = StateHistory(dt=0.01)
-    first = VehicleState(position=50.0, speed=14.0, accel=0.0)
-    history.append(0.0, first)
-    history.append(0.01, VehicleState(position=50.14, speed=14.0, accel=0.0))
-    held = delayed_state(history, 0.01, 0.06)
-    assert held.position == first.position
-    assert held.speed == first.speed
+    """Rows before any delayed sample exists see the initial leader."""
+    delay = CFG.delay_steps()
+    _, _, _, gap = run(50.0, 0.0, 14.0, ZERO, 20)
+    assert np.all(gap[: delay + 1] == 50.0)
+    assert gap[delay + 1] == 50.0 + 14.0 * CFG.dt
 
 
 def test_delayed_state_rejects_non_multiple_delay():
-    history = StateHistory(dt=0.01)
-    history.append(0.0, VehicleState(position=0.0, speed=0.0, accel=0.0))
-    with pytest.raises(ValueError, match="interpolates"):
-        delayed_state(history, 0.0, 0.005)
-
-
-def test_history_rejects_gapped_timestamps():
-    history = StateHistory(dt=0.01)
-    history.append(0.0, VehicleState(position=0.0, speed=0.0, accel=0.0))
-    with pytest.raises(ValueError, match="spacing"):
-        history.append(0.05, VehicleState(position=0.0, speed=0.0, accel=0.0))
-
-
-def test_history_capacity_eviction_guard():
-    """A delay that reaches evicted samples is an error, not a wrong answer."""
-    history = StateHistory(dt=0.01, capacity=3)
-    for i in range(10):
-        history.append(i * 0.01, VehicleState(position=float(i), speed=0.0, accel=0.0))
-    assert len(history) == 3
-    assert delayed_state(history, 0.09, 0.02).position == 7.0
-    with pytest.raises(ValueError, match="capacity"):
-        delayed_state(history, 0.09, 0.05)
+    with pytest.raises(ValueError, match="multiple"):
+        BuildConfig(dt=0.01, comm_delay=0.005)
 
 
 def test_bit_identical_resimulation():
-    """Re-running the same command sequence reproduces every float exactly."""
-    rng = np.random.default_rng(123)
-    cmds = rng.uniform(-3.0, 3.0, size=200)
+    """Advancing in blocks of any length reproduces every float exactly."""
+    law = ConsensusLaw([2.0, 7.0], [0.1, 0.1])
+    whole = FollowerRuns([30.0, -40.0], [24.0, 8.0], [18.0, 20.0], law, CFG)
+    expected = whole.advance(700)
+    law = ConsensusLaw([2.0, 7.0], [0.1, 0.1])
+    pieces = FollowerRuns([30.0, -40.0], [24.0, 8.0], [18.0, 20.0], law, CFG)
+    blocks = [pieces.advance(rows) for rows in (3, 5, 1, 256, 435)]
+    for want, got in zip(expected, zip(*blocks)):
+        assert np.array_equal(want, np.concatenate(got))
 
-    def simulate():
-        state = VehicleState(position=0.0, speed=20.0, accel=0.0)
-        out = []
-        for cmd in cmds:
-            state = step(state, float(cmd), 0.01)
-            out.append((state.position, state.speed, state.accel))
-        return out
 
-    assert simulate() == simulate()
+def linear_scalar_loop(dr0, vi0, vj0, gains, n, cfg):
+    """Rows 0 .. n of a hand-written scalar run over linear_feedback_accel."""
+    delay = cfg.delay_steps()
+    ri, vi, accel, rj = 0.0, vi0, 0.0, dr0
+    leader = [rj]
+    rows = []
+    for idx in range(n + 1):
+        delayed_rj = leader[max(idx - delay, 0)]
+        rows.append((ri, vi, accel, delayed_rj - ri))
+        if idx == n:
+            break
+        cmd = linear_feedback_accel(
+            ri, delayed_rj, vi, vj0, 0.0, cfg.leader_length, cfg.time_gap, gains
+        )
+        ri, vi = ri + vi * cfg.dt, vi + cmd * cfg.dt
+        accel = cmd
+        rj = rj + vj0 * cfg.dt
+        leader.append(rj)
+    return [np.array(series) for series in zip(*rows)]
+
+
+@pytest.mark.parametrize(
+    "dr0, vi0, vj0, gains",
+    [
+        (25.0, 14.0, 17.0, LinearFeedbackGains()),
+        (-30.0, 18.0, 10.0, LinearFeedbackGains(k_a=0.5, k_v=0.73, k_d=0.21,
+                                                standstill_gap=2.5)),
+        # Exact equilibrium with negative feedback gains: both feedback
+        # terms are -0.0, so only the feedforward k_a * 0 makes the sum +0.0.
+        (13.0, 10.0, 10.0, LinearFeedbackGains(k_a=1.0, k_v=-0.5, k_d=-0.2)),
+    ],
+    ids=["defaults", "behind", "signed-zero"],
+)
+def test_linear_law_matches_manual_scalar_loop(dr0, vi0, vj0, gains):
+    """The kernel's linear feedback law, advanced in uneven blocks, equals a
+    hand-written scalar loop over linear_feedback_accel bit for bit."""
+    cfg = BuildConfig(t_max=10.0)
+    delay = cfg.delay_steps()
+    n = round(cfg.t_max / cfg.dt)
+    runs = FollowerRuns([dr0], [vi0], [vj0], LinearFeedbackLaw(gains), cfg)
+    blocks = [runs.advance(rows) for rows in (2, delay, 300, n + 1 - delay - 302)]
+    kernel = [np.concatenate(series)[:, 0] for series in zip(*blocks)]
+    scalar = linear_scalar_loop(dr0, vi0, vj0, gains, n, cfg)
+    for want, got in zip(scalar, kernel):
+        assert want.tobytes() == got.tobytes()
+    if gains.k_v < 0:
+        assert scalar[2][1] == 0.0 and not np.signbit(scalar[2][1])

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from caccsim.controllers import GainPair, consensus_command, desired_gap
+from caccsim.controllers import ConsensusLaw, GainPair, consensus_command, desired_gap
 from caccsim import gaintable
-from caccsim.dynamics import _euler
+from caccsim.dynamics import FollowerRuns
 from caccsim.gaintable import (
     FORMAT_VERSION,
     AxisGrid,
@@ -20,7 +20,6 @@ from caccsim.gaintable import (
     CandidateSets,
     GainTable,
     TableFormatError,
-    _CandidateRuns,
     _CellScorer,
     _nearest_index,
     _select_cell,
@@ -157,17 +156,15 @@ def test_batch_simulation_matches_manual_scalar_loop():
     dr0, vi0, vj0, gamma, k = 30.0, 24.0, 18.0, 3.0, 0.1
     delay = cfg.delay_steps()
     n = round(cfg.t_max / cfg.dt)
-    runs = _CandidateRuns(
-        np.array([dr0]), np.array([vi0]), np.array([vj0]), np.array([gamma]),
-        np.array([k]), cfg,
-    )
+    runs = FollowerRuns([dr0], [vi0], [vj0], ConsensusLaw([gamma], [k]), cfg)
     blocks = [runs.advance(rows) for rows in (1, delay, 2, 256, n + 1 - delay - 259)]
-    v_b, a_b, gap_b = (np.concatenate(series) for series in zip(*blocks))
+    r_b, v_b, a_b, gap_b = (np.concatenate(series) for series in zip(*blocks))
     ri, vi, accel, rj = 0.0, vi0, 0.0, dr0
     leader = [rj]
-    vs, accels, gaps = [], [], []
+    rs, vs, accels, gaps = [], [], [], []
     for idx in range(n + 1):
         delayed_rj = leader[idx - delay] if idx >= delay else leader[0]
+        rs.append(ri)
         vs.append(vi)
         accels.append(accel)
         gaps.append(delayed_rj - ri)
@@ -176,10 +173,11 @@ def test_batch_simulation_matches_manual_scalar_loop():
         cmd = consensus_command(
             ri, delayed_rj, vi, vj0, cfg.leader_length, cfg.headway_time, k, gamma
         )
-        ri, vi = _euler(ri, vi, cmd, cfg.dt)
+        ri, vi = ri + vi * cfg.dt, vi + cmd * cfg.dt
         accel = cmd
         rj = rj + vj0 * cfg.dt
         leader.append(rj)
+    assert r_b[:, 0].tolist() == rs
     assert v_b[:, 0].tolist() == vs
     assert a_b[:, 0].tolist() == accels
     assert gap_b[:, 0].tolist() == gaps
@@ -316,8 +314,8 @@ def mixed_grid():
 
 @pytest.fixture(scope="module")
 def mixed_grid_oracle(mixed_grid):
-    """Per-cell gains from scalar runs, evaluate_run and _select_cell, and
-    the set of cell kinds seen."""
+    """Per-cell gains from single scenario runs, evaluate_run and
+    _select_cell, and the set of cell kinds seen."""
     axes, candidates, cfg = mixed_grid
     k_cells = np.full(axes.shape, math.nan)
     gamma_cells = np.full(axes.shape, math.nan)
@@ -366,7 +364,7 @@ def test_build_with_markers_matches_per_cell_oracle(
 def test_time_tie_comfort_comes_from_re_simulated_runs(monkeypatch):
     """The shipped grid's one time tie (dr 80, vi 34, vj 6; gamma 5 and 6
     converge together): the comfort scores the build compares, taken from
-    re-simulated runs, equal evaluate_run's over the scalar runs."""
+    re-simulated runs, equal evaluate_run's over single scenario runs."""
     axes = AxisGrid(dr=[80.0], vi=[34.0], vj=[6.0])
     candidates = CandidateSets(gammas=[5.0, 6.0], ks=[0.1])
     cfg = BuildConfig()

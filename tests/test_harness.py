@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from caccsim.controllers import ControllerInput, GainPair, consensus_accel
-from caccsim.dynamics import VehicleState
-from caccsim.gaintable import BuildConfig, _CandidateRuns
+from caccsim.controllers import ConsensusLaw, GainPair, consensus_command
+from caccsim.dynamics import FollowerRuns
+from caccsim.gaintable import _BLOCK_STEPS, BuildConfig
 from caccsim.harness import (
     BENCHMARK_POINTS,
     CONTROLLER_KINDS,
@@ -24,13 +24,6 @@ from caccsim.harness import (
     write_trajectory_csv,
 )
 from caccsim.metrics import ConsensusThresholds
-
-
-def consensus_control(gains):
-    def control(inp):
-        return consensus_accel(inp, gains)
-
-    return control
 
 
 def test_benchmark_points_are_fixed():
@@ -56,10 +49,27 @@ def test_scenario_config_validation():
         ScenarioConfig("x", 10.0, -1.0, 10.0)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("duration", math.inf), ("dr0", math.nan), ("vi0", math.nan)]
+)
+def test_scenario_config_rejects_non_finite_value_naming_the_field(field, value):
+    fields = {"dr0": 10.0, "vi0": 10.0, "vj0": 10.0, "duration": 30.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig("x", **fields)
+
+
+def test_run_scenario_rejects_duration_under_one_step(tiny_cfg):
+    scenario = ScenarioConfig(
+        "short", 15.0, 12.0, 11.0, duration=0.001, controller="linear_feedback"
+    )
+    with pytest.raises(ValueError, match="duration"):
+        run_scenario(scenario, tiny_cfg)
+
+
 def test_simulate_pair_initial_sample_and_leader_motion():
     cfg = BuildConfig(t_max=5.0)
     traj = simulate_pair(
-        30.0, 24.0, 18.0, consensus_control(GainPair(k=0.1, gamma=3.0)), cfg, 5.0
+        30.0, 24.0, 18.0, ConsensusLaw.of(GainPair(k=0.1, gamma=3.0)), cfg, 5.0
     )
     assert len(traj) == 501
     assert traj.t[0] == 0.0
@@ -77,7 +87,7 @@ def test_simulate_pair_delayed_observation_holds_initial_sample():
     with the start-of-run hold before that."""
     cfg = BuildConfig(t_max=5.0)
     traj = simulate_pair(
-        30.0, 24.0, 18.0, consensus_control(GainPair(k=0.1, gamma=3.0)), cfg, 5.0
+        30.0, 24.0, 18.0, ConsensusLaw.of(GainPair(k=0.1, gamma=3.0)), cfg, 5.0
     )
     observed = traj.gap + traj.r_follower
     delay = cfg.delay_steps()
@@ -90,33 +100,32 @@ def test_simulate_pair_command_lands_on_next_sample():
     """The first nonzero command shows up as the acceleration at t1."""
     cfg = BuildConfig(t_max=5.0)
     gains = GainPair(k=0.1, gamma=3.0)
-    traj = simulate_pair(30.0, 24.0, 18.0, consensus_control(gains), cfg, 1.0)
-    first_cmd = consensus_accel(
-        ControllerInput(
-            follower=VehicleState(position=0.0, speed=24.0),
-            leader_delayed=VehicleState(position=30.0, speed=18.0),
-        ),
-        gains,
+    traj = simulate_pair(30.0, 24.0, 18.0, ConsensusLaw.of(gains), cfg, 1.0)
+    first_cmd = consensus_command(
+        0.0, 30.0, 24.0, 18.0, cfg.leader_length, cfg.headway_time, 0.1, 3.0
     )
     assert traj.a_follower[0] == 0.0
     assert traj.a_follower[1] == first_cmd
 
 
 def test_simulate_pair_matches_batched_builder_bit_for_bit():
-    """One scalar run equals the corresponding builder column exactly."""
+    """One run equals its column of a builder-like batch (several columns,
+    advanced in blocks of the builder's length) exactly."""
     cfg = BuildConfig(t_max=20.0)
     dr0, vi0, vj0, gamma, k = -30.0, 18.0, 10.0, 5.0, 0.1
     traj = simulate_pair(
-        dr0, vi0, vj0, consensus_control(GainPair(k=k, gamma=gamma)), cfg, cfg.t_max
+        dr0, vi0, vj0, ConsensusLaw.of(GainPair(k=k, gamma=gamma)), cfg, cfg.t_max
     )
-    runs = _CandidateRuns(
-        np.array([dr0]), np.array([vi0]), np.array([vj0]),
-        np.array([gamma]), np.array([k]), cfg,
-    )
-    v_b, a_b, gap_b = runs.advance(len(traj))
-    assert np.array_equal(traj.v_follower, v_b[:, 0])
-    assert np.array_equal(traj.a_follower, a_b[:, 0])
-    assert np.array_equal(traj.gap, gap_b[:, 0])
+    law = ConsensusLaw([1.0, gamma, 9.0], [k, k, k])
+    runs = FollowerRuns([50.0, dr0, dr0], [28.0, vi0, vi0], [14.0, vj0, vj0], law, cfg)
+    blocks = []
+    while runs.row < len(traj):
+        blocks.append(runs.advance(min(_BLOCK_STEPS, len(traj) - runs.row)))
+    r_b, v_b, a_b, gap_b = (np.concatenate(series)[:, 1] for series in zip(*blocks))
+    assert np.array_equal(traj.r_follower, r_b)
+    assert np.array_equal(traj.v_follower, v_b)
+    assert np.array_equal(traj.a_follower, a_b)
+    assert np.array_equal(traj.gap, gap_b)
 
 
 def test_run_scenario_is_deterministic(tiny_table, tiny_cfg):
@@ -191,7 +200,7 @@ def test_run_suite_structure(tiny_table, tiny_cfg):
 
 def test_trajectory_csv_layout(tiny_cfg, tmp_path):
     traj = simulate_pair(
-        30.0, 24.0, 18.0, consensus_control(GainPair(k=0.1, gamma=3.0)),
+        30.0, 24.0, 18.0, ConsensusLaw.of(GainPair(k=0.1, gamma=3.0)),
         tiny_cfg, 2.0,
     )
     path = tmp_path / "run.csv"

@@ -13,12 +13,9 @@ from caccsim.metrics import (
     ConsensusThresholds,
     RunMetrics,
     SafetyMode,
-    StepSample,
     Trajectory,
-    check_safety,
-    consensus_flags,
-    consensus_reached,
-    convergence_time,
+    _bands_ok,
+    _safety_from_gap,
     evaluate_run,
     jerk_series,
     omega_score,
@@ -52,14 +49,25 @@ def flagged_trajectory(n, true_mask):
 
 def sample(gap=GAP_EQ, desired=GAP_EQ, v_leader=V_EQ, v_follower=V_EQ,
            accel=0.0, jerk=0.0):
-    return StepSample(
-        gap=gap,
-        desired_gap=desired,
-        v_leader_delayed=v_leader,
-        v_follower=v_follower,
-        accel=accel,
-        jerk=jerk,
-    )
+    """One evaluation sample, as _bands_ok's positional arguments."""
+    return gap, desired, v_leader, v_follower, accel, jerk
+
+
+def in_bands(s, thresholds):
+    """Whether one sample sits inside all four consensus bands."""
+    return bool(_bands_ok(*s, thresholds))
+
+
+def consensus_time(trajectory, thresholds, hold_window):
+    """evaluate_run's consensus time of a whole run."""
+    return evaluate_run(
+        trajectory, thresholds, ComfortWeights(), SafetyMode.SAME_LANE, hold_window
+    ).t_consensus
+
+
+def gap_floor(trajectory, leader_length, mode):
+    """Gap-floor check of a whole run's gap series."""
+    return _safety_from_gap(trajectory.gap, leader_length, mode)
 
 
 def test_thresholds_validation():
@@ -70,27 +78,27 @@ def test_thresholds_validation():
 
 
 def test_consensus_true_at_exact_equilibrium():
-    assert consensus_reached(sample(), ConsensusThresholds())
+    assert in_bands(sample(), ConsensusThresholds())
 
 
 def test_consensus_gap_band_five_percent():
     """21.3 m against a 20.2 m target misses the 5 percent band."""
     thr = ConsensusThresholds()
-    assert not consensus_reached(sample(gap=21.3, desired=20.2), thr)
-    assert consensus_reached(sample(gap=21.2, desired=20.2), thr)
+    assert not in_bands(sample(gap=21.3, desired=20.2), thr)
+    assert in_bands(sample(gap=21.2, desired=20.2), thr)
 
 
 def test_consensus_single_condition_veto():
     """One band miss vetoes, however small."""
     thr = ConsensusThresholds()
-    assert not consensus_reached(sample(accel=0.002), thr)
-    assert consensus_reached(sample(accel=0.001), thr)
+    assert not in_bands(sample(accel=0.002), thr)
+    assert in_bands(sample(accel=0.001), thr)
 
 
 def test_consensus_speed_band_relative_to_leader():
     thr = ConsensusThresholds()
-    assert consensus_reached(sample(v_leader=20.0, v_follower=21.0), thr)
-    assert not consensus_reached(sample(v_leader=20.0, v_follower=21.1), thr)
+    assert in_bands(sample(v_leader=20.0, v_follower=21.0), thr)
+    assert not in_bands(sample(v_leader=20.0, v_follower=21.1), thr)
 
 
 def test_consensus_speed_band_absolute_when_leader_stopped():
@@ -98,8 +106,8 @@ def test_consensus_speed_band_absolute_when_leader_stopped():
     thr = ConsensusThresholds()
     ok = sample(gap=5.0, desired=5.0, v_leader=0.0, v_follower=0.04)
     bad = sample(gap=5.0, desired=5.0, v_leader=0.0, v_follower=0.06)
-    assert consensus_reached(ok, thr)
-    assert not consensus_reached(bad, thr)
+    assert in_bands(ok, thr)
+    assert not in_bands(bad, thr)
 
 
 def test_consensus_monotone_in_thresholds():
@@ -118,8 +126,8 @@ def test_consensus_monotone_in_thresholds():
             delta_a=thr.delta_a * float(rng.uniform(1.0, 3.0)),
             delta_jerk=thr.delta_jerk * float(rng.uniform(1.0, 3.0)),
         )
-        if consensus_reached(s, thr):
-            assert consensus_reached(s, wide)
+        if in_bands(s, thr):
+            assert in_bands(s, wide)
 
 
 def test_jerk_series_constant_accel_is_zero():
@@ -144,7 +152,7 @@ def test_jerk_series_rejects_single_sample():
 
 def test_convergence_immediate_at_equilibrium():
     traj = equilibrium_trajectory(300)
-    assert convergence_time(traj, ConsensusThresholds(), 1.0) == 0.0
+    assert consensus_time(traj, ConsensusThresholds(), 1.0) == 0.0
 
 
 def test_convergence_first_sustained_time():
@@ -152,7 +160,7 @@ def test_convergence_first_sustained_time():
     n = 3001
     mask = np.arange(n) >= 2490
     traj = flagged_trajectory(n, mask)
-    t = convergence_time(traj, ConsensusThresholds(), 1.0)
+    t = consensus_time(traj, ConsensusThresholds(), 1.0)
     assert t == 2490 * traj.dt
     assert t == pytest.approx(24.90, abs=1e-9)
 
@@ -163,8 +171,8 @@ def test_convergence_short_hold_does_not_count():
     mask = np.zeros(n, dtype=bool)
     mask[100:131] = True
     traj = flagged_trajectory(n, mask)
-    assert math.isinf(convergence_time(traj, ConsensusThresholds(), 1.0))
-    assert convergence_time(traj, ConsensusThresholds(), 0.3) == 100 * traj.dt
+    assert math.isinf(consensus_time(traj, ConsensusThresholds(), 1.0))
+    assert consensus_time(traj, ConsensusThresholds(), 0.3) == 100 * traj.dt
 
 
 def test_convergence_zero_window_is_single_step_rule():
@@ -172,7 +180,7 @@ def test_convergence_zero_window_is_single_step_rule():
     mask = np.zeros(n, dtype=bool)
     mask[420] = True
     traj = flagged_trajectory(n, mask)
-    assert convergence_time(traj, ConsensusThresholds(), 0.0) == 420 * traj.dt
+    assert consensus_time(traj, ConsensusThresholds(), 0.0) == 420 * traj.dt
 
 
 def test_convergence_window_must_fit_inside_run():
@@ -181,7 +189,7 @@ def test_convergence_window_must_fit_inside_run():
     mask = np.zeros(n, dtype=bool)
     mask[350:] = True
     traj = flagged_trajectory(n, mask)
-    assert math.isinf(convergence_time(traj, ConsensusThresholds(), 1.0))
+    assert math.isinf(consensus_time(traj, ConsensusThresholds(), 1.0))
 
 
 def test_convergence_weakly_antitone_in_window():
@@ -192,15 +200,15 @@ def test_convergence_weakly_antitone_in_window():
         mask[600:] = True
         traj = flagged_trajectory(n, mask)
         thr = ConsensusThresholds()
-        t_short = convergence_time(traj, thr, 0.2)
-        t_long = convergence_time(traj, thr, 1.0)
+        t_short = consensus_time(traj, thr, 0.2)
+        t_long = consensus_time(traj, thr, 1.0)
         assert t_long >= t_short
 
 
 def test_safety_constant_gap_is_safe_in_both_modes():
     traj = equilibrium_trajectory(100, gap=30.0)
     for mode in (SafetyMode.SAME_LANE, SafetyMode.PROJECTED):
-        violated, min_gap = check_safety(traj, 5.0, mode)
+        violated, min_gap = gap_floor(traj, 5.0, mode)
         assert not violated
         assert min_gap == 30.0
 
@@ -208,7 +216,7 @@ def test_safety_constant_gap_is_safe_in_both_modes():
 def test_safety_same_lane_dip_below_length():
     traj = equilibrium_trajectory(100, gap=30.0)
     traj.gap[40] = 4.9
-    violated, min_gap = check_safety(traj, 5.0, SafetyMode.SAME_LANE)
+    violated, min_gap = gap_floor(traj, 5.0, SafetyMode.SAME_LANE)
     assert violated
     assert min_gap == 4.9
 
@@ -218,7 +226,7 @@ def test_safety_projected_arms_after_first_clearance():
     gap = np.linspace(-30.0, 20.0, 200)
     traj = equilibrium_trajectory(200)
     traj.gap = gap
-    violated, min_gap = check_safety(traj, 5.0, SafetyMode.PROJECTED)
+    violated, min_gap = gap_floor(traj, 5.0, SafetyMode.PROJECTED)
     assert not violated
     assert min_gap == float(gap[gap > 5.0][0])
 
@@ -226,7 +234,7 @@ def test_safety_projected_arms_after_first_clearance():
 def test_safety_projected_recrossing_violates():
     traj = equilibrium_trajectory(6)
     traj.gap = np.array([-10.0, 2.0, 8.0, 6.0, 4.5, 9.0])
-    violated, min_gap = check_safety(traj, 5.0, SafetyMode.PROJECTED)
+    violated, min_gap = gap_floor(traj, 5.0, SafetyMode.PROJECTED)
     assert violated
     assert min_gap == 4.5
 
@@ -234,7 +242,7 @@ def test_safety_projected_recrossing_violates():
 def test_safety_projected_never_armed_reports_nan_gap():
     traj = equilibrium_trajectory(50)
     traj.gap = np.linspace(-40.0, 0.0, 50)
-    violated, min_gap = check_safety(traj, 5.0, SafetyMode.PROJECTED)
+    violated, min_gap = gap_floor(traj, 5.0, SafetyMode.PROJECTED)
     assert not violated
     assert math.isnan(min_gap)
 
@@ -247,7 +255,7 @@ def test_safety_projected_monotone_after_arming_never_violates():
         gap = start + np.concatenate(([0.0], np.cumsum(increments)))
         traj = equilibrium_trajectory(len(gap))
         traj.gap = gap
-        violated, _ = check_safety(traj, 5.0, SafetyMode.PROJECTED)
+        violated, _ = gap_floor(traj, 5.0, SafetyMode.PROJECTED)
         assert not violated
 
 

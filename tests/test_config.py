@@ -150,6 +150,24 @@ def test_scenario_with_controller_params(tmp_path):
     assert scenario.controller_params == {"gamma": "4.0", "k": "0.1"}
 
 
+def test_scenario_params_are_checked_against_the_files_controller(tmp_path):
+    """A linear-feedback file may set its gains; a misspelt one is refused."""
+    text = """
+        [scenario]
+        dr0 = 12
+        vi0 = 10
+        vj0 = 11
+        controller = linear_feedback
+
+        [controller_params]
+        k_v = 0.5
+        """
+    scenario = load_scenario(write(tmp_path, "good.ini", text))
+    assert scenario.controller_params == {"k_v": "0.5"}
+    with pytest.raises(ValueError, match="'kv'"):
+        load_scenario(write(tmp_path, "bad.ini", text.replace("k_v", "kv")))
+
+
 def test_scenario_id_defaults_to_path(tmp_path):
     path = write(
         tmp_path,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,11 +68,14 @@ def test_step_records_command_as_new_accel():
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_rejects_nonfinite_command():
-    """A gain that overflows the command fails the run, not the numbers."""
-    with pytest.raises(ValueError, match="accel_cmd"):
-        simulate_pair(30.0, 24.0, 18.0, ConsensusLaw([3.0], [1e308]), CFG, 1.0)
+    """A gain that overflows the command fails the run, not the numbers,
+    and the one error is all that is reported: no numpy warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="accel_cmd"):
+            simulate_pair(30.0, 24.0, 18.0, ConsensusLaw([3.0], [1e308]), CFG, 1.0)
+    assert caught == []
 
 
 def test_state_rejects_nonfinite_fields():

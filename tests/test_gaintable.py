@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from caccsim.config import load_axes
 from caccsim.controllers import ConsensusLaw, GainPair, consensus_command, desired_gap
 from caccsim import gaintable
 from caccsim.dynamics import FollowerRuns
@@ -30,6 +34,8 @@ from caccsim.gaintable import (
 )
 from caccsim.harness import ScenarioConfig, run_scenario
 from caccsim.metrics import RunMetrics, SafetyMode, Trajectory, evaluate_run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def select(metrics, pairs):
@@ -448,6 +454,89 @@ def test_nearest_index_rules():
     assert _nearest_index(grid, math.nan) is None
 
 
+def test_axis_grid_arrays_are_read_only():
+    """lookup bisects tuples made from the arrays, so they must not change."""
+    dr = np.array([0.0, 1.0])
+    axes = AxisGrid(dr=dr, vi=[2.0], vj=[3.0])
+    for arr in (axes.dr, axes.vi, axes.vj):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+    assert dr.flags.writeable  # the caller's array is copied, not frozen
+
+
+def index_table(axes):
+    """A table whose cell at flat index i holds k = i + 1: a hit names its cell."""
+    n = int(np.prod(axes.shape))
+    return GainTable(
+        axes=axes,
+        candidates=CandidateSets(gammas=[1.0], ks=[1.0]),
+        config=BuildConfig(),
+        k_cells=np.arange(1.0, n + 1.0),
+        gamma_cells=np.ones(n),
+    )
+
+
+def scan(grid, query):
+    """The nearest-index rule by a linear scan: None when the query is NaN or
+    outside the grid, else the first grid value at or above the query or the
+    one below it, whichever the two subtractions put nearer; ties go to the
+    smaller value.  (An argmin over rounded distances is no oracle: on
+    [-1, 0, 5e-324, 1] all three distances from 0.5 round to 0.5, and the
+    nearest, 5e-324, is not the first.)"""
+    if not (math.isfinite(query) and grid[0] <= query <= grid[-1]):
+        return None
+    i = next(i for i, value in enumerate(grid) if value >= query)
+    if i == 0:
+        return 0
+    return i - 1 if query - grid[i - 1] <= grid[i] - query else i
+
+
+ascending_grids = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=12, unique=True
+).map(sorted)
+
+
+def axis_queries(grid):
+    lo, hi = grid[0], grid[-1]
+    mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])] or grid
+    return st.one_of(
+        st.sampled_from(grid),
+        st.sampled_from(mids),
+        st.sampled_from([
+            0.0, -0.0, math.inf, -math.inf, math.nan,
+            math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+        ]),
+        st.integers(math.floor(lo) - 2, math.ceil(hi) + 2),
+        st.floats(lo - 10, hi + 10),
+    )
+
+
+SHIPPED_TABLE = index_table(load_axes(ROOT / "configs" / "axes_default.ini"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_lookup_matches_a_full_scan(data):
+    """On the shipped axes and on random ones: grid values, midpoints,
+    signed zeros, infinities, NaN, ints and one ulp outside either end."""
+    if data.draw(st.booleans(), label="shipped axes"):
+        table = SHIPPED_TABLE
+    else:
+        table = index_table(AxisGrid(*(data.draw(ascending_grids) for _ in range(3))))
+    axes = table.axes
+    grids = (axes.dr.tolist(), axes.vi.tolist(), axes.vj.tolist())
+    query = [data.draw(axis_queries(grid)) for grid in grids]
+    expected = [scan(grid, q) for grid, q in zip(grids, query)]
+    for grid, q, want in zip((axes.dr, axes.vi, axes.vj), query, expected):
+        assert _nearest_index(grid, q) == want
+    got = lookup(table, *query)
+    if None in expected:
+        assert got is None
+    else:
+        assert got == table.cell(*expected)
+
+
 def test_lookup_exact_and_nearest(tiny_table):
     exact = lookup(tiny_table, 10.0, 10.0, 10.0)
     assert exact == tiny_table.cell(0, 0, 0)
@@ -601,3 +690,72 @@ def test_load_rejects_empty_file(tmp_path):
     empty.write_text("", encoding="utf-8")
     with pytest.raises(TableFormatError, match="version"):
         load_table(empty)
+
+
+def test_production_table_round_trip_reproduces_the_manifest_digest(tmp_path):
+    reference = ROOT / "perfbench" / "reference"
+    manifest = json.loads((reference / "manifest.json").read_text(encoding="utf-8"))
+    again = tmp_path / "again.txt"
+    save_table(load_table(reference / "table.txt"), again)
+    assert hashlib.sha256(again.read_bytes()).hexdigest() == manifest["table"]["sha256"]
+
+
+def set_lines(**by_lineno):
+    """A mutation replacing whole lines, keyed like line7="..." (1-based)."""
+
+    def mutate(lines):
+        for key, text in by_lineno.items():
+            lines[int(key[4:]) - 1] = text
+
+    return mutate
+
+
+def shift_token(lines):
+    """Move the second cell line's "cell" marker to the end of the first."""
+    lines[4] += " cell"
+    lines[5] = lines[5].removeprefix("cell ")
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (set_lines(line7="cell 0 x 0 0.1 5.0"), "line 7: bad cell indices"),
+        (set_lines(line6="cell 0 0 1 fast 5.0"), "line 6 k: bad number 'fast'"),
+        (set_lines(line6="cell 0 0 1 0.1 slow"), "line 6 gamma: bad number 'slow'"),
+        (
+            set_lines(line5="cell 0 0 0 0.1"),
+            "line 5: malformed cell line 'cell 0 0 0 0.1'",
+        ),
+        (
+            set_lines(line5="cell 0 0 0 0.1 5.0 5.0"),
+            "line 5: malformed cell line 'cell 0 0 0 0.1 5.0 5.0'",
+        ),
+        (shift_token, "line 5: malformed cell line 'cell 0 0 0 0.1 5.0 cell'"),
+        # Two faulty lines: the earlier one is reported, whichever check
+        # catches the later one.
+        (
+            set_lines(line6="cell 0 0 1 NaN 5.0", line9="cell 1 0 0 0.1"),
+            "line 6: marker cell must have NaN for both gains",
+        ),
+        (
+            set_lines(line8="cell 0 1 1 0.1 x", line10="cell 1 0 x 0.1 5.0"),
+            "line 8 gamma: bad number 'x'",
+        ),
+        # Two faults on one line: indices, then order, then k, then gamma,
+        # then the marker rule.
+        (set_lines(line5="cell 0 0 x fast 5.0"), "line 5: bad cell indices"),
+        (set_lines(line5="cell 0 0 0 fast slow"), "line 5 k: bad number 'fast'"),
+        (set_lines(line5="cell 0 0 0 NaN slow"), "line 5 gamma: bad number 'slow'"),
+        (
+            set_lines(line5="cell 0 0 1 fast 5.0"),
+            "line 5: cell indices (0, 0, 1) out of row-major order, "
+            "expected (0, 0, 0)",
+        ),
+    ],
+)
+def test_load_reports_the_first_fault_by_line(tiny_table, tmp_path, mutate, message):
+    path = tmp_path / "table.txt"
+    save_table(tiny_table, path)
+    with pytest.raises(TableFormatError) as caught:
+        load_table(corrupt(path, tmp_path, mutate))
+    assert str(caught.value) == message

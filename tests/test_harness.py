@@ -50,6 +50,39 @@ def test_scenario_config_validation():
 
 
 @pytest.mark.parametrize(
+    "params, key",
+    [
+        ({"gamma": 4.0}, "k"),
+        ({"k": 0.1}, "gamma"),
+        ({"k": "fast", "gamma": 4.0}, "k"),
+        ({"k": 0.1, "gamma": None}, "gamma"),
+    ],
+)
+def test_fixed_consensus_needs_numeric_k_and_gamma(params, key):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        ScenarioConfig(
+            "x", 10.0, 10.0, 10.0, controller="fixed_consensus",
+            controller_params=params,
+        )
+
+
+@pytest.mark.parametrize(
+    "params, key", [({"k_v": 0.58, "kv": 9.0}, "kv"), ({"k_v": "fast"}, "k_v")]
+)
+def test_linear_feedback_rejects_an_unknown_param(params, key):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        ScenarioConfig(
+            "x", 10.0, 10.0, 10.0, controller="linear_feedback",
+            controller_params=params,
+        )
+
+
+def test_lookup_takes_no_params():
+    with pytest.raises(ValueError, match="'k'"):
+        ScenarioConfig("x", 10.0, 10.0, 10.0, controller_params={"k": 0.1})
+
+
+@pytest.mark.parametrize(
     "field, value", [("duration", math.inf), ("dr0", math.nan), ("vi0", math.nan)]
 )
 def test_scenario_config_rejects_non_finite_value_naming_the_field(field, value):

@@ -30,12 +30,7 @@ from .harness import (
     write_comparison_csv,
     write_trajectory_csv,
 )
-from .stability import (
-    FrequencySweep,
-    TopologyMatrix,
-    gamma_lower_bound,
-    string_stability_margin,
-)
+from .stability import FrequencySweep, string_stability_margin
 
 __all__ = ["main"]
 
@@ -111,12 +106,9 @@ def _stability_report_pair(gains: GainPair, time_gap, comm_delay, sweep) -> bool
     margin = string_stability_margin(
         gains, time_gap=time_gap, comm_delay=comm_delay, sweep=sweep
     )
-    chain_bound = gamma_lower_bound(TopologyMatrix.from_predecessor_chain([1.0]))
     verdict = "stable" if margin.stable else "UNSTABLE"
     print(f"gamma={gains.gamma:g} k={gains.k:g}: max|G|={margin.max_magnitude:.6f} "
-          f"at omega={margin.worst_omega:.4g} rad/s -> {verdict}; "
-          f"speed-weight bound {chain_bound:g} "
-          f"{'cleared' if gains.gamma > chain_bound else 'NOT cleared'}")
+          f"at omega={margin.worst_omega:.4g} rad/s -> {verdict}")
     if margin.skipped_omegas:
         print(f"  skipped {len(margin.skipped_omegas)} sweep points on "
               f"denominator zeros")
@@ -216,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True, help="directory for reports")
     p.set_defaults(func=_cmd_suite)
 
-    p = sub.add_parser("stability", help="string-stability and speed-weight checks")
+    p = sub.add_parser("stability", help="string-stability check of gain pairs")
     p.add_argument("--table", help="check every stored gain pair of this table")
     p.add_argument("--gamma", type=float, help="explicit speed-error weight")
     p.add_argument("--k", type=float, help="explicit position gain")

@@ -8,9 +8,11 @@ fallback used when no scheduled gain is available.
 
 Each law exists twice: as a function on raw values (consensus_command,
 linear_feedback_accel), the reference, and as a law object (ConsensusLaw,
-LinearFeedbackLaw) whose in-place step the simulation kernel calls.  The
-step does the reference's arithmetic operation for operation, so both give
-the same floats.
+LinearFeedbackLaw) whose in-place array step the simulation kernel calls for
+a batch of runs.  The array step does the reference's arithmetic operation
+for operation, so both give the same floats.  A one-column run steps on
+Python floats, and its step is the raw-value function itself, bound to the
+law's gains (the law's column_step).
 """
 
 from __future__ import annotations
@@ -149,7 +151,9 @@ def linear_feedback_accel(
 # of the followers, speed its second half, target = [positions, speeds] of
 # the delayed leaders, writing the commands into cmd.  Buffers and 0-d
 # operands (cheaper for a ufunc than a float, same value) are made once per
-# call, so a step only runs ufuncs in place.
+# call, so a step only runs ufuncs in place.  Its column_step(cfg) returns
+# the step of a one-column batch on floats: step(r, r_leader, v, v_leader)
+# returns the command.
 
 
 class ConsensusLaw:
@@ -157,7 +161,7 @@ class ConsensusLaw:
 
     def __init__(self, gamma, k):
         self.gamma = np.array(gamma, dtype=float)
-        self.neg_k = -np.array(k, dtype=float)  # -(adjacency * k)
+        self.k = np.array(k, dtype=float)
 
     @classmethod
     def of(cls, gains: GainPair) -> "ConsensusLaw":
@@ -167,14 +171,23 @@ class ConsensusLaw:
         return cls([gains.gamma], [gains.k])
 
     def keep(self, mask) -> None:
-        self.gamma, self.neg_k = self.gamma[mask], self.neg_k[mask]
+        self.gamma, self.k = self.gamma[mask], self.k[mask]
+
+    def column_step(self, cfg):
+        lj, headway = cfg.leader_length, cfg.headway_time
+        k, gamma = self.k.item(), self.gamma.item()
+
+        def step(r, r_leader, v, v_leader):
+            return consensus_command(r, r_leader, v, v_leader, lj, headway, k, gamma)
+
+        return step
 
     def command(self, cfg, m: int):
         err = np.empty(2 * m)
         spacing, speed_err = err[:m], err[m:]
         term = np.empty(m)
         lj, headway = np.array(cfg.leader_length), np.array(cfg.headway_time)
-        gamma, neg_k = self.gamma, self.neg_k
+        gamma, neg_k = self.gamma, -self.k  # -(adjacency * k)
         subtract, add, multiply = np.subtract, np.add, np.multiply
 
         def step(state, speed, target, cmd):
@@ -201,6 +214,16 @@ class LinearFeedbackLaw:
 
     def keep(self, mask) -> None:
         pass
+
+    def column_step(self, cfg):
+        lj, time_gap, gains = cfg.leader_length, cfg.time_gap, self.gains
+
+        def step(r, r_leader, v, v_leader):
+            return linear_feedback_accel(
+                r, r_leader, v, v_leader, 0.0, lj, time_gap, gains
+            )
+
+        return step
 
     def command(self, cfg, m: int):
         g = self.gains

@@ -9,6 +9,12 @@ speed, speed with the command, and the command is recorded as the
 acceleration of the next sample.  A delay is a whole number of steps and
 is never interpolated; before any delayed sample exists the initial one is
 held.
+
+The step loop has two forms with the same arithmetic.  A step's cost is the
+number of numpy calls it makes, about a microsecond each whatever their
+length, so a batch steps with a few in-place array operations shared by all
+its columns, while a single column (a scheduled scenario run) steps on
+Python floats, which make no such calls.
 """
 
 from __future__ import annotations
@@ -29,9 +35,12 @@ class FollowerRuns:
     Only the step loop cannot be vectorized over rows, and its cost is
     the number of array operations per step, not their length, so it does
     as few as it can, writing into buffers of the block, with operand pairs
-    laid side by side so that one call serves both.  Leader positions and
-    gaps are computed for the whole block outside the loop; the running sum
-    adds the leader's step in the same order as a step-by-step update.
+    laid side by side so that one call serves both.  With one column those
+    calls would cost ten times the arithmetic, so that loop runs on Python
+    floats through the law's column_step instead and writes its rows into
+    the block once.  Leader positions and gaps are computed for the whole
+    block outside the loop; the running sum adds the leader's step in the
+    same order as a step-by-step update.
     """
 
     def __init__(self, dr0, vi0, vj0, law, cfg):
@@ -69,8 +78,21 @@ class FollowerRuns:
             first = 1
         else:
             rows[0, : 2 * m] = self.state
-        aim = np.empty((n_rows, 2 * m))  # delayed leader position and speed
-        aim[:, :m] = lead[:-1]
+        if m == 1:
+            self._step_column(rows, lead[first:-1, 0], first)
+        else:
+            self._step_batch(rows, lead[first:-1], first)
+        self.row += n_rows
+        self.state = rows[-1, : 2 * m].copy()
+        self.leader = lead[-1].copy()
+        gap = lead[1:] - rows[1:, :m]
+        return rows[1:, :m], rows[1:, m : 2 * m], rows[:-1, 2 * m :], gap
+
+    def _step_batch(self, rows, lead, first: int) -> None:
+        """Step rows[first:] of the block forward, every column at once."""
+        m = len(self.vj)
+        aim = np.empty((len(lead), 2 * m))  # delayed leader position and speed
+        aim[:, :m] = lead
         aim[:, m:] = self.vj
         command = self.law.command(self.cfg, m)
         delta = np.empty(2 * m)
@@ -82,17 +104,28 @@ class FollowerRuns:
             rows[first:-1, m:],  # speed and command
             rows[first:-1, 2 * m :],  # command
             rows[first + 1 :, : 2 * m],  # next position and speed
-            aim[first:],
+            aim,
         )
         for state, speed, rates, cmd, nxt, target in steps:
             command(state, speed, target, cmd)
             multiply(rates, dt, delta)
             add(state, delta, nxt)
-        self.row += n_rows
-        self.state = rows[-1, : 2 * m].copy()
-        self.leader = lead[-1].copy()
-        gap = lead[1:] - rows[1:, :m]
-        return rows[1:, :m], rows[1:, m : 2 * m], rows[:-1, 2 * m :], gap
+
+    def _step_column(self, rows, lead, first: int) -> None:
+        """Step rows[first:] of a one-column block forward on floats."""
+        step = self.law.column_step(self.cfg)
+        dt, vj = self.cfg.dt, self.vj.item()
+        r, v = rows[first, :2].tolist()
+        rs, vs, cmds = [], [], []
+        for target in lead.tolist():
+            cmd = step(r, target, v, vj)
+            r, v = r + v * dt, v + cmd * dt
+            rs.append(r)
+            vs.append(v)
+            cmds.append(cmd)
+        rows[first + 1 :, 0] = rs
+        rows[first + 1 :, 1] = vs
+        rows[first:-1, 2] = cmds
 
     def keep(self, mask: np.ndarray) -> None:
         if mask.all():

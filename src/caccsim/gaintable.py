@@ -734,10 +734,13 @@ def load_table(path) -> GainTable:
             )
         k = _parse_float(parts[4], f"line {lineno} k")
         gamma = _parse_float(parts[5], f"line {lineno} gamma")
-        if math.isnan(k) != math.isnan(gamma):
-            raise TableFormatError(
-                f"line {lineno}: marker cell must have NaN for both gains"
-            )
+        if not (math.isfinite(k) and math.isfinite(gamma)):
+            if math.isnan(k) != math.isnan(gamma):
+                raise TableFormatError(
+                    f"line {lineno}: marker cell must have NaN for both gains"
+                )
+            if math.isinf(k) or math.isinf(gamma):
+                raise TableFormatError(f"line {lineno}: gains must be finite or NaN")
         ks.append(k)
         gammas.append(gamma)
     k_cells = np.array(ks).reshape(shape)

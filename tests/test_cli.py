@@ -270,6 +270,9 @@ def test_stability_explicit_pair(capsys):
     assert rc == 0
     assert "max|G|=" in out
     assert "stable" in out
+    # The speed-weight bound of a one-vehicle predecessor chain is always 0.
+    assert "speed-weight bound" not in out
+    assert "cleared" not in out
 
 
 def test_stability_unstable_pair(capsys):

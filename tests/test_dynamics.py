@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caccsim.controllers import (
     ConsensusLaw,
@@ -204,15 +206,71 @@ def linear_scalar_loop(dr0, vi0, vj0, gains, n, cfg):
 )
 def test_linear_law_matches_manual_scalar_loop(dr0, vi0, vj0, gains):
     """The kernel's linear feedback law, advanced in uneven blocks, equals a
-    hand-written scalar loop over linear_feedback_accel bit for bit."""
+    hand-written scalar loop over linear_feedback_accel bit for bit: alone
+    (the kernel's float loop) and as the middle column of three (its array
+    loop)."""
     cfg = BuildConfig(t_max=10.0)
     delay = cfg.delay_steps()
     n = round(cfg.t_max / cfg.dt)
-    runs = FollowerRuns([dr0], [vi0], [vj0], LinearFeedbackLaw(gains), cfg)
-    blocks = [runs.advance(rows) for rows in (2, delay, 300, n + 1 - delay - 302)]
-    kernel = [np.concatenate(series)[:, 0] for series in zip(*blocks)]
+    law = LinearFeedbackLaw(gains)
+    alone = FollowerRuns([dr0], [vi0], [vj0], law, cfg)
+    batch = FollowerRuns([40.0, dr0, 8.0], [9.0, vi0, 21.0], [12.0, vj0, 19.0], law, cfg)
     scalar = linear_scalar_loop(dr0, vi0, vj0, gains, n, cfg)
-    for want, got in zip(scalar, kernel):
-        assert want.tobytes() == got.tobytes()
+    for runs, col in ((alone, 0), (batch, 1)):
+        blocks = [runs.advance(rows) for rows in (2, delay, 300, n + 1 - delay - 302)]
+        kernel = [np.concatenate(series)[:, col] for series in zip(*blocks)]
+        for want, got in zip(scalar, kernel):
+            assert want.tobytes() == got.tobytes()
     if gains.k_v < 0:
         assert scalar[2][1] == 0.0 and not np.signbit(scalar[2][1])
+
+
+speeds = st.floats(0.0, 35.0)
+weights = st.floats(-1.0, 2.0)
+
+
+@st.composite
+def law_columns(draw):
+    """Three runs' initial conditions and a law over them: consensus with
+    gains per column, or linear feedback with one gain set (k_a may be
+    negative)."""
+    dr0 = draw(st.lists(st.floats(-60.0, 120.0), min_size=3, max_size=3))
+    vi0 = draw(st.lists(speeds, min_size=3, max_size=3))
+    vj0 = draw(st.lists(speeds, min_size=3, max_size=3))
+    if draw(st.booleans()):
+        gammas = draw(st.lists(st.floats(0.5, 10.0), min_size=3, max_size=3))
+        ks = draw(st.lists(st.floats(0.01, 2.0), min_size=3, max_size=3))
+        make = lambda cols: ConsensusLaw([gammas[c] for c in cols], [ks[c] for c in cols])
+    else:
+        gains = LinearFeedbackGains(
+            draw(weights), draw(weights), draw(weights), draw(st.floats(0.0, 5.0))
+        )
+        make = lambda cols: LinearFeedbackLaw(gains)
+    return dr0, vi0, vj0, make
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    columns=law_columns(),
+    comm_delay=st.sampled_from([0.0, 0.02, 0.06]),
+    blocks=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    col=st.integers(0, 2),
+    narrow_after=st.integers(0, 8),
+)
+def test_one_column_loop_matches_the_batch_column(columns, comm_delay, blocks, col, narrow_after):
+    """A run stepped alone on floats gives the bytes of the same run as a
+    column of a three-column batch stepped on arrays, whatever the block
+    split, the delay, and wherever keep() narrows the batch to that column."""
+    dr0, vi0, vj0, make = columns
+    cfg = BuildConfig(t_max=10.0, comm_delay=comm_delay)
+    alone = FollowerRuns([dr0[col]], [vi0[col]], [vj0[col]], make([col]), cfg)
+    batch = FollowerRuns(dr0, vi0, vj0, make([0, 1, 2]), cfg)
+    narrowed = FollowerRuns(dr0, vi0, vj0, make([0, 1, 2]), cfg)
+    only = np.arange(3) == col
+    for i, rows in enumerate(blocks):
+        if i == narrow_after:
+            narrowed.keep(only)
+        got = narrowed.advance(rows)
+        at = 0 if i >= narrow_after else col
+        for one, full, part in zip(alone.advance(rows), batch.advance(rows), got):
+            assert one[:, 0].tobytes() == full[:, col].tobytes() == part[:, at].tobytes()

@@ -157,14 +157,15 @@ def test_select_cell_full_tie_takes_smallest_gains():
 
 def test_batch_simulation_matches_manual_scalar_loop():
     """One batched column, advanced in uneven blocks, equals a hand-written
-    scalar loop bit for bit."""
+    scalar loop bit for bit: alone (the kernel's float loop) and as the
+    middle column of three (its array loop)."""
     cfg = BuildConfig(t_max=10.0)
     dr0, vi0, vj0, gamma, k = 30.0, 24.0, 18.0, 3.0, 0.1
     delay = cfg.delay_steps()
     n = round(cfg.t_max / cfg.dt)
-    runs = FollowerRuns([dr0], [vi0], [vj0], ConsensusLaw([gamma], [k]), cfg)
-    blocks = [runs.advance(rows) for rows in (1, delay, 2, 256, n + 1 - delay - 259)]
-    r_b, v_b, a_b, gap_b = (np.concatenate(series) for series in zip(*blocks))
+    alone = FollowerRuns([dr0], [vi0], [vj0], ConsensusLaw([gamma], [k]), cfg)
+    law = ConsensusLaw([7.0, gamma, 1.0], [0.4, k, 0.05])
+    batch = FollowerRuns([12.0, dr0, 45.0], [20.0, vi0, 9.0], [22.0, vj0, 15.0], law, cfg)
     ri, vi, accel, rj = 0.0, vi0, 0.0, dr0
     leader = [rj]
     rs, vs, accels, gaps = [], [], [], []
@@ -183,10 +184,13 @@ def test_batch_simulation_matches_manual_scalar_loop():
         accel = cmd
         rj = rj + vj0 * cfg.dt
         leader.append(rj)
-    assert r_b[:, 0].tolist() == rs
-    assert v_b[:, 0].tolist() == vs
-    assert a_b[:, 0].tolist() == accels
-    assert gap_b[:, 0].tolist() == gaps
+    for runs, col in ((alone, 0), (batch, 1)):
+        blocks = [runs.advance(rows) for rows in (1, delay, 2, 256, n + 1 - delay - 259)]
+        r_b, v_b, a_b, gap_b = (np.concatenate(series) for series in zip(*blocks))
+        assert r_b[:, col].tolist() == rs
+        assert v_b[:, col].tolist() == vs
+        assert a_b[:, col].tolist() == accels
+        assert gap_b[:, col].tolist() == gaps
 
 
 # Follower accelerations of the random runs: two inside the acceleration
@@ -658,6 +662,22 @@ def test_load_rejects_half_marker_cell(tiny_table, tmp_path):
         lines[4] = " ".join(parts)
 
     with pytest.raises(TableFormatError, match="NaN for both"):
+        load_table(corrupt(path, tmp_path, mutate))
+
+
+@pytest.mark.parametrize(
+    "k, gamma", [("inf", "2"), ("0.1", "-inf"), ("inf", "-inf")],
+    ids=["k-inf", "gamma-minus-inf", "both"],
+)
+def test_load_rejects_infinite_gains(tiny_table, tmp_path, k, gamma):
+    """An infinite gain fails the load, not a later lookup of its cell."""
+    path = tmp_path / "table.txt"
+    save_table(tiny_table, path)
+
+    def mutate(lines):
+        lines[5] = f"cell 0 0 1 {k} {gamma}"
+
+    with pytest.raises(TableFormatError, match="line 6: gains must be finite or NaN"):
         load_table(corrupt(path, tmp_path, mutate))
 
 

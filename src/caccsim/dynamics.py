@@ -15,6 +15,13 @@ number of numpy calls it makes, about a microsecond each whatever their
 length, so a batch steps with a few in-place array operations shared by all
 its columns, while a single column (a scheduled scenario run) steps on
 Python floats, which make no such calls.
+
+The rows advance() returns are views of block buffers that the kernel
+keeps and reuses, so they are valid until the next advance(): a caller
+that needs them longer copies them.  A batch writes its delayed leader
+straight into the step's [leader | vj] operand, whose vj half is filled
+again only after keep() or for a block longer than any before; a
+one-column run never makes that operand.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ class FollowerRuns:
     law is a control law of caccsim.controllers with one entry per column
     (or one shared by all); cfg supplies dt, the delay and the spacing
     policy.  advance() returns the next rows of follower position, speed,
-    acceleration and delayed gap; keep() drops columns.
+    acceleration and delayed gap, as views valid until the next advance();
+    keep() drops columns.
 
     Only the step loop cannot be vectorized over rows, and its cost is
     the number of array operations per step, not their length, so it does
@@ -54,14 +62,29 @@ class FollowerRuns:
         self.leader_step = self.vj * cfg.dt
         # Leader position at row max(row - 1 - delay, 0).
         self.leader = np.array(dr0, dtype=float)
+        # Flat block buffers, reused by every advance() that fits in them.
+        self._rows = self._gap = self._aim = np.empty(0)
+        self._aim_vj_rows = 0  # leading rows of _aim whose vj half is current
 
     def advance(self, n_rows: int):
-        """Rows row .. row + n_rows - 1 as four (n_rows, columns) arrays."""
+        """Rows row .. row + n_rows - 1 as four (n_rows, columns) arrays.
+
+        The arrays are views of the kernel's block buffers, valid until the
+        next advance() overwrites them; copy what must outlive it.
+        """
         lo, m = self.row, len(self.vj)
         d = self.delay
         # lead[i]: leader position at row max(lo - 1 - d + i, 0), which is the
-        # delayed leader the command of row lo + i sees.
-        lead = np.empty((n_rows + 1, m))
+        # delayed leader the command of row lo + i sees.  A batch writes it
+        # straight into the left half of the step's [lead | vj] operand.
+        if m == 1:
+            lead = np.empty((n_rows + 1, 1))
+        else:
+            aim = self._block("_aim", n_rows + 1, 2 * m)
+            if n_rows + 1 > self._aim_vj_rows:  # after keep(), or more rows
+                aim[:, m:] = self.vj
+                self._aim_vj_rows = n_rows + 1
+            lead = aim[:, :m]
         # Rows before 0 clamp to row 0, so lead[1 : still + 1] repeat lead[0].
         still = min(max(d + 1 - lo, 0), n_rows)
         lead[: still + 1] = self.leader
@@ -70,7 +93,7 @@ class FollowerRuns:
         # rows[i]: positions, speeds and the commands that take them on,
         # each m long, at row lo - 1 + i.  Flat rows keep every operand of
         # the loop one contiguous vector.
-        rows = np.empty((n_rows + 1, 3 * m))
+        rows = self._block("_rows", n_rows + 1, 3 * m)
         first = 0
         if lo == 0:  # row 0 is the initial state, reached by no command
             rows[0, 2 * m :] = 0.0
@@ -81,19 +104,23 @@ class FollowerRuns:
         if m == 1:
             self._step_column(rows, lead[first:-1, 0], first)
         else:
-            self._step_batch(rows, lead[first:-1], first)
+            self._step_batch(rows, aim[first:-1], first)
         self.row += n_rows
         self.state = rows[-1, : 2 * m].copy()
         self.leader = lead[-1].copy()
-        gap = lead[1:] - rows[1:, :m]
+        gap = np.subtract(lead[1:], rows[1:, :m], out=self._block("_gap", n_rows, m))
         return rows[1:, :m], rows[1:, m : 2 * m], rows[:-1, 2 * m :], gap
 
-    def _step_batch(self, rows, lead, first: int) -> None:
+    def _block(self, name: str, n_rows: int, width: int) -> np.ndarray:
+        """An (n_rows, width) view of the flat buffer name, grown to fit."""
+        size = n_rows * width
+        if len(getattr(self, name)) < size:
+            setattr(self, name, np.empty(size))
+        return getattr(self, name)[:size].reshape(n_rows, width)
+
+    def _step_batch(self, rows, aim, first: int) -> None:
         """Step rows[first:] of the block forward, every column at once."""
         m = len(self.vj)
-        aim = np.empty((len(lead), 2 * m))  # delayed leader position and speed
-        aim[:, :m] = lead
-        aim[:, m:] = self.vj
         command = self.law.command(self.cfg, m)
         delta = np.empty(2 * m)
         dt = np.full(2 * m, self.cfg.dt)
@@ -104,7 +131,7 @@ class FollowerRuns:
             rows[first:-1, m:],  # speed and command
             rows[first:-1, 2 * m :],  # command
             rows[first + 1 :, : 2 * m],  # next position and speed
-            aim,
+            aim,  # delayed leader position and speed
         )
         for state, speed, rates, cmd, nxt, target in steps:
             command(state, speed, target, cmd)
@@ -133,4 +160,5 @@ class FollowerRuns:
         self.state = self.state[np.tile(mask, 2)]
         for name in ("vj", "leader_step", "leader"):
             setattr(self, name, getattr(self, name)[mask])
+        self._aim_vj_rows = 0
         self.law.keep(mask)

@@ -19,6 +19,10 @@ scenario on the same kernel, as one column, and band and comfort
 arithmetic are those of evaluate_run, so a single re-run of a cell's
 operating point reproduces any stored decision exactly.
 
+A block is built in place: the kernel hands out views of block buffers it
+reuses, and the scorer judges them in scratch buffers of its own, made
+once per chunk, with no 2-D accumulate (see _CellScorer).
+
 Lookup does its scalar work on Python floats: each AxisGrid keeps its axes
 as tuples of floats (_dr, _vi, _vj), made once when the grid is built and
 kept current by making the axis arrays read-only.  A query bisects the
@@ -38,18 +42,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import ConsensusLaw, GainPair, desired_gap
+from .controllers import ConsensusLaw, GainPair
 from .dynamics import FollowerRuns
 from .metrics import (
     ONSET_EXCLUDED_SAMPLES,
     ComfortWeights,
     ConsensusThresholds,
-    RunMetrics,
     SafetyMode,
     _bands_ok,
     _jerk,
+    _omega,
+    _speed_tolerance,
     _window_extrema,
-    omega_score,
 )
 
 __all__ = [
@@ -280,6 +284,12 @@ class _CellScorer:
     from accel_of(column, n_rows), column being the index in the batch.
     decide() settles every cell whose stored gains can no longer change and
     drops its columns.
+
+    A block is scored in buffers made once, for _BLOCK_STEPS rows of every
+    column, and viewed as (rows, open columns): jerk and the desired gap in
+    two float arrays, the bands and a spare in two bool arrays.  The hold
+    test is a windowed AND of w + 1 rows over the bands, with w carried rows
+    in front of them, and every per-column search is an argmax or argmin.
     """
 
     def __init__(self, vj, pairs, n_samples: int, cfg: BuildConfig, accel_of):
@@ -297,47 +307,67 @@ class _CellScorer:
         self.cells = np.arange(n_cells)
         self.cols = np.arange(m)
         self.vj = np.asarray(vj, dtype=float)[None, :]
+        self.speed_tol = _speed_tolerance(self.vj, cfg.thresholds)
         self.prev_accel = np.zeros(m)
         self.last_break = np.full(m, -1)
         self.first_hold = np.full(m, -1)  # -1 until the bands have held
         self.armed = np.full(m, cfg.safety_mode is SafetyMode.SAME_LANE)
         self.first_violation = np.full(m, n_samples)  # n_samples: none yet
+        # Scratch for blocks of up to _BLOCK_STEPS rows, viewed per block.
+        size = _BLOCK_STEPS * m
+        self._jerk, self._desired = np.empty(size), np.empty(size)
+        self._bands = np.empty(size + self.window * m, dtype=bool)
+        self._spare = np.empty(size, dtype=bool)
 
     def score(self, v_follower, a_follower, gap) -> None:
-        """Fold the next rows of the open columns into the carried state."""
-        cfg = self.cfg
+        """Fold the next rows, at most _BLOCK_STEPS, of the open columns into
+        the carried state."""
+        cfg, w = self.cfg, self.window
         lo = self.rows
-        hi = lo + len(a_follower)
-        jerk = np.empty_like(a_follower)
-        jerk[0] = (a_follower[0] - self.prev_accel) / cfg.dt if lo else 0.0
-        jerk[1:] = (a_follower[1:] - a_follower[:-1]) / cfg.dt
-        self.prev_accel = a_follower[-1]
-        desired = desired_gap(
-            v_follower, cfg.leader_length, cfg.time_gap, cfg.comm_delay
+        n, m = a_follower.shape
+        jerk, desired, spare = (
+            buf[: n * m].reshape(n, m)
+            for buf in (self._jerk, self._desired, self._spare)
         )
-        ok = _bands_ok(
-            gap, desired, self.vj, v_follower, a_follower, jerk, cfg.thresholds
+        # window[w + r] holds the bands of row lo + r, window[:w] rows before.
+        window = self._bands[: (w + n) * m].reshape(w + n, m)
+        ok = window[w:]
+
+        # Jerk, carried across blocks; the first row of a run has none.
+        if lo:
+            np.subtract(a_follower[0], self.prev_accel, out=jerk[0])
+        else:
+            jerk[0] = 0.0
+        np.subtract(a_follower[1:], a_follower[:-1], out=jerk[1:])
+        np.divide(jerk, cfg.dt, out=jerk)
+        self.prev_accel = a_follower[-1].copy()
+        # controllers.desired_gap, in place: lj + v * (time gap + delay).
+        np.multiply(v_follower, cfg.headway_time, out=desired)
+        np.add(desired, cfg.leader_length, out=desired)
+        _bands_ok(
+            gap, desired, self.vj, v_follower, a_follower, jerk, cfg.thresholds,
+            speed_tol=self.speed_tol, out=ok, spare=spare,
         )
 
-        rows = np.arange(lo, hi)[:, None]
-        breaks = np.maximum.accumulate(np.where(ok, -1, rows), axis=0)
-        np.maximum(breaks, self.last_break, out=breaks)
-        held = ok & (rows - breaks > self.window)
-        # The first held row closes the first run of window + 1 in-band rows.
-        new_hold = held.any(axis=0) & (self.first_hold < 0)
-        self.first_hold = np.where(
-            new_hold, lo + held.argmax(axis=0) - self.window, self.first_hold
-        )
-        self.last_break = breaks[-1]
+        held, self.last_break = _hold_scan(window, w, lo, self.last_break)
+        # The first held row closes the first run of w + 1 in-band rows.
+        _first_rows(held, self.first_hold < 0, self.first_hold, lo - w)
 
-        armed = np.logical_or.accumulate(gap > cfg.leader_length, axis=0) | self.armed
-        below = armed & (gap <= cfg.leader_length)
-        new_violation = below.any(axis=0) & (self.first_violation == self.n_samples)
-        self.first_violation = np.where(
-            new_violation, lo + below.argmax(axis=0), self.first_violation
-        )
-        self.armed = armed[-1]
-        self.rows = hi
+        below = spare
+        np.less_equal(gap, cfg.leader_length, out=below)
+        if not self.armed.all():
+            # An unarmed column arms at its first gap above the floor, and
+            # the rows before that row are not judged.
+            above = window[:n]
+            np.greater(gap, cfg.leader_length, out=above)
+            start = np.where(self.armed, 0, n)
+            _first_rows(above, ~self.armed, start, 0)
+            np.less_equal(start, np.arange(n)[:, None], out=above)
+            np.logical_and(below, above, out=below)
+            self.armed = start < n
+        unviolated = self.first_violation == self.n_samples
+        _first_rows(below, unviolated, self.first_violation, lo)
+        self.rows = lo + n
 
     def decide(self) -> np.ndarray:
         """Settle the cells whose gains are final; returns the kept-column mask.
@@ -383,6 +413,7 @@ class _CellScorer:
             self.cells = self.cells[~done]
             self.cols = self.cols[keep]
             self.vj = self.vj[:, keep]
+            self.speed_tol = self.speed_tol[:, keep]
             for name in (
                 "prev_accel", "last_break", "first_hold", "armed", "first_violation"
             ):
@@ -394,9 +425,48 @@ class _CellScorer:
         a = self.accel_of(int(self.cols[col]), end_idx + 1)
         jerk = _jerk(a, self.cfg.dt)
         extrema = _window_extrema(a, jerk, end_idx, ONSET_EXCLUDED_SAMPLES)
-        # Only the extrema enter the score; the other fields are unused.
-        comfort = RunMetrics(math.inf, *extrema, 0.0, math.nan, False)
-        return omega_score(comfort, self.cfg.weights)
+        return _omega(*extrema, self.cfg.weights)
+
+
+def _first_rows(block: np.ndarray, wanted, into: np.ndarray, lo: int) -> None:
+    """into[c] = lo + the first True row of block's column c, for the wanted
+    columns that have one.  Few columns are wanted at a time, so the rows
+    are searched in those alone."""
+    cols = np.flatnonzero(block.any(axis=0) & wanted)
+    if len(cols):
+        into[cols] = lo + block[:, cols].argmax(axis=0)
+
+
+def _hold_scan(window: np.ndarray, w: int, lo: int, last_break: np.ndarray):
+    """Hold test of one block of band flags with a hold window of w rows.
+
+    window is a C-contiguous (w + n, m) bool block whose rows w.. are the
+    bands of rows lo .. lo + n - 1; it is overwritten.  A row before lo is
+    taken as in band iff it follows the carried last break.  Returns held,
+    (n, m) with held[r] true iff rows lo + r - w .. lo + r are all in band,
+    and the new last break of each column: its last row out of band in the
+    block, else the carried one.  held is a windowed AND of w + 1 rows,
+    built in place on the flat block by doubling the window, about log2(w)
+    passes in all.
+    """
+    n_rows, m = window.shape
+    n = n_rows - w
+    back = window[w:][::-1]
+    since = back.argmin(axis=0)
+    broke = ~back[since, np.arange(m)]
+    new_break = np.where(broke, lo + n - 1 - since, last_break)
+    np.greater(np.arange(lo - w, lo)[:, None], last_break, out=window[:w])
+    # flat[i * m + c] becomes the AND of rows i .. i + span - 1 of column c.
+    flat = window.reshape(-1)
+    span = 1
+    while 2 * span <= w + 1:
+        size = (n_rows - 2 * span + 1) * m
+        np.logical_and(flat[:size], flat[span * m : span * m + size], out=flat[:size])
+        span *= 2
+    if w + 1 > span:
+        shift = (w + 1 - span) * m
+        np.logical_and(flat[: n * m], flat[shift : shift + n * m], out=flat[: n * m])
+    return window[:n], new_break
 
 
 def _select_cell(t_consensus, violated, comfort, pairs) -> tuple[float, float]:

@@ -164,20 +164,61 @@ def _jerk(a: np.ndarray, dt: float) -> np.ndarray:
     return jerk
 
 
-def _bands_ok(gap, desired, v_leader_delayed, v_follower, accel, jerk, thresholds):
-    """The four consensus bands; elementwise over arrays."""
-    gap_ok = np.abs(gap - desired) <= thresholds.eta_r * desired
-    speed_scale = np.where(v_leader_delayed > 0.0, v_leader_delayed, 1.0)
-    speed_ok = np.abs(v_leader_delayed - v_follower) <= thresholds.eta_v * speed_scale
-    accel_ok = np.abs(accel) <= thresholds.delta_a
-    jerk_ok = np.abs(jerk) <= thresholds.delta_jerk
-    return gap_ok & speed_ok & accel_ok & jerk_ok
+def _speed_tolerance(v_leader_delayed, thresholds):
+    """Half-width of the speed band: eta_v relative to a moving leader, else
+    eta_v * 1 m/s."""
+    return thresholds.eta_v * np.where(v_leader_delayed > 0.0, v_leader_delayed, 1.0)
+
+
+def _bands_ok(
+    gap, desired, v_leader_delayed, v_follower, accel, jerk, thresholds,
+    *, speed_tol=None, out=None, spare=None,
+):
+    """The four consensus bands; elementwise over arrays.
+
+    With out, the bands are computed in buffers the caller owns and no
+    array is allocated: out and spare are bool arrays of the result's shape,
+    desired and jerk float arrays of that shape, and all four are
+    overwritten.  Without it, the buffers are made here and no argument is
+    written.  speed_tol is _speed_tolerance(v_leader_delayed, thresholds),
+    when already known.
+    """
+    if out is None:
+        shape = np.broadcast_shapes(
+            *map(np.shape, (gap, desired, v_leader_delayed, v_follower, accel, jerk))
+        )
+        out, spare = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        work, deviation = np.empty(shape), np.empty(shape)
+    else:
+        work, deviation = jerk, desired
+    if speed_tol is None:
+        speed_tol = _speed_tolerance(v_leader_delayed, thresholds)
+    # A deviation is taken in place where it can be: a buffer written while
+    # it is read costs less than a third one.  |x - y| and |y - x| are the
+    # same float.
+    np.abs(jerk, out=work)
+    np.less_equal(work, thresholds.delta_jerk, out=out)
+    np.multiply(thresholds.eta_r, desired, out=work)
+    np.subtract(desired, gap, out=deviation)
+    np.abs(deviation, out=deviation)
+    np.less_equal(deviation, work, out=spare)
+    out &= spare
+    np.subtract(v_follower, v_leader_delayed, out=work)
+    np.abs(work, out=work)
+    np.less_equal(work, speed_tol, out=spare)
+    out &= spare
+    np.abs(accel, out=work)
+    np.less_equal(work, thresholds.delta_a, out=spare)
+    out &= spare
+    return out
 
 
 def consensus_flags(
     trajectory: Trajectory, thresholds: ConsensusThresholds
 ) -> np.ndarray:
     """Per-sample consensus band flags for a whole run."""
+    n = len(trajectory)
+    # The desired gaps and the jerk are made here, so they serve as buffers.
     return _bands_ok(
         trajectory.gap,
         trajectory.desired_gaps(),
@@ -186,6 +227,8 @@ def consensus_flags(
         trajectory.a_follower,
         jerk_series(trajectory),
         thresholds,
+        out=np.empty(n, dtype=bool),
+        spare=np.empty(n, dtype=bool),
     )
 
 
@@ -230,8 +273,16 @@ def _safety_from_gap(
 
 def omega_score(metrics: RunMetrics, weights: ComfortWeights) -> float:
     """Comfort score: weighted worst acceleration plus weighted worst jerk."""
-    accel_peak = max(metrics.max_accel, metrics.max_decel)
-    jerk_peak = max(abs(metrics.max_jerk), abs(metrics.min_jerk))
+    return _omega(
+        metrics.max_accel, metrics.max_decel, metrics.max_jerk, metrics.min_jerk,
+        weights,
+    )
+
+
+def _omega(max_accel, max_decel, max_jerk, min_jerk, weights: ComfortWeights) -> float:
+    """omega_score of the four extrema."""
+    accel_peak = max(max_accel, max_decel)
+    jerk_peak = max(abs(max_jerk), abs(min_jerk))
     return weights.omega_1 * accel_peak + weights.omega_2 * jerk_peak
 
 

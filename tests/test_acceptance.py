@@ -174,9 +174,16 @@ def test_criterion_05_lookup_matches_bruteforce_scan(serial_build, acceptance_lo
     grids = (table.axes.dr, table.axes.vi, table.axes.vj)
 
     def brute_nearest(grid: np.ndarray, q: float) -> int:
-        # Independent rule: first index of the minimum distance.  The grid
-        # ascends, so the first minimum is the smaller value on a tie.
-        return int(np.argmin(np.abs(grid - q)))
+        # Independent rule, by a linear scan: the first grid value at or
+        # above the query or the one below it, whichever lookup's two
+        # subtractions put nearer; a tie goes to the smaller value.  (An
+        # argmin over rounded distances is not the rule on grids spaced
+        # near the float resolution.)
+        values = grid.tolist()
+        i = next(i for i, value in enumerate(values) if value >= q)
+        if i == 0:
+            return 0
+        return i - 1 if q - values[i - 1] <= values[i] - q else i
 
     rng = np.random.default_rng(7)
     for _ in range(1000):

@@ -166,7 +166,8 @@ def test_bit_identical_resimulation():
     expected = whole.advance(700)
     law = ConsensusLaw([2.0, 7.0], [0.1, 0.1])
     pieces = FollowerRuns([30.0, -40.0], [24.0, 8.0], [18.0, 20.0], law, CFG)
-    blocks = [pieces.advance(rows) for rows in (3, 5, 1, 256, 435)]
+    # advance() returns views of buffers the next call reuses; keep copies.
+    blocks = [[s.copy() for s in pieces.advance(rows)] for rows in (3, 5, 1, 256, 435)]
     for want, got in zip(expected, zip(*blocks)):
         assert np.array_equal(want, np.concatenate(got))
 
@@ -217,7 +218,10 @@ def test_linear_law_matches_manual_scalar_loop(dr0, vi0, vj0, gains):
     batch = FollowerRuns([40.0, dr0, 8.0], [9.0, vi0, 21.0], [12.0, vj0, 19.0], law, cfg)
     scalar = linear_scalar_loop(dr0, vi0, vj0, gains, n, cfg)
     for runs, col in ((alone, 0), (batch, 1)):
-        blocks = [runs.advance(rows) for rows in (2, delay, 300, n + 1 - delay - 302)]
+        blocks = [
+            [s.copy() for s in runs.advance(rows)]
+            for rows in (2, delay, 300, n + 1 - delay - 302)
+        ]
         kernel = [np.concatenate(series)[:, col] for series in zip(*blocks)]
         for want, got in zip(scalar, kernel):
             assert want.tobytes() == got.tobytes()
@@ -274,3 +278,32 @@ def test_one_column_loop_matches_the_batch_column(columns, comm_delay, blocks, c
         at = 0 if i >= narrow_after else col
         for one, full, part in zip(alone.advance(rows), batch.advance(rows), got):
             assert one[:, 0].tobytes() == full[:, col].tobytes() == part[:, at].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), comm_delay=st.sampled_from([0.0, 0.02, 0.06]))
+def test_reused_block_buffers_leave_the_rows_unchanged(data, comm_delay):
+    """Rows handed out in random blocks, with keep() dropping random columns
+    between blocks, equal by bytes the same rows and columns of one
+    advance() over the whole run."""
+    m = data.draw(st.integers(2, 6), label="columns")
+
+    def draw(values):
+        return data.draw(st.lists(values, min_size=m, max_size=m))
+
+    dr0, vi0, vj0 = draw(st.floats(-60.0, 120.0)), draw(speeds), draw(speeds)
+    gammas, ks = draw(st.floats(0.5, 10.0)), draw(st.floats(0.01, 2.0))
+    blocks = data.draw(st.lists(st.integers(1, 150), min_size=1, max_size=8))
+    cfg = BuildConfig(t_max=10.0, comm_delay=comm_delay)
+    whole = FollowerRuns(dr0, vi0, vj0, ConsensusLaw(gammas, ks), cfg)
+    whole = whole.advance(sum(blocks))
+    pieces = FollowerRuns(dr0, vi0, vj0, ConsensusLaw(gammas, ks), cfg)
+    open_cols, lo = np.arange(m), 0
+    for rows in blocks:
+        for want, got in zip(whole, pieces.advance(rows)):
+            assert want[lo : lo + rows, open_cols].tobytes() == got.tobytes()
+        lo += rows
+        mask = np.array(draw(st.booleans())[: len(open_cols)])
+        if mask.any():
+            pieces.keep(mask)
+            open_cols = open_cols[mask]

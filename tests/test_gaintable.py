@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +186,10 @@ def test_batch_simulation_matches_manual_scalar_loop():
         rj = rj + vj0 * cfg.dt
         leader.append(rj)
     for runs, col in ((alone, 0), (batch, 1)):
-        blocks = [runs.advance(rows) for rows in (1, delay, 2, 256, n + 1 - delay - 259)]
+        blocks = [
+            [s.copy() for s in runs.advance(rows)]
+            for rows in (1, delay, 2, 256, n + 1 - delay - 259)
+        ]
         r_b, v_b, a_b, gap_b = (np.concatenate(series) for series in zip(*blocks))
         assert r_b[:, col].tolist() == rs
         assert v_b[:, col].tolist() == vs
@@ -312,6 +316,32 @@ def test_scorer_keeps_a_cell_open_past_a_run_unsafe_at_its_consensus_row():
     assert (scorer.k[0], scorer.gamma[0]) == (0.1, 2.0)
 
 
+@pytest.mark.parametrize("cut", [6, 7, None])
+def test_scorer_jerk_across_a_block_boundary_is_in_units_of_dt(cut):
+    """An acceleration step of 0.0004 m/s^2 in one row of dt 0.01 s is a jerk
+    of 0.04 m/s^3, out of band, whether or not a block starts at that row:
+    the first sustained index is the row after it, as evaluate_run finds."""
+    cfg = BuildConfig(dt=0.01, t_max=1.0, hold_window=0.02)
+    n, vj = 12, 10.0
+    v = np.full(n, vj)
+    gap = desired_gap(v, cfg.leader_length, cfg.time_gap, cfg.comm_delay)
+    gap[:5] += 3.0  # out of the gap band before row 5
+    a = np.where(np.arange(n) >= 6, 0.0004, 0.0)
+    metrics = evaluate_run(
+        Trajectory(
+            dt=cfg.dt, leader_length=cfg.leader_length, time_gap=cfg.time_gap,
+            comm_delay=cfg.comm_delay, v_follower=v, a_follower=a, gap=gap,
+            v_leader_delayed=np.full(n, vj),
+        ),
+        cfg.thresholds, cfg.weights, cfg.safety_mode, cfg.hold_window,
+    )
+    assert metrics.t_consensus == 7 * cfg.dt
+    scorer = _CellScorer(np.array([vj]), [(1.0, 0.1)], n, cfg, None)
+    for lo, hi in ((0, cut), (cut, n)) if cut else ((0, n),):
+        scorer.score(v[lo:hi, None], a[lo:hi, None], gap[lo:hi, None])
+    assert scorer.first_hold.tolist() == [7]
+
+
 @pytest.fixture(scope="module")
 def mixed_grid():
     """A short-horizon grid with every kind of cell: valid ones, markers
@@ -322,11 +352,9 @@ def mixed_grid():
     return axes, candidates, BuildConfig(t_max=20.0)
 
 
-@pytest.fixture(scope="module")
-def mixed_grid_oracle(mixed_grid):
+def per_cell_oracle(axes, candidates, cfg):
     """Per-cell gains from single scenario runs, evaluate_run and
     _select_cell, and the set of cell kinds seen."""
-    axes, candidates, cfg = mixed_grid
     k_cells = np.full(axes.shape, math.nan)
     gamma_cells = np.full(axes.shape, math.nan)
     kinds = set()
@@ -352,6 +380,22 @@ def mixed_grid_oracle(mixed_grid):
     return k_cells, gamma_cells, kinds
 
 
+@pytest.fixture(scope="module")
+def mixed_grid_oracle(mixed_grid):
+    return per_cell_oracle(*mixed_grid)
+
+
+@pytest.fixture(scope="module")
+def mixed_grid_oracles(mixed_grid, mixed_grid_oracle):
+    """Build settings and per-cell oracle of the mixed grid per safety mode."""
+    axes, candidates, cfg = mixed_grid
+    same_lane = replace(cfg, safety_mode=SafetyMode.SAME_LANE)
+    return {
+        cfg.safety_mode: (cfg, mixed_grid_oracle),
+        SafetyMode.SAME_LANE: (same_lane, per_cell_oracle(axes, candidates, same_lane)),
+    }
+
+
 def test_mixed_grid_has_every_kind_of_cell(mixed_grid_oracle):
     _, _, kinds = mixed_grid_oracle
     assert kinds == {"valid", "early-floor marker", "unconverged marker"}
@@ -369,6 +413,82 @@ def test_build_with_markers_matches_per_cell_oracle(
     table = build_table(*mixed_grid, **build_kwargs)
     assert np.array_equal(table.k_cells, k_cells, equal_nan=True)
     assert np.array_equal(table.gamma_cells, gamma_cells, equal_nan=True)
+
+
+@pytest.mark.parametrize("mode", list(SafetyMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("block_steps", [1, 7, 100, 101, 256])
+def test_build_matches_per_cell_oracle_at_any_block_length(
+    mixed_grid, mixed_grid_oracles, monkeypatch, block_steps, mode
+):
+    """Blocks shorter than, equal to and longer than the hold window (100
+    rows) settle every cell as the per-cell oracle does, in both modes."""
+    axes, candidates, _ = mixed_grid
+    cfg, (k_cells, gamma_cells, _) = mixed_grid_oracles[mode]
+    monkeypatch.setattr(gaintable, "_BLOCK_STEPS", block_steps)
+    table = build_table(axes, candidates, cfg)
+    assert np.array_equal(table.k_cells, k_cells, equal_nan=True)
+    assert np.array_equal(table.gamma_cells, gamma_cells, equal_nan=True)
+
+
+def sliding_hold(ok, w, lo, last_break):
+    """The hold test by a row-by-row scan: held[r] when the in-band run
+    ending at row lo + r is at least w + 1 rows long, a row before lo being
+    in band iff it follows last_break; and each column's last break."""
+    n, m = ok.shape
+    held = np.zeros((n, m), dtype=bool)
+    breaks = last_break.copy()
+    for c in range(m):
+        run = 0
+        for row in range(lo - w, lo + n):
+            in_band = ok[row - lo, c] if row >= lo else row > last_break[c]
+            run = run + 1 if in_band else 0
+            if row >= lo:
+                held[row - lo, c] = run >= w + 1
+                if not in_band:
+                    breaks[c] = row
+    return held, breaks
+
+
+@st.composite
+def band_blocks(draw):
+    """Bool columns made of alternating runs of 1 to 130 rows."""
+    n = draw(st.integers(1, 400), label="rows")
+    m = draw(st.integers(1, 3), label="columns")
+    columns = []
+    for _ in range(m):
+        value, flags = draw(st.booleans()), []
+        while len(flags) < n:
+            flags += [value] * draw(st.integers(1, 130))
+            value = not value
+        columns.append(flags[:n])
+    return np.array(columns, dtype=bool).T.copy()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ok=band_blocks(), w=st.integers(0, 130), data=st.data())
+def test_hold_scan_matches_a_sliding_scan(ok, w, data):
+    """The windowed-AND hold test, its last break and the first held row
+    equal a row-by-row scan, for hold windows of 1 to 131 rows and any
+    carried last break."""
+    lo = 0
+    n, m = ok.shape
+    last_break = np.array(
+        data.draw(st.lists(st.integers(lo - w - 2, lo - 1), min_size=m, max_size=m))
+    )
+    want_held, want_breaks = sliding_hold(ok, w, lo, last_break)
+
+    window = np.empty((w + n, m), dtype=bool)
+    window[w:] = ok
+    held, breaks = gaintable._hold_scan(window, w, lo, last_break)
+    assert np.array_equal(held, want_held)
+    assert np.array_equal(breaks, want_breaks)
+
+    first_hold = np.full(m, -1)
+    gaintable._first_rows(held, first_hold < 0, first_hold, lo - w)
+    want_first = np.where(
+        want_held.any(axis=0), lo + want_held.argmax(axis=0) - w, -1
+    )
+    assert np.array_equal(first_hold, want_first)
 
 
 def test_time_tie_comfort_comes_from_re_simulated_runs(monkeypatch):

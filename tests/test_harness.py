@@ -153,7 +153,8 @@ def test_simulate_pair_matches_batched_builder_bit_for_bit():
     runs = FollowerRuns([50.0, dr0, dr0], [28.0, vi0, vi0], [14.0, vj0, vj0], law, cfg)
     blocks = []
     while runs.row < len(traj):
-        blocks.append(runs.advance(min(_BLOCK_STEPS, len(traj) - runs.row)))
+        rows = min(_BLOCK_STEPS, len(traj) - runs.row)
+        blocks.append([s.copy() for s in runs.advance(rows)])
     r_b, v_b, a_b, gap_b = (np.concatenate(series)[:, 1] for series in zip(*blocks))
     assert np.array_equal(traj.r_follower, r_b)
     assert np.array_equal(traj.v_follower, v_b)

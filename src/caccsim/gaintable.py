@@ -9,19 +9,19 @@ nearest cell per axis and refuses queries outside the grid.
 
 The builder runs every candidate of a chunk of cells as columns of one
 batch of the simulation kernel (dynamics.FollowerRuns with the consensus
-law) and scores it as it goes: after each block of steps it folds the new
-rows into a few numbers per run (last band break, first sustained index,
-armed flag, first gap-floor violation) and settles every cell whose stored
-gains can no longer change, so most cells stop long before the horizon.
-No rows outlive their block: the rare time tie, which compares comfort
-scores over whole runs, re-simulates the tied runs.  The harness runs a
-scenario on the same kernel, as one column, and band and comfort
-arithmetic are those of evaluate_run, so a single re-run of a cell's
-operating point reproduces any stored decision exactly.
+law).  The runs are judged as they go by the one run evaluator,
+metrics._RunScorer, the same that evaluate_run applies to a whole run;
+after each block of steps this module only selects: it settles every cell
+whose stored gains can no longer change, so most cells stop long before the
+horizon.  No rows outlive their block: the rare time tie, which compares
+comfort scores over whole runs, re-simulates the tied runs and judges them
+with evaluate_run.  The harness runs a scenario on the same kernel, as one
+column, so a single re-run of a cell's operating point reproduces any
+stored decision exactly.
 
 A block is built in place: the kernel hands out views of block buffers it
-reuses, and the scorer judges them in scratch buffers of its own, made
-once per chunk, with no 2-D accumulate (see _CellScorer).
+reuses, and the scorer judges them in scratch buffers of its own, with no
+2-D accumulate.
 
 Lookup does its scalar work on Python floats: each AxisGrid keeps its axes
 as tuples of floats (_dr, _vi, _vj), made once when the grid is built and
@@ -42,18 +42,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics
 from .controllers import ConsensusLaw, GainPair
 from .dynamics import FollowerRuns
 from .metrics import (
-    ONSET_EXCLUDED_SAMPLES,
     ComfortWeights,
     ConsensusThresholds,
     SafetyMode,
-    _bands_ok,
-    _jerk,
-    _omega,
-    _speed_tolerance,
-    _window_extrema,
+    Trajectory,
+    _RunScorer,
 )
 
 __all__ = [
@@ -273,101 +270,31 @@ class GainTable:
 
 
 class _CellScorer:
-    """Streaming evaluation and staged selection for a batch of cells.
+    """Staged selection for a batch of cells.
 
-    Columns come in cell order, one per candidate pair.  score() takes the
-    next rows of every open column and judges them with the band arithmetic
-    of evaluate_run; it carries, per column, the row of the last band break,
-    the first sustained index, the projected-mode armed flag and the first
-    armed gap-floor violation.  No rows are kept: the comfort tie-break,
-    which needs a column's whole acceleration series and is rare, gets it
-    from accel_of(column, n_rows), column being the index in the batch.
-    decide() settles every cell whose stored gains can no longer change and
-    drops its columns.
-
-    A block is scored in buffers made once, for _BLOCK_STEPS rows of every
-    column, and viewed as (rows, open columns): jerk and the desired gap in
-    two float arrays, the bands and a spare in two bool arrays.  The hold
-    test is a windowed AND of w + 1 rows over the bands, with w carried rows
-    in front of them, and every per-column search is an argmax or argmin.
+    Columns come in cell order, one per candidate pair, and are judged by
+    runs, a metrics._RunScorer over the batch.  decide() settles every cell
+    whose stored gains can no longer change and drops its columns.  No rows
+    are kept: the comfort tie-break, which needs a column's whole run and is
+    rare, judges rerun(column) with evaluate_run, rerun giving the column's
+    run re-simulated alone (column being its index in the batch) as a
+    Trajectory.
     """
 
-    def __init__(self, vj, pairs, n_samples: int, cfg: BuildConfig, accel_of):
-        m = len(vj)
+    def __init__(self, vj, pairs, n_samples: int, cfg: BuildConfig, rerun):
         self.pairs = pairs
-        self.accel_of = accel_of
+        self.rerun = rerun
         self.cfg = cfg
-        self.n_samples = n_samples
-        self.window = round(cfg.hold_window / cfg.dt)
-        self.rows = 0
-        n_cells = m // len(pairs)
+        n_cells = len(vj) // len(pairs)
         self.k = np.full(n_cells, math.nan)
         self.gamma = np.full(n_cells, math.nan)
         # Open cells and columns, by their index in the batch.
         self.cells = np.arange(n_cells)
-        self.cols = np.arange(m)
-        self.vj = np.asarray(vj, dtype=float)[None, :]
-        self.speed_tol = _speed_tolerance(self.vj, cfg.thresholds)
-        self.prev_accel = np.zeros(m)
-        self.last_break = np.full(m, -1)
-        self.first_hold = np.full(m, -1)  # -1 until the bands have held
-        self.armed = np.full(m, cfg.safety_mode is SafetyMode.SAME_LANE)
-        self.first_violation = np.full(m, n_samples)  # n_samples: none yet
-        # Scratch for blocks of up to _BLOCK_STEPS rows, viewed per block.
-        size = _BLOCK_STEPS * m
-        self._jerk, self._desired = np.empty(size), np.empty(size)
-        self._bands = np.empty(size + self.window * m, dtype=bool)
-        self._spare = np.empty(size, dtype=bool)
-
-    def score(self, v_follower, a_follower, gap) -> None:
-        """Fold the next rows, at most _BLOCK_STEPS, of the open columns into
-        the carried state."""
-        cfg, w = self.cfg, self.window
-        lo = self.rows
-        n, m = a_follower.shape
-        jerk, desired, spare = (
-            buf[: n * m].reshape(n, m)
-            for buf in (self._jerk, self._desired, self._spare)
+        self.cols = np.arange(len(vj))
+        self.runs = _RunScorer(
+            cfg, np.asarray(vj, dtype=float)[None, :], n_samples, cfg.thresholds,
+            cfg.safety_mode, cfg.hold_window,
         )
-        # window[w + r] holds the bands of row lo + r, window[:w] rows before.
-        window = self._bands[: (w + n) * m].reshape(w + n, m)
-        ok = window[w:]
-
-        # Jerk, carried across blocks; the first row of a run has none.
-        if lo:
-            np.subtract(a_follower[0], self.prev_accel, out=jerk[0])
-        else:
-            jerk[0] = 0.0
-        np.subtract(a_follower[1:], a_follower[:-1], out=jerk[1:])
-        np.divide(jerk, cfg.dt, out=jerk)
-        self.prev_accel = a_follower[-1].copy()
-        # controllers.desired_gap, in place: lj + v * (time gap + delay).
-        np.multiply(v_follower, cfg.headway_time, out=desired)
-        np.add(desired, cfg.leader_length, out=desired)
-        _bands_ok(
-            gap, desired, self.vj, v_follower, a_follower, jerk, cfg.thresholds,
-            speed_tol=self.speed_tol, out=ok, spare=spare,
-        )
-
-        held, self.last_break = _hold_scan(window, w, lo, self.last_break)
-        # The first held row closes the first run of w + 1 in-band rows.
-        _first_rows(held, self.first_hold < 0, self.first_hold, lo - w)
-
-        below = spare
-        np.less_equal(gap, cfg.leader_length, out=below)
-        if not self.armed.all():
-            # An unarmed column arms at its first gap above the floor, and
-            # the rows before that row are not judged.
-            above = window[:n]
-            np.greater(gap, cfg.leader_length, out=above)
-            start = np.where(self.armed, 0, n)
-            _first_rows(above, ~self.armed, start, 0)
-            np.less_equal(start, np.arange(n)[:, None], out=above)
-            np.logical_and(below, above, out=below)
-            self.armed = start < n
-        unviolated = self.first_violation == self.n_samples
-        _first_rows(below, unviolated, self.first_violation, lo)
-        self.rows = lo + n
 
     def decide(self) -> np.ndarray:
         """Settle the cells whose gains are final; returns the kept-column mask.
@@ -381,27 +308,27 @@ class _CellScorer:
         the start of its current band run.  At the horizon every cell is
         settled.
         """
-        n_cand = len(self.pairs)
-        converged = self.first_hold >= 0
-        safe = converged & (self.first_violation > self.first_hold)
+        runs, n_cand = self.runs, len(self.pairs)
+        converged = runs.first_hold >= 0
+        safe = converged & (runs.first_violation > runs.first_hold)
         excluded = np.where(
-            converged, ~safe, self.first_violation <= self.last_break + 1
+            converged, ~safe, runs.first_violation <= runs.last_break + 1
         )
         done = safe.reshape(-1, n_cand).any(axis=1)
         done |= excluded.reshape(-1, n_cand).all(axis=1)
-        if self.rows == self.n_samples:
+        if runs.rows == runs.n_samples:
             done[:] = True
         keep = np.repeat(~done, n_cand)
         if done.any():
             # Columns not converged yet go in as unconverged; see above.
-            t_consensus = np.where(converged, self.first_hold * self.cfg.dt, math.inf)
-            end = np.where(converged, self.first_hold, self.rows - 1)
-            violated = self.first_violation <= end
+            t_consensus = np.where(converged, runs.first_hold * self.cfg.dt, math.inf)
+            end = np.where(converged, runs.first_hold, runs.rows - 1)
+            violated = runs.first_violation <= end
             for pos in np.flatnonzero(done):
                 lo = pos * n_cand
 
                 def comfort(i, lo=lo):
-                    return self._comfort(lo + i, int(end[lo + i]))
+                    return self._comfort(int(self.cols[lo + i]))
 
                 cell = self.cells[pos]
                 self.k[cell], self.gamma[cell] = _select_cell(
@@ -412,61 +339,18 @@ class _CellScorer:
                 )
             self.cells = self.cells[~done]
             self.cols = self.cols[keep]
-            self.vj = self.vj[:, keep]
-            self.speed_tol = self.speed_tol[:, keep]
-            for name in (
-                "prev_accel", "last_break", "first_hold", "armed", "first_violation"
-            ):
-                setattr(self, name, getattr(self, name)[keep])
+            runs.keep(keep)
         return keep
 
-    def _comfort(self, col: int, end_idx: int) -> float:
-        """Comfort score of open column col over rows [0, end_idx]."""
-        a = self.accel_of(int(self.cols[col]), end_idx + 1)
-        jerk = _jerk(a, self.cfg.dt)
-        extrema = _window_extrema(a, jerk, end_idx, ONSET_EXCLUDED_SAMPLES)
-        return _omega(*extrema, self.cfg.weights)
-
-
-def _first_rows(block: np.ndarray, wanted, into: np.ndarray, lo: int) -> None:
-    """into[c] = lo + the first True row of block's column c, for the wanted
-    columns that have one.  Few columns are wanted at a time, so the rows
-    are searched in those alone."""
-    cols = np.flatnonzero(block.any(axis=0) & wanted)
-    if len(cols):
-        into[cols] = lo + block[:, cols].argmax(axis=0)
-
-
-def _hold_scan(window: np.ndarray, w: int, lo: int, last_break: np.ndarray):
-    """Hold test of one block of band flags with a hold window of w rows.
-
-    window is a C-contiguous (w + n, m) bool block whose rows w.. are the
-    bands of rows lo .. lo + n - 1; it is overwritten.  A row before lo is
-    taken as in band iff it follows the carried last break.  Returns held,
-    (n, m) with held[r] true iff rows lo + r - w .. lo + r are all in band,
-    and the new last break of each column: its last row out of band in the
-    block, else the carried one.  held is a windowed AND of w + 1 rows,
-    built in place on the flat block by doubling the window, about log2(w)
-    passes in all.
-    """
-    n_rows, m = window.shape
-    n = n_rows - w
-    back = window[w:][::-1]
-    since = back.argmin(axis=0)
-    broke = ~back[since, np.arange(m)]
-    new_break = np.where(broke, lo + n - 1 - since, last_break)
-    np.greater(np.arange(lo - w, lo)[:, None], last_break, out=window[:w])
-    # flat[i * m + c] becomes the AND of rows i .. i + span - 1 of column c.
-    flat = window.reshape(-1)
-    span = 1
-    while 2 * span <= w + 1:
-        size = (n_rows - 2 * span + 1) * m
-        np.logical_and(flat[:size], flat[span * m : span * m + size], out=flat[:size])
-        span *= 2
-    if w + 1 > span:
-        shift = (w + 1 - span) * m
-        np.logical_and(flat[: n * m], flat[shift : shift + n * m], out=flat[: n * m])
-    return window[:n], new_break
+    def _comfort(self, column: int) -> float:
+        """Comfort score of the batch's column, from its re-simulated run."""
+        cfg = self.cfg
+        # Called as metrics.evaluate_run: perfbench counts a gaintable
+        # evaluate_run as one per candidate, which a tie's re-run is not.
+        return metrics.evaluate_run(
+            self.rerun(column), cfg.thresholds, cfg.weights, cfg.safety_mode,
+            cfg.hold_window,
+        ).omega
 
 
 def _select_cell(t_consensus, violated, comfort, pairs) -> tuple[float, float]:
@@ -524,18 +408,25 @@ def _evaluate_cells(args):
     gamma = np.tile([p[0] for p in pairs], len(cells))
     k = np.tile([p[1] for p in pairs], len(cells))
 
-    def accel_of(col, n_rows):
-        one = slice(col, col + 1)
-        law = ConsensusLaw(gamma[one], k[one])
-        run = FollowerRuns(dr0[one], vi0[one], vj0[one], law, cfg)
-        return run.advance(n_rows)[2][:, 0]
-
     n_samples = round(cfg.t_max / cfg.dt) + 1
+
+    def rerun(col):
+        one = slice(col, col + 1)
+        run = FollowerRuns(
+            dr0[one], vi0[one], vj0[one], ConsensusLaw(gamma[one], k[one]), cfg
+        )
+        _, v, a, gap = (series[:, 0] for series in run.advance(n_samples))
+        return Trajectory(
+            dt=cfg.dt, leader_length=cfg.leader_length, time_gap=cfg.time_gap,
+            comm_delay=cfg.comm_delay, v_follower=v, a_follower=a, gap=gap,
+            v_leader_delayed=np.full(n_samples, vj0[col]),
+        )
+
     runs = FollowerRuns(dr0, vi0, vj0, ConsensusLaw(gamma, k), cfg)
-    scorer = _CellScorer(vj0, pairs, n_samples, cfg, accel_of)
+    scorer = _CellScorer(vj0, pairs, n_samples, cfg, rerun)
     while len(scorer.cols):
         _, v, a, gap = runs.advance(min(_BLOCK_STEPS, n_samples - runs.row))
-        scorer.score(v, a, gap)
+        scorer.runs.score(v, a, gap)
         runs.keep(scorer.decide())
     return flat_indices, scorer.k, scorer.gamma
 

@@ -305,10 +305,7 @@ def run_suite(
                 params = {"gamma": baselines.fixed.gamma, "k": baselines.fixed.k}
             elif kind == "linear_feedback":
                 params = {
-                    "k_a": baselines.linear.k_a,
-                    "k_v": baselines.linear.k_v,
-                    "k_d": baselines.linear.k_d,
-                    "standstill_gap": baselines.linear.standstill_gap,
+                    key: getattr(baselines.linear, key) for key in _LINEAR_PARAMS
                 }
             scenario = ScenarioConfig(
                 scenario_id=sid,

@@ -5,6 +5,12 @@ declared converged at the earliest time the bands hold throughout a
 persistence window, and scored for comfort from acceleration and jerk
 extrema.  Safety is a hard gap floor at the leader length; in projected mode
 the floor only arms once the follower has actually dropped behind it.
+
+Every run is judged by one streaming scorer, _RunScorer, which folds rows
+into a few numbers per run and keeps none.  evaluate_run scores a whole
+run as one column in one block; the table build scores every candidate of
+a chunk of cells block by block, and gaintable only selects among the
+outcomes.
 """
 
 from __future__ import annotations
@@ -109,8 +115,8 @@ class Trajectory:
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         n = len(self.v_follower)
-        if n < 1:
-            raise ValueError("trajectory needs at least one sample")
+        if n < 2:
+            raise ValueError("trajectory needs at least two samples")
         for name in ("a_follower", "gap", "v_leader_delayed"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"series length mismatch on {name}")
@@ -151,16 +157,9 @@ class RunMetrics:
 def jerk_series(trajectory: Trajectory) -> np.ndarray:
     """Backward-difference jerk per sample (m/s^3); first sample is zero."""
     a = np.asarray(trajectory.a_follower, dtype=float)
-    if len(a) < 2:
-        raise ValueError("jerk needs at least two samples")
-    return _jerk(a, trajectory.dt)
-
-
-def _jerk(a: np.ndarray, dt: float) -> np.ndarray:
-    """Backward-difference jerk of an acceleration series; first entry zero."""
     jerk = np.empty_like(a)
     jerk[0] = 0.0
-    jerk[1:] = (a[1:] - a[:-1]) / dt
+    jerk[1:] = (a[1:] - a[:-1]) / trajectory.dt
     return jerk
 
 
@@ -232,72 +231,159 @@ def consensus_flags(
     )
 
 
-def _first_sustained_index(flags: np.ndarray, window_samples: int) -> int:
-    """First index i with flags[i : i + window_samples + 1] all true, else -1.
-
-    The whole persistence window must fit inside the run; a tail of true
-    flags shorter than the window does not count.
-    """
-    length = window_samples + 1
-    n = len(flags)
-    if length > n:
-        return -1
-    counts = np.cumsum(flags, dtype=np.int64)
-    window_totals = counts[length - 1 :] - np.concatenate(([0], counts[:-length]))
-    hits = window_totals == length
-    if not hits.any():
-        return -1
-    return int(np.argmax(hits))
-
-
-def _safety_from_gap(
-    gap: np.ndarray, leader_length: float, mode: SafetyMode
-) -> tuple[bool, float]:
-    """Gap-floor check over a gap series; returns (violated, min_gap).
-
-    min_gap is NaN when the floor never armed within the series.
-    """
-    gap = np.asarray(gap, dtype=float)
-    if mode is SafetyMode.SAME_LANE:
-        armed = np.ones(len(gap), dtype=bool)
-    else:
-        armed = np.maximum.accumulate(gap > leader_length)
-    below = gap <= leader_length
-    violated = bool((below & armed).any())
-    if armed.any():
-        min_gap = float(np.min(np.where(armed, gap, np.inf)))
-    else:
-        min_gap = math.nan
-    return violated, min_gap
-
-
 def omega_score(metrics: RunMetrics, weights: ComfortWeights) -> float:
     """Comfort score: weighted worst acceleration plus weighted worst jerk."""
-    return _omega(
-        metrics.max_accel, metrics.max_decel, metrics.max_jerk, metrics.min_jerk,
-        weights,
-    )
-
-
-def _omega(max_accel, max_decel, max_jerk, min_jerk, weights: ComfortWeights) -> float:
-    """omega_score of the four extrema."""
-    accel_peak = max(max_accel, max_decel)
-    jerk_peak = max(abs(max_jerk), abs(min_jerk))
+    accel_peak = max(metrics.max_accel, metrics.max_decel)
+    jerk_peak = max(abs(metrics.max_jerk), abs(metrics.min_jerk))
     return weights.omega_1 * accel_peak + weights.omega_2 * jerk_peak
 
 
-def _window_extrema(
-    a: np.ndarray, jerk: np.ndarray, end_idx: int, onset_exclude: int
-) -> tuple[float, float, float, float]:
-    """Accel and jerk extrema over samples [onset_exclude, end_idx]."""
-    lo = onset_exclude
-    if end_idx < lo:
-        return 0.0, 0.0, 0.0, 0.0
-    a_win = a[lo : end_idx + 1]
-    jerk_win = jerk[lo : end_idx + 1]
-    max_accel = max(0.0, float(np.max(a_win)))
-    max_decel = max(0.0, -float(np.min(a_win)))
-    return max_accel, max_decel, float(np.max(jerk_win)), float(np.min(jerk_win))
+class _RunScorer:
+    """Streaming judge of a batch of runs, one column per run.
+
+    score() takes the next rows of every column and folds them into a few
+    numbers per column: the last acceleration (for the next row's jerk), the
+    row of the last band break, the first sustained index (first_hold, -1
+    until the bands have held), the row that arms the gap floor (arm_row,
+    n_samples until armed) and the first armed gap-floor violation
+    (first_violation, n_samples until one).  No rows are kept; keep() drops
+    columns.  evaluate_run scores one run as one column in one block; the
+    table build scores every candidate of a chunk of cells, block by block.
+
+    spacing gives dt, leader_length, time_gap and comm_delay (a Trajectory
+    or a BuildConfig).  v_leader is the delayed leader speed, broadcast
+    against each block: a row of one per column, or, when the run is scored
+    in one block, one per row.
+
+    A block is scored in scratch buffers made for the largest block seen
+    and viewed as (rows, columns): jerk and the desired gap in two float
+    arrays, the bands and a spare in two bool arrays.  The hold test is a
+    windowed AND of w + 1 rows over the bands, with w carried rows in front
+    of them, and every per-column search is an argmax or argmin.
+    """
+
+    def __init__(self, spacing, v_leader, n_samples, thresholds, mode, hold_window):
+        m = v_leader.shape[1]
+        self.dt = spacing.dt
+        self.leader_length = spacing.leader_length
+        self.headway = spacing.time_gap + spacing.comm_delay
+        self.thresholds = thresholds
+        self.n_samples = n_samples
+        self.window = round(hold_window / self.dt)
+        self.rows = 0
+        self.v_leader = v_leader
+        self.speed_tol = _speed_tolerance(v_leader, thresholds)
+        self.prev_accel = np.zeros(m)
+        self.last_break = np.full(m, -1)
+        self.first_hold = np.full(m, -1)
+        self.arm_row = np.full(m, 0 if mode is SafetyMode.SAME_LANE else n_samples)
+        self.first_violation = np.full(m, n_samples)
+        self._jerk = self._desired = np.empty(0)
+        self._bands = self._spare = np.empty(0, dtype=bool)
+
+    def score(self, v_follower, a_follower, gap) -> None:
+        """Fold the next rows of every column into the carried state."""
+        w, lj = self.window, self.leader_length
+        lo = self.rows
+        n, m = a_follower.shape
+        if n * m > self._spare.size:
+            self._jerk, self._desired = np.empty(n * m), np.empty(n * m)
+            self._spare = np.empty(n * m, dtype=bool)
+        if (w + n) * m > self._bands.size:
+            self._bands = np.empty((w + n) * m, dtype=bool)
+        jerk, desired, spare = (
+            buf[: n * m].reshape(n, m)
+            for buf in (self._jerk, self._desired, self._spare)
+        )
+        # window[w + r] holds the bands of row lo + r, window[:w] rows before.
+        window = self._bands[: (w + n) * m].reshape(w + n, m)
+        ok = window[w:]
+
+        # Jerk, carried across blocks; the first row of a run has none.
+        if lo:
+            np.subtract(a_follower[0], self.prev_accel, out=jerk[0])
+        else:
+            jerk[0] = 0.0
+        np.subtract(a_follower[1:], a_follower[:-1], out=jerk[1:])
+        np.divide(jerk, self.dt, out=jerk)
+        self.prev_accel = a_follower[-1].copy()
+        # controllers.desired_gap, in place: lj + v * (time gap + delay).
+        np.multiply(v_follower, self.headway, out=desired)
+        np.add(desired, lj, out=desired)
+        _bands_ok(
+            gap, desired, self.v_leader, v_follower, a_follower, jerk,
+            self.thresholds, speed_tol=self.speed_tol, out=ok, spare=spare,
+        )
+
+        held, self.last_break = _hold_scan(window, w, lo, self.last_break)
+        # The first held row closes the first run of w + 1 in-band rows.
+        _first_rows(held, self.first_hold < 0, self.first_hold, lo - w)
+
+        below = spare
+        np.less_equal(gap, lj, out=below)
+        unarmed = self.arm_row == self.n_samples
+        if unarmed.any():
+            # An unarmed column arms at its first gap above the floor, and
+            # the rows before that row are not judged.
+            above = window[:n]
+            np.greater(gap, lj, out=above)
+            _first_rows(above, unarmed, self.arm_row, lo)
+            np.less_equal(self.arm_row, np.arange(lo, lo + n)[:, None], out=above)
+            np.logical_and(below, above, out=below)
+        unviolated = self.first_violation == self.n_samples
+        _first_rows(below, unviolated, self.first_violation, lo)
+        self.rows = lo + n
+
+    def keep(self, mask) -> None:
+        """Drop the columns where mask is false."""
+        self.v_leader = self.v_leader[:, mask]
+        self.speed_tol = self.speed_tol[:, mask]
+        for name in (
+            "prev_accel", "last_break", "first_hold", "arm_row", "first_violation"
+        ):
+            setattr(self, name, getattr(self, name)[mask])
+
+
+def _first_rows(block: np.ndarray, wanted, into: np.ndarray, lo: int) -> None:
+    """into[c] = lo + the first True row of block's column c, for the wanted
+    columns that have one.  Few columns are wanted at a time, so the rows
+    are searched in those alone."""
+    cols = np.flatnonzero(block.any(axis=0) & wanted)
+    if len(cols):
+        into[cols] = lo + block[:, cols].argmax(axis=0)
+
+
+def _hold_scan(window: np.ndarray, w: int, lo: int, last_break: np.ndarray):
+    """Hold test of one block of band flags with a hold window of w rows.
+
+    window is a C-contiguous (w + n, m) bool block whose rows w.. are the
+    bands of rows lo .. lo + n - 1; it is overwritten.  A row before lo is
+    taken as in band iff it follows the carried last break.  Returns held,
+    (n, m) with held[r] true iff rows lo + r - w .. lo + r are all in band,
+    and the new last break of each column: its last row out of band in the
+    block, else the carried one.  held is a windowed AND of w + 1 rows,
+    built in place on the flat block by doubling the window, about log2(w)
+    passes in all.  The whole persistence window must lie inside the run,
+    so a tail of in-band rows shorter than it never holds.
+    """
+    n_rows, m = window.shape
+    n = n_rows - w
+    back = window[w:][::-1]
+    since = back.argmin(axis=0)
+    broke = ~back[since, np.arange(m)]
+    new_break = np.where(broke, lo + n - 1 - since, last_break)
+    np.greater(np.arange(lo - w, lo)[:, None], last_break, out=window[:w])
+    # flat[i * m + c] becomes the AND of rows i .. i + span - 1 of column c.
+    flat = window.reshape(-1)
+    span = 1
+    while 2 * span <= w + 1:
+        size = (n_rows - 2 * span + 1) * m
+        np.logical_and(flat[:size], flat[span * m : span * m + size], out=flat[:size])
+        span *= 2
+    if w + 1 > span:
+        shift = (w + 1 - span) * m
+        np.logical_and(flat[: n * m], flat[shift : shift + n * m], out=flat[: n * m])
+    return window[:n], new_break
 
 
 def evaluate_run(
@@ -306,38 +392,45 @@ def evaluate_run(
     weights: ComfortWeights,
     mode: SafetyMode,
     hold_window: float,
-    onset_exclude: int = ONSET_EXCLUDED_SAMPLES,
 ) -> RunMetrics:
-    """Full evaluation of one run.
+    """Full evaluation of one run, scored as one column in one block.
 
     Safety, extrema, and min_gap are judged over [t0, t_consensus], or the
-    whole run when consensus is not reached.  onset_exclude skips that many
-    leading samples in the comfort extrema; 0 includes the switch-on
-    transient.
+    whole run when consensus is not reached; min_gap from the row that arms
+    the gap floor.  The comfort extrema skip the first
+    ONSET_EXCLUDED_SAMPLES samples.
     """
-    flags = consensus_flags(trajectory, thresholds)
-    window_samples = round(hold_window / trajectory.dt)
-    idx = _first_sustained_index(flags, window_samples)
-    last = len(trajectory) - 1
-    end_idx = idx if idx >= 0 else last
-    t_consensus = math.inf if idx < 0 else idx * trajectory.dt
+    n = len(trajectory)
+    v, a, gap, v_leader = (
+        np.asarray(series, dtype=float)
+        for series in (
+            trajectory.v_follower, trajectory.a_follower, trajectory.gap,
+            trajectory.v_leader_delayed,
+        )
+    )
+    scorer = _RunScorer(trajectory, v_leader[:, None], n, thresholds, mode, hold_window)
+    scorer.score(v[:, None], a[:, None], gap[:, None])
+    hold, arm = int(scorer.first_hold[0]), int(scorer.arm_row[0])
+    end = hold if hold >= 0 else n - 1
 
-    violated, min_gap = _safety_from_gap(
-        trajectory.gap[: end_idx + 1], trajectory.leader_length, mode
-    )
-    jerk = jerk_series(trajectory)
-    max_accel, max_decel, max_jerk, min_jerk = _window_extrema(
-        np.asarray(trajectory.a_follower, dtype=float), jerk, end_idx, onset_exclude
-    )
+    lo = ONSET_EXCLUDED_SAMPLES
+    if end < lo:
+        extrema = 0.0, 0.0, 0.0, 0.0
+    else:
+        a_win = a[lo : end + 1]
+        jerk_win = jerk_series(trajectory)[lo : end + 1]
+        extrema = (
+            max(0.0, float(np.max(a_win))),
+            max(0.0, -float(np.min(a_win))),
+            float(np.max(jerk_win)),
+            float(np.min(jerk_win)),
+        )
     metrics = RunMetrics(
-        t_consensus=t_consensus,
-        max_accel=max_accel,
-        max_decel=max_decel,
-        max_jerk=max_jerk,
-        min_jerk=min_jerk,
+        math.inf if hold < 0 else hold * trajectory.dt,
+        *extrema,
         omega=0.0,
-        min_gap=min_gap,
-        safety_violated=violated,
+        min_gap=float(np.min(gap[arm : end + 1])) if arm <= end else math.nan,
+        safety_violated=bool(scorer.first_violation[0] <= end),
     )
     metrics.omega = omega_score(metrics, weights)
     return metrics

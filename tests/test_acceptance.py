@@ -34,8 +34,9 @@ from caccsim.metrics import (
     ConsensusThresholds,
     RunMetrics,
     SafetyMode,
+    Trajectory,
     _bands_ok,
-    _safety_from_gap,
+    evaluate_run,
     omega_score,
 )
 from caccsim.stability import (
@@ -392,7 +393,8 @@ def test_criterion_10_metric_property_sweeps(acceptance_log):
         assert bumped - base == pytest.approx(bump * accel_peak, rel=1e-9, abs=1e-12)
 
     # Projected arming never flags a gap series that stays above the floor
-    # once it first rises past it.
+    # once it first rises past it.  The acceleration is held out of its
+    # band, so the bands never hold and evaluate_run judges the whole run.
     for _ in range(1000):
         lj = rng.uniform(3.0, 8.0)
         n_pre = int(rng.integers(0, 80))
@@ -400,9 +402,18 @@ def test_criterion_10_metric_property_sweeps(acceptance_log):
         pre = lj - rng.uniform(0.0, 3.0, size=n_pre)
         post = lj + 0.01 + np.cumsum(rng.uniform(0.0, 0.3, size=n_post))
         gap = np.concatenate([pre, post])
-        violated, min_gap = _safety_from_gap(gap, lj, SafetyMode.PROJECTED)
-        assert not violated
-        assert min_gap > lj
+        n = len(gap)
+        run = Trajectory(
+            dt=0.01, leader_length=lj, time_gap=0.7, comm_delay=0.06,
+            v_follower=np.zeros(n), a_follower=np.ones(n), gap=gap,
+            v_leader_delayed=np.zeros(n),
+        )
+        m = evaluate_run(
+            run, ConsensusThresholds(), ComfortWeights(), SafetyMode.PROJECTED, 1.0
+        )
+        assert not m.consensus_reached
+        assert not m.safety_violated
+        assert m.min_gap > lj
 
     acceptance_log(
         "ACCEPTANCE 10 PASS: 1000-case sweeps hold for band monotonicity, "

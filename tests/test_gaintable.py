@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,15 @@ from caccsim.gaintable import (
     save_table,
 )
 from caccsim.harness import ScenarioConfig, run_scenario
-from caccsim.metrics import RunMetrics, SafetyMode, Trajectory, evaluate_run
+from caccsim.metrics import (
+    RunMetrics,
+    SafetyMode,
+    Trajectory,
+    _first_rows,
+    _hold_scan,
+    evaluate_run,
+)
+from run_oracle import oracle_run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -218,12 +226,18 @@ def draw_column(data, n, vj, cfg):
     return v, PROPERTY_ACCELS[codes[:, 2]], gap
 
 
+def same_metrics(got, want):
+    """RunMetrics equal field by field, NaN equal to NaN."""
+    return np.array_equal(astuple(got), astuple(want), equal_nan=True)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_streaming_decision_matches_per_column_evaluation(data):
-    """Random runs scored in random blocks: each column's carried outcome
-    matches evaluate_run of the whole run, and each cell, whichever block
-    settles it, gets the gains _select_cell picks from those evaluations."""
+    """Random runs: evaluate_run of each whole run equals the whole-array
+    oracle in every field; scored in random blocks, each column's carried
+    outcome matches the oracle's, and each cell, whichever block settles it,
+    gets the gains _select_cell picks from the oracle's evaluations."""
     n = data.draw(st.integers(2, 40), label="samples")
     window = data.draw(st.integers(0, 4), label="hold window rows")
     mode = data.draw(st.sampled_from(list(SafetyMode)))
@@ -249,17 +263,18 @@ def test_streaming_decision_matches_per_column_evaluation(data):
             vj.append(cell_vj)
     v, a, gap = (np.stack(series, axis=1) for series in zip(*columns))
 
-    metrics = [
-        evaluate_run(
-            Trajectory(
-                dt=cfg.dt, leader_length=cfg.leader_length, time_gap=cfg.time_gap,
-                comm_delay=cfg.comm_delay, v_follower=v[:, col], a_follower=a[:, col],
-                gap=gap[:, col], v_leader_delayed=np.full(n, vj[col]),
-            ),
-            cfg.thresholds, cfg.weights, cfg.safety_mode, cfg.hold_window,
+    runs = [
+        Trajectory(
+            dt=cfg.dt, leader_length=cfg.leader_length, time_gap=cfg.time_gap,
+            comm_delay=cfg.comm_delay, v_follower=v[:, col], a_follower=a[:, col],
+            gap=gap[:, col], v_leader_delayed=np.full(n, vj[col]),
         )
         for col in range(len(vj))
     ]
+    args = (cfg.thresholds, cfg.weights, cfg.safety_mode, cfg.hold_window)
+    metrics = [oracle_run(run, *args) for run in runs]
+    for run, want in zip(runs, metrics):
+        assert same_metrics(evaluate_run(run, *args), want)
     expected = [
         select(metrics[cell * n_cand : (cell + 1) * n_cand], pairs)
         for cell in range(n_cells)
@@ -268,26 +283,28 @@ def test_streaming_decision_matches_per_column_evaluation(data):
     blocks = list(zip([0, *cuts], [*cuts, n]))
 
     # Scored to the end without settling, every column's carried outcome
-    # matches its own evaluate_run.
-    def accel_of(col, n_rows):
-        return a[:n_rows, col]
-
-    whole = _CellScorer(np.array(vj), pairs, n, cfg, accel_of)
+    # matches the oracle's evaluation of its run.
+    whole = _CellScorer(np.array(vj), pairs, n, cfg, runs.__getitem__)
     for lo, hi in blocks:
-        whole.score(v[lo:hi], a[lo:hi], gap[lo:hi])
+        whole.runs.score(v[lo:hi], a[lo:hi], gap[lo:hi])
     for col, m in enumerate(metrics):
-        hold = int(whole.first_hold[col])
+        hold = int(whole.runs.first_hold[col])
         assert (hold >= 0) == m.consensus_reached
         end = hold if hold >= 0 else n - 1
         if hold >= 0:
             assert hold * cfg.dt == m.t_consensus
-        assert (whole.first_violation[col] <= end) == m.safety_violated
-        assert whole._comfort(col, end) == m.omega
+        assert (whole.runs.first_violation[col] <= end) == m.safety_violated
+        above = gap[:, col] > cfg.leader_length
+        if mode is SafetyMode.SAME_LANE:
+            assert whole.runs.arm_row[col] == 0
+        else:
+            assert whole.runs.arm_row[col] == (above.argmax() if above.any() else n)
+        assert whole._comfort(col) == m.omega
 
-    scorer = _CellScorer(np.array(vj), pairs, n, cfg, accel_of)
+    scorer = _CellScorer(np.array(vj), pairs, n, cfg, runs.__getitem__)
     for lo, hi in blocks:
         cols = scorer.cols
-        scorer.score(v[lo:hi, cols], a[lo:hi, cols], gap[lo:hi, cols])
+        scorer.runs.score(v[lo:hi, cols], a[lo:hi, cols], gap[lo:hi, cols])
         open_cells = scorer.cells
         scorer.decide()
         for cell in np.setdiff1d(open_cells, scorer.cells):
@@ -307,10 +324,10 @@ def test_scorer_keeps_a_cell_open_past_a_run_unsafe_at_its_consensus_row():
     gap = np.array([[floor + 0.5, floor - 1.0], [floor, floor - 1.0], [floor, floor]])
     gap = np.vstack([gap, np.full((3, 2), floor)])
     scorer = _CellScorer(np.zeros(2), [(1.0, 0.1), (2.0, 0.1)], len(gap), cfg, None)
-    scorer.score(np.zeros((2, 2)), np.zeros((2, 2)), gap[:2])
+    scorer.runs.score(np.zeros((2, 2)), np.zeros((2, 2)), gap[:2])
     scorer.decide()
     assert list(scorer.cells) == [0]
-    scorer.score(np.zeros((4, 2)), np.zeros((4, 2)), gap[2:])
+    scorer.runs.score(np.zeros((4, 2)), np.zeros((4, 2)), gap[2:])
     scorer.decide()
     assert len(scorer.cells) == 0
     assert (scorer.k[0], scorer.gamma[0]) == (0.1, 2.0)
@@ -338,8 +355,8 @@ def test_scorer_jerk_across_a_block_boundary_is_in_units_of_dt(cut):
     assert metrics.t_consensus == 7 * cfg.dt
     scorer = _CellScorer(np.array([vj]), [(1.0, 0.1)], n, cfg, None)
     for lo, hi in ((0, cut), (cut, n)) if cut else ((0, n),):
-        scorer.score(v[lo:hi, None], a[lo:hi, None], gap[lo:hi, None])
-    assert scorer.first_hold.tolist() == [7]
+        scorer.runs.score(v[lo:hi, None], a[lo:hi, None], gap[lo:hi, None])
+    assert scorer.runs.first_hold.tolist() == [7]
 
 
 @pytest.fixture(scope="module")
@@ -479,12 +496,12 @@ def test_hold_scan_matches_a_sliding_scan(ok, w, data):
 
     window = np.empty((w + n, m), dtype=bool)
     window[w:] = ok
-    held, breaks = gaintable._hold_scan(window, w, lo, last_break)
+    held, breaks = _hold_scan(window, w, lo, last_break)
     assert np.array_equal(held, want_held)
     assert np.array_equal(breaks, want_breaks)
 
     first_hold = np.full(m, -1)
-    gaintable._first_rows(held, first_hold < 0, first_hold, lo - w)
+    _first_rows(held, first_hold < 0, first_hold, lo - w)
     want_first = np.where(
         want_held.any(axis=0), lo + want_held.argmax(axis=0) - w, -1
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from caccsim.metrics import (
     SafetyMode,
     Trajectory,
     _bands_ok,
-    _safety_from_gap,
     evaluate_run,
     jerk_series,
     omega_score,
@@ -65,9 +65,17 @@ def consensus_time(trajectory, thresholds, hold_window):
     ).t_consensus
 
 
-def gap_floor(trajectory, leader_length, mode):
-    """Gap-floor check of a whole run's gap series."""
-    return _safety_from_gap(trajectory.gap, leader_length, mode)
+def gap_floor(trajectory, mode):
+    """evaluate_run's gap-floor verdict and min_gap over a whole gap series.
+
+    The acceleration is held out of its band, so the bands never hold and
+    the whole run is judged."""
+    run = replace(trajectory, a_follower=np.ones(len(trajectory)))
+    metrics = evaluate_run(
+        run, ConsensusThresholds(), ComfortWeights(), mode, hold_window=1.0
+    )
+    assert not metrics.consensus_reached
+    return metrics.safety_violated, metrics.min_gap
 
 
 def test_thresholds_validation():
@@ -146,8 +154,9 @@ def test_jerk_series_step_command():
 
 
 def test_jerk_series_rejects_single_sample():
+    """A one-sample run has no jerk, so it is refused when it is built."""
     with pytest.raises(ValueError, match="two samples"):
-        jerk_series(equilibrium_trajectory(1))
+        equilibrium_trajectory(1)
 
 
 def test_convergence_immediate_at_equilibrium():
@@ -208,7 +217,7 @@ def test_convergence_weakly_antitone_in_window():
 def test_safety_constant_gap_is_safe_in_both_modes():
     traj = equilibrium_trajectory(100, gap=30.0)
     for mode in (SafetyMode.SAME_LANE, SafetyMode.PROJECTED):
-        violated, min_gap = gap_floor(traj, 5.0, mode)
+        violated, min_gap = gap_floor(traj, mode)
         assert not violated
         assert min_gap == 30.0
 
@@ -216,7 +225,7 @@ def test_safety_constant_gap_is_safe_in_both_modes():
 def test_safety_same_lane_dip_below_length():
     traj = equilibrium_trajectory(100, gap=30.0)
     traj.gap[40] = 4.9
-    violated, min_gap = gap_floor(traj, 5.0, SafetyMode.SAME_LANE)
+    violated, min_gap = gap_floor(traj, SafetyMode.SAME_LANE)
     assert violated
     assert min_gap == 4.9
 
@@ -226,7 +235,7 @@ def test_safety_projected_arms_after_first_clearance():
     gap = np.linspace(-30.0, 20.0, 200)
     traj = equilibrium_trajectory(200)
     traj.gap = gap
-    violated, min_gap = gap_floor(traj, 5.0, SafetyMode.PROJECTED)
+    violated, min_gap = gap_floor(traj, SafetyMode.PROJECTED)
     assert not violated
     assert min_gap == float(gap[gap > 5.0][0])
 
@@ -234,7 +243,7 @@ def test_safety_projected_arms_after_first_clearance():
 def test_safety_projected_recrossing_violates():
     traj = equilibrium_trajectory(6)
     traj.gap = np.array([-10.0, 2.0, 8.0, 6.0, 4.5, 9.0])
-    violated, min_gap = gap_floor(traj, 5.0, SafetyMode.PROJECTED)
+    violated, min_gap = gap_floor(traj, SafetyMode.PROJECTED)
     assert violated
     assert min_gap == 4.5
 
@@ -242,7 +251,7 @@ def test_safety_projected_recrossing_violates():
 def test_safety_projected_never_armed_reports_nan_gap():
     traj = equilibrium_trajectory(50)
     traj.gap = np.linspace(-40.0, 0.0, 50)
-    violated, min_gap = gap_floor(traj, 5.0, SafetyMode.PROJECTED)
+    violated, min_gap = gap_floor(traj, SafetyMode.PROJECTED)
     assert not violated
     assert math.isnan(min_gap)
 
@@ -255,7 +264,7 @@ def test_safety_projected_monotone_after_arming_never_violates():
         gap = start + np.concatenate(([0.0], np.cumsum(increments)))
         traj = equilibrium_trajectory(len(gap))
         traj.gap = gap
-        violated, _ = gap_floor(traj, 5.0, SafetyMode.PROJECTED)
+        violated, _ = gap_floor(traj, SafetyMode.PROJECTED)
         assert not violated
 
 
@@ -359,17 +368,18 @@ def test_evaluate_run_whole_run_when_not_converged():
     assert metrics.min_gap == 2.0
 
 
-def test_evaluate_run_onset_exclusion_is_configurable():
-    """The switch-on spike at the second sample is skipped by default."""
+def test_evaluate_run_skips_the_switch_on_sample():
+    """A spike at sample 1, the switch-on transient, is left out of the
+    comfort extrema; the same spike at sample 2 counts."""
     n = 400
-    traj = equilibrium_trajectory(n)
-    a = np.zeros(n)
-    a[1] = -2.0
-    traj.a_follower = a
-    traj.gap = np.full(n, 30.0)
     args = (ConsensusThresholds(), ComfortWeights(), SafetyMode.SAME_LANE, 1.0)
-    skipping = evaluate_run(traj, *args)
-    counting = evaluate_run(traj, *args, onset_exclude=0)
-    assert skipping.max_decel == 0.0
-    assert counting.max_decel == 2.0
-    assert counting.min_jerk == -200.0
+    spiked = {}
+    for sample_index in (1, 2):
+        traj = equilibrium_trajectory(n)
+        traj.a_follower = np.zeros(n)
+        traj.a_follower[sample_index] = -2.0
+        traj.gap = np.full(n, 30.0)
+        spiked[sample_index] = evaluate_run(traj, *args)
+    assert spiked[1].max_decel == 0.0
+    assert spiked[2].max_decel == 2.0
+    assert spiked[2].min_jerk == -200.0

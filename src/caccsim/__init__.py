@@ -16,7 +16,7 @@ from .controllers import (
     desired_gap,
     linear_feedback_accel,
 )
-from .dynamics import FollowerRuns
+from .dynamics import FollowerRuns, simulate_pair
 from .gaintable import (
     AxisGrid,
     BuildConfig,
@@ -33,10 +33,8 @@ from .harness import (
     RunReport,
     ScenarioConfig,
     SuiteResult,
-    benchmark_scenarios,
     run_scenario,
     run_suite,
-    simulate_pair,
 )
 from .metrics import (
     ComfortWeights,

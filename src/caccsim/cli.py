@@ -22,7 +22,7 @@ from .config import (
     load_sweep,
 )
 from .controllers import GainPair
-from .gaintable import build_table, load_table, save_table
+from .gaintable import TIE_RULE, build_table, load_table, save_table
 from .harness import (
     format_suite_summary,
     run_scenario,
@@ -60,7 +60,6 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{report.scenario_id}_{report.controller}.csv"
     write_trajectory_csv(csv_path, trajectory, cfg.thresholds)
-    report.trajectory_path = str(csv_path)
 
     m = report.metrics
     t_text = "not reached" if math.isinf(m.t_consensus) else f"{m.t_consensus:.2f} s"
@@ -110,8 +109,8 @@ def _stability_report_pair(gains: GainPair, time_gap, comm_delay, sweep) -> bool
     print(f"gamma={gains.gamma:g} k={gains.k:g}: max|G|={margin.max_magnitude:.6f} "
           f"at omega={margin.worst_omega:.4g} rad/s -> {verdict}")
     if margin.skipped_omegas:
-        print(f"  skipped {len(margin.skipped_omegas)} sweep points on "
-              f"denominator zeros")
+        print(f"  skipped {len(margin.skipped_omegas)} sweep points with "
+              f"non-finite (overflowed) magnitudes")
     return margin.stable
 
 
@@ -158,7 +157,7 @@ def _cmd_inspect_table(args) -> int:
           f"delay={cfg.comm_delay:g} s, leader length={cfg.leader_length:g} m, "
           f"time gap={cfg.time_gap:g} s, mode={cfg.safety_mode.value}, "
           f"hold={cfg.hold_window:g} s")
-    print(f"tie rule: {table.tie_rule}")
+    print(f"tie rule: {TIE_RULE}")
     if args.cell is not None:
         i1, i2, i3 = args.cell
         if not (0 <= i1 < z1 and 0 <= i2 < z2 and 0 <= i3 < z3):

@@ -6,13 +6,14 @@ regulates the gap toward a speed-dependent target spacing and weights the
 speed error with a tunable gain; the linear feedback law is a conventional
 fallback used when no scheduled gain is available.
 
-Each law exists twice: as a function on raw values (consensus_command,
-linear_feedback_accel), the reference, and as a law object (ConsensusLaw,
-LinearFeedbackLaw) whose in-place array step the simulation kernel calls for
-a batch of runs.  The array step does the reference's arithmetic operation
-for operation, so both give the same floats.  A one-column run steps on
-Python floats, and its step is the raw-value function itself, bound to the
-law's gains (the law's column_step).
+Each law is a function on raw values (consensus_command,
+linear_feedback_accel), the reference, and a law object (ConsensusLaw,
+LinearFeedbackLaw) that the simulation kernel steps.  A one-column run
+steps on Python floats, and its step is the raw-value function itself,
+bound to the law's gains (the law's column_step).  Only the consensus law
+has an in-place array step too, for the table build's batches; it does
+the reference's arithmetic operation for operation, so both give the same
+floats.  The fallback only ever runs one column.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def linear_feedback_accel(
     gains: LinearFeedbackGains,
 ):
     """Linear feedback fallback on raw values: feedforward accel + speed +
-    spacing terms.  The reference of LinearFeedbackLaw's in-place step."""
+    spacing terms.  LinearFeedbackLaw's column_step."""
     spacing_target = gains.standstill_gap + leader_length + v_follower * time_gap
     spacing_error = r_leader_delayed - r_follower - spacing_target
     speed_error = v_leader_delayed - v_follower
@@ -146,14 +147,14 @@ def linear_feedback_accel(
     )
 
 
-# A law's command(cfg, m) returns the kernel's per-step callable for m
-# columns: step(state, speed, target, cmd) with state = [positions, speeds]
-# of the followers, speed its second half, target = [positions, speeds] of
-# the delayed leaders, writing the commands into cmd.  Buffers and 0-d
-# operands (cheaper for a ufunc than a float, same value) are made once per
-# call, so a step only runs ufuncs in place.  Its column_step(cfg) returns
-# the step of a one-column batch on floats: step(r, r_leader, v, v_leader)
-# returns the command.
+# A law's column_step(cfg) returns the step of a one-column batch on
+# floats: step(r, r_leader, v, v_leader) returns the command.
+# ConsensusLaw's command(cfg, m) returns the kernel's per-step callable for
+# m columns: step(state, speed, target, cmd) with state = [positions,
+# speeds] of the followers, speed its second half, target = [positions,
+# speeds] of the delayed leaders, writing the commands into cmd.  Buffers
+# and 0-d operands (cheaper for a ufunc than a float, same value) are made
+# once per call, so a step only runs ufuncs in place.
 
 
 class ConsensusLaw:
@@ -203,7 +204,7 @@ class ConsensusLaw:
 
 
 class LinearFeedbackLaw:
-    """linear_feedback_accel with one gain set shared by every column.
+    """linear_feedback_accel with one gain set, for a one-column run.
 
     The kernel's leader holds its speed, so its delayed acceleration is 0;
     the feedforward term k_a * 0 is still taken, for its signed zero.
@@ -212,9 +213,6 @@ class LinearFeedbackLaw:
     def __init__(self, gains: LinearFeedbackGains):
         self.gains = gains
 
-    def keep(self, mask) -> None:
-        pass
-
     def column_step(self, cfg):
         lj, time_gap, gains = cfg.leader_length, cfg.time_gap, self.gains
 
@@ -222,27 +220,5 @@ class LinearFeedbackLaw:
             return linear_feedback_accel(
                 r, r_leader, v, v_leader, 0.0, lj, time_gap, gains
             )
-
-        return step
-
-    def command(self, cfg, m: int):
-        g = self.gains
-        err = np.empty(2 * m)
-        spacing, speed_err = err[:m], err[m:]
-        term = np.empty(m)
-        base = np.array(g.standstill_gap + cfg.leader_length)
-        time_gap = np.array(cfg.time_gap)
-        feedforward = np.array(g.k_a * 0.0)
-        k_dv = np.repeat([g.k_d, g.k_v], m)  # against err's two halves
-        subtract, add, multiply = np.subtract, np.add, np.multiply
-
-        def step(state, speed, target, cmd):
-            subtract(target, state, err)
-            multiply(speed, time_gap, term)
-            add(base, term, term)
-            subtract(spacing, term, spacing)
-            multiply(k_dv, err, err)
-            add(feedforward, speed_err, speed_err)
-            add(speed_err, spacing, cmd)
 
         return step

@@ -22,23 +22,29 @@ that needs them longer copies them.  A batch writes its delayed leader
 straight into the step's [leader | vj] operand, whose vj half is filled
 again only after keep() or for a block longer than any before; a
 one-column run never makes that operand.
+
+simulate_pair runs one scenario as a one-column batch and builds the run's
+Trajectory; a scheduled scenario and the table build's tie re-run both go
+through it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FollowerRuns"]
+from .metrics import Trajectory
+
+__all__ = ["FollowerRuns", "simulate_pair"]
 
 
 class FollowerRuns:
     """Batched car-following runs, one column per run.
 
     law is a control law of caccsim.controllers with one entry per column
-    (or one shared by all); cfg supplies dt, the delay and the spacing
-    policy.  advance() returns the next rows of follower position, speed,
-    acceleration and delayed gap, as views valid until the next advance();
-    keep() drops columns.
+    (only ConsensusLaw steps more than one); cfg supplies dt, the delay and
+    the spacing policy.  advance() returns the next rows of follower
+    position, speed, acceleration and delayed gap, as views valid until the
+    next advance(); keep() drops columns.
 
     Only the step loop cannot be vectorized over rows, and its cost is
     the number of array operations per step, not their length, so it does
@@ -162,3 +168,55 @@ class FollowerRuns:
             setattr(self, name, getattr(self, name)[mask])
         self._aim_vj_rows = 0
         self.law.keep(mask)
+
+
+def simulate_pair(
+    dr0: float,
+    vi0: float,
+    vj0: float,
+    control,
+    cfg,
+    duration: float,
+) -> Trajectory:
+    """One leader-follower run: a one-column batch of the kernel.
+
+    control is a control law (controllers.ConsensusLaw or LinearFeedbackLaw)
+    and cfg a gaintable.BuildConfig.  The leader starts at dr0 with constant
+    speed vj0, the follower at the origin at vi0 with zero acceleration.
+    The leader is observed through the communication delay, with the
+    initial sample held before any delayed data exists.  Commands computed
+    at step t land on the sample at t + dt.  A non-finite command anywhere
+    in the run raises ValueError.
+    """
+    dt = cfg.dt
+    n_steps = round(duration / dt)
+    if n_steps < 1:
+        raise ValueError(
+            f"duration {duration!r} must span at least one step of dt {dt!r}"
+        )
+    n = n_steps + 1
+    runs = FollowerRuns([dr0], [vi0], [vj0], control, cfg)
+    # An overflowing command is reported once, by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_follower, v_follower, a_follower, gap = (
+            series[:, 0] for series in runs.advance(n)
+        )
+    if not np.isfinite(a_follower).all():
+        raise ValueError("non-finite value for accel_cmd in the run")
+    # The kernel's running sum for the leader, undelayed.
+    leader = np.full(n, vj0 * dt)
+    leader[0] = dr0
+    return Trajectory(
+        dt=dt,
+        leader_length=cfg.leader_length,
+        time_gap=cfg.time_gap,
+        comm_delay=cfg.comm_delay,
+        v_follower=v_follower,
+        a_follower=a_follower,
+        gap=gap,
+        v_leader_delayed=np.full(n, float(vj0)),
+        t=np.arange(n) * dt,
+        r_follower=r_follower,
+        r_leader=np.add.accumulate(leader),
+        v_leader=np.full(n, float(vj0)),
+    )

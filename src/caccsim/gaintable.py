@@ -14,10 +14,10 @@ metrics._RunScorer, the same that evaluate_run applies to a whole run;
 after each block of steps this module only selects: it settles every cell
 whose stored gains can no longer change, so most cells stop long before the
 horizon.  No rows outlive their block: the rare time tie, which compares
-comfort scores over whole runs, re-simulates the tied runs and judges them
-with evaluate_run.  The harness runs a scenario on the same kernel, as one
-column, so a single re-run of a cell's operating point reproduces any
-stored decision exactly.
+comfort scores over whole runs, re-simulates each tied run through
+dynamics.simulate_pair and judges it with evaluate_run.  The harness runs a
+scenario through the same simulate_pair, so a single re-run of a cell's
+operating point reproduces any stored decision exactly.
 
 A block is built in place: the kernel hands out views of block buffers it
 reuses, and the scorer judges them in scratch buffers of its own, with no
@@ -44,14 +44,8 @@ import numpy as np
 
 from . import metrics
 from .controllers import ConsensusLaw, GainPair
-from .dynamics import FollowerRuns
-from .metrics import (
-    ComfortWeights,
-    ConsensusThresholds,
-    SafetyMode,
-    Trajectory,
-    _RunScorer,
-)
+from .dynamics import FollowerRuns, simulate_pair
+from .metrics import ComfortWeights, ConsensusThresholds, SafetyMode, _RunScorer
 
 __all__ = [
     "AxisGrid",
@@ -67,13 +61,17 @@ __all__ = [
 
 FORMAT_VERSION = "gaintable-v1"
 
-# Fixed for this format version; recorded on the table for documentation.
+# Fixed for this format version; inspect-table prints it.
 TIE_RULE = "min convergence time, then min comfort score, then smallest (gamma, k)"
 
 # Rows simulated between two scorings of a batch.  Decisions are exact at
 # any block length; a longer block amortizes the scoring over more steps
 # but runs a settled cell on for longer (half a block on average).
 _BLOCK_STEPS = 256
+
+# Cells per batch, and per task of a parallel build.  Results do not depend
+# on it.
+_CELL_CHUNK = 48
 
 
 def _ascending_floats(values, name: str) -> np.ndarray:
@@ -223,7 +221,6 @@ class GainTable:
     config: BuildConfig
     k_cells: np.ndarray
     gamma_cells: np.ndarray
-    tie_rule: str = TIE_RULE
 
     def __post_init__(self) -> None:
         shape = self.axes.shape
@@ -277,8 +274,8 @@ class _CellScorer:
     whose stored gains can no longer change and drops its columns.  No rows
     are kept: the comfort tie-break, which needs a column's whole run and is
     rare, judges rerun(column) with evaluate_run, rerun giving the column's
-    run re-simulated alone (column being its index in the batch) as a
-    Trajectory.
+    run re-simulated alone by simulate_pair (column being its index in the
+    batch).
     """
 
     def __init__(self, vj, pairs, n_samples: int, cfg: BuildConfig, rerun):
@@ -393,8 +390,9 @@ def _evaluate_cells(args):
     (_CellScorer.decide); the batch stops when no column is left.  Cells
     where a safe candidate converged early stop early; a marker cell stops
     once every candidate has broken the gap floor, else at the horizon.
-    A time tie re-simulates the tied runs alone for their comfort scores;
-    the arithmetic is per column, so they come out the same.
+    A time tie re-simulates each tied run alone through simulate_pair for
+    its comfort score; the arithmetic is per column, so it comes out the
+    same.
     """
     flat_indices, axes, candidates, cfg = args
     pairs = candidates.pairs()
@@ -411,16 +409,8 @@ def _evaluate_cells(args):
     n_samples = round(cfg.t_max / cfg.dt) + 1
 
     def rerun(col):
-        one = slice(col, col + 1)
-        run = FollowerRuns(
-            dr0[one], vi0[one], vj0[one], ConsensusLaw(gamma[one], k[one]), cfg
-        )
-        _, v, a, gap = (series[:, 0] for series in run.advance(n_samples))
-        return Trajectory(
-            dt=cfg.dt, leader_length=cfg.leader_length, time_gap=cfg.time_gap,
-            comm_delay=cfg.comm_delay, v_follower=v, a_follower=a, gap=gap,
-            v_leader_delayed=np.full(n_samples, vj0[col]),
-        )
+        law = ConsensusLaw(gamma[col : col + 1], k[col : col + 1])
+        return simulate_pair(dr0[col], vi0[col], vj0[col], law, cfg, cfg.t_max)
 
     runs = FollowerRuns(dr0, vi0, vj0, ConsensusLaw(gamma, k), cfg)
     scorer = _CellScorer(vj0, pairs, n_samples, cfg, rerun)
@@ -436,26 +426,23 @@ def build_table(
     candidates: CandidateSets,
     cfg: BuildConfig,
     workers: int = 1,
-    cell_chunk: int = 48,
 ) -> GainTable:
     """Constrained grid search over every cell of the axes.
 
-    Deterministic: results do not depend on workers or chunking, and a
-    serial and a parallel build of the same inputs serialize to identical
+    Deterministic: results do not depend on workers or on _CELL_CHUNK, and
+    a serial and a parallel build of the same inputs serialize to identical
     bytes.  Tie breaking follows TIE_RULE.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if cell_chunk < 1:
-        raise ValueError("cell_chunk must be at least 1")
     shape = axes.shape
     n_cells = shape[0] * shape[1] * shape[2]
     k_cells = np.full(n_cells, math.nan)
     gamma_cells = np.full(n_cells, math.nan)
 
     tasks = [
-        (list(range(lo, min(lo + cell_chunk, n_cells))), axes, candidates, cfg)
-        for lo in range(0, n_cells, cell_chunk)
+        (list(range(lo, min(lo + _CELL_CHUNK, n_cells))), axes, candidates, cfg)
+        for lo in range(0, n_cells, _CELL_CHUNK)
     ]
     if workers == 1:
         results = map(_evaluate_cells, tasks)

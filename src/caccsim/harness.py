@@ -7,9 +7,10 @@ fallback on a miss), a static consensus gain pair, or linear feedback.  The
 suite runs four benchmark operating points against all three controllers
 and reports convergence, comfort, and safety side by side.
 
-A scenario runs on the table build's simulation kernel
-(dynamics.FollowerRuns) as a batch of one column, so a re-run of any table
-cell's operating point reproduces the builder's trajectory bit for bit.
+A scenario runs on the table build's simulation kernel as a batch of one
+column through dynamics.simulate_pair, which the build's comfort tie
+re-run calls too, so a re-run of any table cell's operating point
+reproduces the builder's trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .controllers import (
     LinearFeedbackGains,
     LinearFeedbackLaw,
 )
-from .dynamics import FollowerRuns
+from .dynamics import simulate_pair
 from .gaintable import BuildConfig, GainTable, lookup
 from .metrics import (
     RunMetrics,
@@ -43,8 +44,6 @@ __all__ = [
     "SuiteResult",
     "CONTROLLER_KINDS",
     "BENCHMARK_POINTS",
-    "benchmark_scenarios",
-    "simulate_pair",
     "run_scenario",
     "run_suite",
     "write_trajectory_csv",
@@ -143,7 +142,6 @@ class RunReport:
     gains: GainPair | None
     fallback_engaged: bool
     metrics: RunMetrics
-    trajectory_path: str | None = None
 
 
 @dataclass
@@ -154,74 +152,6 @@ class SuiteResult:
     trajectories: dict
     lookup_beats_fixed: dict
     all_scenarios_beat_fixed: bool
-
-
-def benchmark_scenarios(
-    duration: float = 120.0, controller: str = "lookup"
-) -> list[ScenarioConfig]:
-    """The four benchmark operating points as scenario configs."""
-    return [
-        ScenarioConfig(
-            scenario_id=sid,
-            dr0=dr0,
-            vi0=vi0,
-            vj0=vj0,
-            duration=duration,
-            controller=controller,
-        )
-        for sid, dr0, vi0, vj0 in BENCHMARK_POINTS
-    ]
-
-
-def simulate_pair(
-    dr0: float,
-    vi0: float,
-    vj0: float,
-    control,
-    cfg: BuildConfig,
-    duration: float,
-) -> Trajectory:
-    """One leader-follower run: a one-column batch of the kernel.
-
-    control is a control law (controllers.ConsensusLaw or LinearFeedbackLaw).
-    The leader starts at dr0 with constant speed vj0, the follower at the
-    origin at vi0 with zero acceleration.  The leader is observed through
-    the communication delay, with the initial sample held before any
-    delayed data exists.  Commands computed at step t land on the sample at
-    t + dt.  A non-finite command anywhere in the run raises ValueError.
-    """
-    dt = cfg.dt
-    n_steps = round(duration / dt)
-    if n_steps < 1:
-        raise ValueError(
-            f"duration {duration!r} must span at least one step of dt {dt!r}"
-        )
-    n = n_steps + 1
-    runs = FollowerRuns([dr0], [vi0], [vj0], control, cfg)
-    # An overflowing command is reported once, by the check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_follower, v_follower, a_follower, gap = (
-            series[:, 0] for series in runs.advance(n)
-        )
-    if not np.isfinite(a_follower).all():
-        raise ValueError("non-finite value for accel_cmd in the run")
-    # The kernel's running sum for the leader, undelayed.
-    leader = np.full(n, vj0 * dt)
-    leader[0] = dr0
-    return Trajectory(
-        dt=dt,
-        leader_length=cfg.leader_length,
-        time_gap=cfg.time_gap,
-        comm_delay=cfg.comm_delay,
-        v_follower=v_follower,
-        a_follower=a_follower,
-        gap=gap,
-        v_leader_delayed=np.full(n, float(vj0)),
-        t=np.arange(n) * dt,
-        r_follower=r_follower,
-        r_leader=np.add.accumulate(leader),
-        v_leader=np.full(n, float(vj0)),
-    )
 
 
 def _resolve_controller(

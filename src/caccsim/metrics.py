@@ -84,8 +84,10 @@ class ComfortWeights:
     omega_2: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.omega_1 < 0 or self.omega_2 < 0:
-            raise ValueError("comfort weights must be non-negative")
+        for name in ("omega_1", "omega_2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
 
 
 @dataclass

@@ -104,6 +104,10 @@ class FrequencySweep:
     spacing: str = "log"
 
     def __post_init__(self) -> None:
+        for name in ("omega_min", "omega_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (0 < self.omega_min < self.omega_max):
             raise ValueError("need 0 < omega_min < omega_max")
         if self.points < 2:
@@ -150,7 +154,12 @@ def transfer_magnitude(
 
 @dataclass
 class StabilityMargin:
-    """Result of a string-stability sweep."""
+    """Result of a string-stability sweep.
+
+    skipped_omegas lists the sweep points whose magnitude came out
+    non-finite: a valid pair's denominator has no zero at omega > 0, so
+    these are points where the magnitude overflowed (huge k or gamma).
+    """
 
     max_magnitude: float
     worst_omega: float
@@ -167,8 +176,8 @@ def string_stability_margin(
 ) -> StabilityMargin:
     """Sweep the transfer magnitude; stable when it never exceeds one.
 
-    Sweep points that land exactly on a denominator zero are skipped and
-    reported in skipped_omegas.
+    Sweep points whose magnitude is not finite (it overflowed) are skipped
+    and reported in skipped_omegas.
     """
     sweep = sweep or FrequencySweep()
     omegas = sweep.omegas()
@@ -178,7 +187,7 @@ def string_stability_margin(
     finite = np.isfinite(magnitudes)
     skipped = [float(w) for w in omegas[~finite]]
     if not finite.any():
-        raise ValueError("every sweep point hit a denominator zero")
+        raise ValueError("every sweep point gave a non-finite (overflowed) magnitude")
     magnitudes = magnitudes[finite]
     omegas = omegas[finite]
     worst = int(np.argmax(magnitudes))

@@ -7,6 +7,8 @@ test; a verdict line per criterion is echoed in the terminal summary.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import time
 from pathlib import Path
@@ -25,7 +27,6 @@ from caccsim.gaintable import GainTable, build_table, load_table, lookup, save_t
 from caccsim.harness import (
     BENCHMARK_POINTS,
     ScenarioConfig,
-    benchmark_scenarios,
     run_scenario,
     run_suite,
 )
@@ -47,6 +48,9 @@ from caccsim.stability import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+REFERENCE_MANIFEST = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "manifest.json"
+)
 
 BUILD_TIME_BUDGET_S = 600.0
 
@@ -97,13 +101,15 @@ def test_criterion_01_full_grid_build_within_budget(
     save_table(parallel, out / "parallel.txt")
     serial_bytes = (out / "serial.txt").read_bytes()
     assert serial_bytes == (out / "parallel.txt").read_bytes()
+    manifest = json.loads(REFERENCE_MANIFEST.read_text(encoding="utf-8"))
+    assert hashlib.sha256(serial_bytes).hexdigest() == manifest["table"]["sha256"]
 
     cells = table.k_cells.size
     valid = int(table.valid_mask().sum())
     acceptance_log(
         f"ACCEPTANCE 1 PASS: {cells}-cell grid built serial in {serial_s:.1f} s "
         f"and with 2 workers in {parallel_s:.1f} s (budget {BUILD_TIME_BUDGET_S:.0f} s), "
-        f"{valid} valid cells, files byte-identical"
+        f"{valid} valid cells, files byte-identical and equal to the reference digest"
     )
 
 
@@ -111,7 +117,8 @@ def test_criterion_02_benchmark_lookup_runs_clean(serial_build, acceptance_log):
     table, _ = serial_build
     cfg = table.config
     times = []
-    for scenario in benchmark_scenarios(duration=cfg.t_max):
+    for sid, dr0, vi0, vj0 in BENCHMARK_POINTS:
+        scenario = ScenarioConfig(sid, dr0, vi0, vj0, duration=cfg.t_max)
         report, _ = run_scenario(scenario, cfg, table)
         m = report.metrics
         assert not report.fallback_engaged, scenario.scenario_id

@@ -282,6 +282,18 @@ def test_stability_unstable_pair(capsys):
     assert "UNSTABLE" in out
 
 
+def test_stability_reports_overflowed_sweep_points(capsys):
+    """gamma = 1e307 overflows the magnitude at the 60 highest sweep
+    points; they are skipped as overflowed, not as denominator zeros, and
+    the rest peak at k, so the pair reads stable."""
+    rc = main(["stability", "--gamma", "1e307", "--k", "0.1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "max|G|=0.100000" in out and "-> stable" in out
+    assert "skipped 60 sweep points with non-finite (overflowed) magnitudes" in out
+    assert "denominator" not in out
+
+
 def test_stability_table_mode(cli_env, capsys):
     rc = main(["stability", "--table", cli_env["table"]])
     out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from textwrap import dedent
 
@@ -15,7 +16,15 @@ from caccsim.config import (
     load_scenario,
     load_sweep,
 )
-from caccsim.metrics import SafetyMode
+from caccsim.gaintable import (
+    AxisGrid,
+    BuildConfig,
+    CandidateSets,
+    GainTable,
+    load_table,
+    save_table,
+)
+from caccsim.metrics import ComfortWeights, SafetyMode
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -110,6 +119,38 @@ def test_build_config_rejects_unknown_mode(tmp_path):
     )
     with pytest.raises(ValueError, match="safety_mode"):
         load_build_config(path)
+
+
+@pytest.mark.parametrize("field, key", [("omega_1", "w1"), ("omega_2", "w2")])
+@pytest.mark.parametrize(
+    "value, text",
+    [(math.nan, "NaN"), (math.inf, "inf"), (-math.inf, "-inf")],
+    ids=["nan", "inf", "-inf"],
+)
+def test_comfort_weights_reject_non_finite_value_naming_the_field(
+    tmp_path, field, key, value, text
+):
+    """The dataclass, a build config file and a table's meta line all
+    refuse a weight that is not finite, and the error names the field."""
+    with pytest.raises(ValueError, match=field):
+        ComfortWeights(**{field: value})
+    path = write(tmp_path, "weights.ini", f"[weights]\n{field} = {text}\n")
+    with pytest.raises(ValueError, match=field):
+        load_build_config(path)
+    table = GainTable(
+        axes=AxisGrid(dr=[0.0], vi=[10.0], vj=[10.0]),
+        candidates=CandidateSets(gammas=[1.0], ks=[0.1]),
+        config=BuildConfig(),
+        k_cells=[math.nan],
+        gamma_cells=[math.nan],
+    )
+    saved = tmp_path / "table.txt"
+    save_table(table, saved)
+    meta = saved.read_text(encoding="utf-8").replace(f" {key}=1.0 ", f" {key}={text} ")
+    assert f" {key}={text} " in meta
+    saved.write_text(meta, encoding="utf-8")
+    with pytest.raises(ValueError, match=field):
+        load_table(saved)
 
 
 def test_axes_require_all_three_grids(tmp_path):

@@ -13,7 +13,6 @@ from caccsim.controllers import (
     GainPair,
     InvalidGainsError,
     LinearFeedbackGains,
-    LinearFeedbackLaw,
     consensus_command,
     desired_gap,
     linear_feedback_accel,
@@ -156,26 +155,6 @@ def test_linear_feedback_equilibrium():
     v = 14.0
     spacing = gains.standstill_gap + 5.0 + v * 0.7
     assert linear_feedback_accel(0.0, spacing, v, v, 0.0, 5.0, 0.7, gains) == 0.0
-
-
-def test_linear_feedback_law_step_matches_raw_command():
-    """The kernel's in-place linear feedback step computes
-    linear_feedback_accel with a leader acceleration of 0, bit for bit."""
-    rng = np.random.default_rng(23)
-    m = 256
-    cfg = BuildConfig(leader_length=4.3, time_gap=1.13)
-    for _ in range(4):
-        gains = LinearFeedbackGains(*rng.uniform(-1.0, 2.0, 4))
-        step = LinearFeedbackLaw(gains).command(cfg, m)
-        state, target = random_columns(rng, m)
-        cmd = np.empty(m)
-        step(state, state[m:], target, cmd)
-        for n in range(m):
-            expected = linear_feedback_accel(
-                float(state[n]), float(target[n]), float(state[m + n]),
-                float(target[m + n]), 0.0, cfg.leader_length, cfg.time_gap, gains,
-            )
-            assert cmd[n] == expected
 
 
 @pytest.mark.parametrize("field", ["k_a", "k_v", "k_d", "standstill_gap"])

@@ -17,9 +17,9 @@ from caccsim.controllers import (
     consensus_command,
     linear_feedback_accel,
 )
-from caccsim.dynamics import FollowerRuns
+from caccsim.dynamics import FollowerRuns, simulate_pair
 from caccsim.gaintable import BuildConfig
-from caccsim.harness import ScenarioConfig, simulate_pair
+from caccsim.harness import ScenarioConfig
 
 CFG = BuildConfig(t_max=10.0)
 
@@ -207,24 +207,20 @@ def linear_scalar_loop(dr0, vi0, vj0, gains, n, cfg):
 )
 def test_linear_law_matches_manual_scalar_loop(dr0, vi0, vj0, gains):
     """The kernel's linear feedback law, advanced in uneven blocks, equals a
-    hand-written scalar loop over linear_feedback_accel bit for bit: alone
-    (the kernel's float loop) and as the middle column of three (its array
-    loop)."""
+    hand-written scalar loop over linear_feedback_accel bit for bit.  The
+    fallback only runs one column, on the kernel's float loop."""
     cfg = BuildConfig(t_max=10.0)
     delay = cfg.delay_steps()
     n = round(cfg.t_max / cfg.dt)
-    law = LinearFeedbackLaw(gains)
-    alone = FollowerRuns([dr0], [vi0], [vj0], law, cfg)
-    batch = FollowerRuns([40.0, dr0, 8.0], [9.0, vi0, 21.0], [12.0, vj0, 19.0], law, cfg)
+    runs = FollowerRuns([dr0], [vi0], [vj0], LinearFeedbackLaw(gains), cfg)
     scalar = linear_scalar_loop(dr0, vi0, vj0, gains, n, cfg)
-    for runs, col in ((alone, 0), (batch, 1)):
-        blocks = [
-            [s.copy() for s in runs.advance(rows)]
-            for rows in (2, delay, 300, n + 1 - delay - 302)
-        ]
-        kernel = [np.concatenate(series)[:, col] for series in zip(*blocks)]
-        for want, got in zip(scalar, kernel):
-            assert want.tobytes() == got.tobytes()
+    blocks = [
+        [s.copy() for s in runs.advance(rows)]
+        for rows in (2, delay, 300, n + 1 - delay - 302)
+    ]
+    kernel = [np.concatenate(series)[:, 0] for series in zip(*blocks)]
+    for want, got in zip(scalar, kernel):
+        assert want.tobytes() == got.tobytes()
     if gains.k_v < 0:
         assert scalar[2][1] == 0.0 and not np.signbit(scalar[2][1])
 
@@ -235,9 +231,9 @@ weights = st.floats(-1.0, 2.0)
 
 @st.composite
 def law_columns(draw):
-    """Three runs' initial conditions and a law over them: consensus with
-    gains per column, or linear feedback with one gain set (k_a may be
-    negative)."""
+    """Three runs' initial conditions, a law over them and the fallback's
+    gains: consensus with gains per column (gains None), or linear feedback
+    with one gain set (k_a may be negative), which runs one column only."""
     dr0 = draw(st.lists(st.floats(-60.0, 120.0), min_size=3, max_size=3))
     vi0 = draw(st.lists(speeds, min_size=3, max_size=3))
     vj0 = draw(st.lists(speeds, min_size=3, max_size=3))
@@ -245,12 +241,11 @@ def law_columns(draw):
         gammas = draw(st.lists(st.floats(0.5, 10.0), min_size=3, max_size=3))
         ks = draw(st.lists(st.floats(0.01, 2.0), min_size=3, max_size=3))
         make = lambda cols: ConsensusLaw([gammas[c] for c in cols], [ks[c] for c in cols])
-    else:
-        gains = LinearFeedbackGains(
-            draw(weights), draw(weights), draw(weights), draw(st.floats(0.0, 5.0))
-        )
-        make = lambda cols: LinearFeedbackLaw(gains)
-    return dr0, vi0, vj0, make
+        return dr0, vi0, vj0, make, None
+    gains = LinearFeedbackGains(
+        draw(weights), draw(weights), draw(weights), draw(st.floats(0.0, 5.0))
+    )
+    return dr0, vi0, vj0, lambda cols: LinearFeedbackLaw(gains), gains
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,10 +259,19 @@ def law_columns(draw):
 def test_one_column_loop_matches_the_batch_column(columns, comm_delay, blocks, col, narrow_after):
     """A run stepped alone on floats gives the bytes of the same run as a
     column of a three-column batch stepped on arrays, whatever the block
-    split, the delay, and wherever keep() narrows the batch to that column."""
-    dr0, vi0, vj0, make = columns
+    split, the delay, and wherever keep() narrows the batch to that column.
+    The fallback has no batch, so its run is checked against the scalar
+    loop instead."""
+    dr0, vi0, vj0, make, gains = columns
     cfg = BuildConfig(t_max=10.0, comm_delay=comm_delay)
     alone = FollowerRuns([dr0[col]], [vi0[col]], [vj0[col]], make([col]), cfg)
+    if gains is not None:
+        n = sum(blocks) - 1
+        scalar = linear_scalar_loop(dr0[col], vi0[col], vj0[col], gains, n, cfg)
+        kernel = zip(*([s[:, 0].copy() for s in alone.advance(rows)] for rows in blocks))
+        for want, got in zip(scalar, kernel):
+            assert want.tobytes() == np.concatenate(got).tobytes()
+        return
     batch = FollowerRuns(dr0, vi0, vj0, make([0, 1, 2]), cfg)
     narrowed = FollowerRuns(dr0, vi0, vj0, make([0, 1, 2]), cfg)
     only = np.arange(3) == col

@@ -419,15 +419,16 @@ def test_mixed_grid_has_every_kind_of_cell(mixed_grid_oracle):
 
 
 @pytest.mark.parametrize(
-    "build_kwargs",
-    [{"cell_chunk": 1}, {"cell_chunk": 3}, {}, {"workers": 2}],
+    "cell_chunk, workers",
+    [(1, 1), (3, 1), (gaintable._CELL_CHUNK, 1), (gaintable._CELL_CHUNK, 2)],
     ids=["chunk-1", "chunk-3", "default", "workers-2"],
 )
 def test_build_with_markers_matches_per_cell_oracle(
-    mixed_grid, mixed_grid_oracle, build_kwargs
+    mixed_grid, mixed_grid_oracle, monkeypatch, cell_chunk, workers
 ):
     k_cells, gamma_cells, _ = mixed_grid_oracle
-    table = build_table(*mixed_grid, **build_kwargs)
+    monkeypatch.setattr(gaintable, "_CELL_CHUNK", cell_chunk)
+    table = build_table(*mixed_grid, workers=workers)
     assert np.array_equal(table.k_cells, k_cells, equal_nan=True)
     assert np.array_equal(table.gamma_cells, gamma_cells, equal_nan=True)
 
@@ -547,9 +548,10 @@ def test_build_tiny_table_shape_and_membership(tiny_table, tiny_candidates):
 
 
 def test_build_is_deterministic_across_chunking(
-    tiny_table, tiny_axes, tiny_candidates, tiny_cfg
+    tiny_table, tiny_axes, tiny_candidates, tiny_cfg, monkeypatch
 ):
-    rebuilt = build_table(tiny_axes, tiny_candidates, tiny_cfg, cell_chunk=3)
+    monkeypatch.setattr(gaintable, "_CELL_CHUNK", 3)
+    rebuilt = build_table(tiny_axes, tiny_candidates, tiny_cfg)
     assert rebuilt == tiny_table
 
 
@@ -560,13 +562,9 @@ def test_build_is_deterministic_across_workers(
     assert rebuilt == tiny_table
 
 
-def test_build_rejects_bad_worker_and_chunk_counts(
-    tiny_axes, tiny_candidates, tiny_cfg
-):
+def test_build_rejects_bad_worker_count(tiny_axes, tiny_candidates, tiny_cfg):
     with pytest.raises(ValueError, match="workers"):
         build_table(tiny_axes, tiny_candidates, tiny_cfg, workers=0)
-    with pytest.raises(ValueError, match="cell_chunk"):
-        build_table(tiny_axes, tiny_candidates, tiny_cfg, cell_chunk=0)
 
 
 def test_gain_table_rejects_mismatched_markers(tiny_candidates, tiny_cfg):

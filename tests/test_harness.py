@@ -15,7 +15,6 @@ from caccsim.harness import (
     CONTROLLER_KINDS,
     BaselineConfig,
     ScenarioConfig,
-    benchmark_scenarios,
     format_suite_summary,
     run_scenario,
     run_suite,
@@ -32,10 +31,6 @@ def test_benchmark_points_are_fixed():
     ]
     assert BENCHMARK_POINTS[0][1:] == (50.0, 28.0, 14.0)
     assert BENCHMARK_POINTS[3][1:] == (-80.0, 4.0, 21.0)
-    scenarios = benchmark_scenarios(duration=30.0)
-    assert len(scenarios) == 4
-    assert all(s.controller == "lookup" for s in scenarios)
-    assert all(s.duration == 30.0 for s in scenarios)
 
 
 def test_scenario_config_validation():

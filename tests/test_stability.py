@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from caccsim.config import load_sweep
 from caccsim.controllers import GainPair
 from caccsim.stability import (
     MAX_EIGEN_SIZE,
@@ -137,6 +138,21 @@ def test_frequency_sweep_validation_and_spacing():
     assert omegas[-1] == pytest.approx(1e2, rel=1e-12)
     ratios = omegas[1:] / omegas[:-1]
     assert np.allclose(ratios, ratios[0], rtol=1e-9)
+
+
+@pytest.mark.parametrize("field", ["omega_min", "omega_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_frequency_sweep_rejects_non_finite_bound_naming_the_field(
+    tmp_path, field, value
+):
+    """A sweep bound that is not finite fails at the dataclass, also when
+    read from a sweep file, and the error names that bound."""
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        FrequencySweep(**{field: value})
+    path = tmp_path / "sweep.ini"
+    path.write_text(f"[sweep]\n{field} = {value}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        load_sweep(path)
 
 
 def test_transfer_magnitude_low_frequency_limit():

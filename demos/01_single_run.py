@@ -16,6 +16,7 @@ of the gap error so you can see the approach without a plotting stack.
 
 import math
 
+from caccsim.controllers import GainPair
 from caccsim.gaintable import BuildConfig
 from caccsim.harness import ScenarioConfig, run_scenario
 
@@ -29,7 +30,7 @@ scenario = ScenarioConfig(
     vj0=14.0,
     duration=120.0,
     controller="fixed_consensus",
-    controller_params={"gamma": 4.0, "k": 0.1},
+    gains=GainPair(k=0.1, gamma=4.0),
 )
 
 # Default timing and evaluation settings: 10 ms steps, 60 ms communication

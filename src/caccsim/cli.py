@@ -22,7 +22,7 @@ from .config import (
     load_sweep,
 )
 from .controllers import GainPair
-from .gaintable import TIE_RULE, build_table, load_table, save_table
+from .gaintable import TIE_RULE, BuildConfig, build_table, load_table, save_table
 from .harness import (
     format_suite_summary,
     run_scenario,
@@ -136,8 +136,9 @@ def _cmd_stability(args) -> int:
         print("stability needs either --table or both --gamma and --k",
               file=sys.stderr)
         return 2
+    cfg = BuildConfig()
     stable = _stability_report_pair(
-        GainPair(k=args.k, gamma=args.gamma), 0.7, 0.06, sweep
+        GainPair(k=args.k, gamma=args.gamma), cfg.time_gap, cfg.comm_delay, sweep
     )
     return 0 if stable else 1
 

@@ -2,9 +2,11 @@
 
 All files share one shape: `key = value` lines under `[section]` headers,
 with `#` comments.  A section is read into a settings dataclass by one
-reader: each key is named after a field and parsed as the type of that
-field's default, and missing optional keys keep the default.  Structurally
-required keys raise with the file and key named.
+reader, _section: each key names a field and is parsed as the type of that
+field's default, and missing optional keys keep the default.  An unknown
+key, a value that does not parse and a missing required key raise a
+ValueError naming the file, the section and the key; the dataclass itself
+refuses a parsed value it does not accept, naming the field.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import configparser
 from dataclasses import fields, replace
 from enum import Enum
 
+import numpy as np
+
+from .controllers import GainPair, LinearFeedbackGains
 from .gaintable import AxisGrid, BuildConfig, CandidateSets
 from .harness import BaselineConfig, ScenarioConfig
 from .stability import FrequencySweep
@@ -28,44 +33,51 @@ __all__ = [
 
 
 def _read(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # No interpolation: a "%" in a value is a bad value, not a syntax error.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
     return parser
-
-
-def _require(parser, section: str, key: str, path) -> str:
-    if not parser.has_option(section, key):
-        raise ValueError(f"{path}: missing required key {key!r} in [{section}]")
-    return parser.get(section, key)
 
 
 def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
-def _section(parser, section: str, defaults, path, **given):
+# How a key is parsed, by its field's type; an array is comma-separated floats.
+_PARSERS = {float: float, int: int, str: str, np.ndarray: _float_list}
+
+
+def _section(parser, section: str, defaults, path, required=(), keys=None, **given):
     """defaults, a dataclass instance, with its fields read from [section].
 
-    A key is parsed as the type of its field's default value: float, int,
-    str or an Enum.  Other fields, such as nested settings, are not read;
-    given sets them.
+    A field is read from the key of its name, or the one keys maps it to,
+    and parsed by the type of its default (_PARSERS, or an Enum).  Other
+    fields, such as nested settings, and those given sets are not read.
+    The section may hold only keys that are read, and all of required.
     """
-    values = {}
+    read = {}
     for f in fields(defaults):
         kind = type(getattr(defaults, f.name))
-        enum = issubclass(kind, Enum)
-        if not (enum or kind in (float, int, str)):
-            continue
-        if not parser.has_option(section, f.name):
-            continue
-        text = parser.get(section, f.name)
+        if f.name not in given and (kind in _PARSERS or issubclass(kind, Enum)):
+            read[(keys or {}).get(f.name, f.name)] = f.name, _PARSERS.get(kind, kind)
+    values = {}
+    for key, text in parser.items(section) if parser.has_section(section) else ():
+        if key not in read:
+            raise ValueError(
+                f"{path}: unknown key {key!r} in [{section}]; "
+                f"expected one of {sorted(read)}"
+            )
+        name, parse = read[key]
         try:
-            values[f.name] = kind(text)
+            values[name] = parse(text)
         except ValueError as exc:
-            if not enum:
-                raise
-            raise ValueError(f"{path}: unknown {f.name} {text!r}") from exc
+            raise ValueError(
+                f"{path}: bad value {text!r} for key {key!r} in [{section}]"
+            ) from exc
+    for key in required:
+        if not parser.has_option(section, key):
+            raise ValueError(f"{path}: missing required key {key!r} in [{section}]")
     return replace(defaults, **values, **given)
 
 
@@ -74,10 +86,7 @@ def load_build_config(path) -> BuildConfig:
     parser = _read(path)
     defaults = BuildConfig()
     return _section(
-        parser,
-        "build",
-        defaults,
-        path,
+        parser, "build", defaults, path,
         thresholds=_section(parser, "thresholds", defaults.thresholds, path),
         weights=_section(parser, "weights", defaults.weights, path),
     )
@@ -85,37 +94,45 @@ def load_build_config(path) -> BuildConfig:
 
 def load_axes(path) -> AxisGrid:
     """Axis grids from [axes] keys dr, vi, vj (comma-separated values)."""
-    parser = _read(path)
-    return AxisGrid(
-        dr=_float_list(_require(parser, "axes", "dr", path)),
-        vi=_float_list(_require(parser, "axes", "vi", path)),
-        vj=_float_list(_require(parser, "axes", "vj", path)),
-    )
+    # Every key is required, so no placeholder value is left.
+    placeholder = AxisGrid(dr=[0.0], vi=[0.0], vj=[0.0])
+    return _section(_read(path), "axes", placeholder, path, required=("dr", "vi", "vj"))
 
 
 def load_candidates(path) -> CandidateSets:
     """Candidate gain values from [candidates] keys gamma, k."""
-    parser = _read(path)
-    return CandidateSets(
-        gammas=_float_list(_require(parser, "candidates", "gamma", path)),
-        ks=_float_list(_require(parser, "candidates", "k", path)),
+    return _section(
+        _read(path), "candidates", CandidateSets(gammas=[1.0], ks=[1.0]), path,
+        required=("gamma", "k"), keys={"gammas": "gamma", "ks": "k"},
     )
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """One scenario from [scenario] plus optional [controller_params]."""
+    """One scenario from [scenario], with its gains from [controller_params].
+
+    fixed_consensus needs k and gamma; linear_feedback may set any
+    LinearFeedbackGains field; lookup takes no [controller_params].
+    """
     parser = _read(path)
-    params: dict = {}
-    if parser.has_section("controller_params"):
-        params = {key: value for key, value in parser.items("controller_params")}
-    scenario = ScenarioConfig(
-        scenario_id=parser.get("scenario", "id", fallback=str(path)),
-        dr0=float(_require(parser, "scenario", "dr0", path)),
-        vi0=float(_require(parser, "scenario", "vi0", path)),
-        vj0=float(_require(parser, "scenario", "vj0", path)),
+    scenario = ScenarioConfig(scenario_id=str(path), dr0=0.0, vi0=0.0, vj0=0.0)
+    controller = parser.get("scenario", "controller", fallback=scenario.controller)
+    gains = None
+    if controller == "fixed_consensus":
+        placeholder = GainPair(k=1.0, gamma=1.0)  # both keys are required
+        gains = _section(
+            parser, "controller_params", placeholder, path, required=("k", "gamma")
+        )
+    elif controller == "linear_feedback":
+        gains = _section(parser, "controller_params", LinearFeedbackGains(), path)
+    elif controller == "lookup" and parser.has_section("controller_params"):
+        raise ValueError(
+            f"{path}: the lookup controller takes no [controller_params], "
+            f"got {parser.options('controller_params')}"
+        )
+    return _section(
+        parser, "scenario", scenario, path,
+        required=("dr0", "vi0", "vj0"), keys={"scenario_id": "id"}, gains=gains,
     )
-    # The params go in with the file's controller, which checks them.
-    return _section(parser, "scenario", scenario, path, controller_params=params)
 
 
 def load_baselines(path) -> BaselineConfig:

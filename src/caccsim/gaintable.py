@@ -638,25 +638,28 @@ def load_table(path) -> GainTable:
         mode = SafetyMode(meta["mode"])
     except ValueError as exc:
         raise TableFormatError(f"line 4: unknown mode {meta['mode']!r}") from exc
-    cfg = BuildConfig(
-        dt=_parse_float(meta["dt"], "meta dt"),
-        t_max=_parse_float(meta["tmax"], "meta tmax"),
-        comm_delay=_parse_float(meta["tau"], "meta tau"),
-        leader_length=_parse_float(meta["lj"], "meta lj"),
-        time_gap=_parse_float(meta["tg"], "meta tg"),
-        thresholds=ConsensusThresholds(
-            eta_r=_parse_float(meta["eta_r"], "meta eta_r"),
-            eta_v=_parse_float(meta["eta_v"], "meta eta_v"),
-            delta_a=_parse_float(meta["delta_a"], "meta delta_a"),
-            delta_jerk=_parse_float(meta["delta_jerk"], "meta delta_jerk"),
-        ),
-        weights=ComfortWeights(
-            omega_1=_parse_float(meta["w1"], "meta w1"),
-            omega_2=_parse_float(meta["w2"], "meta w2"),
-        ),
-        safety_mode=mode,
-        hold_window=_parse_float(meta["hold"], "meta hold"),
-    )
+    try:
+        cfg = BuildConfig(
+            dt=_parse_float(meta["dt"], "meta dt"),
+            t_max=_parse_float(meta["tmax"], "meta tmax"),
+            comm_delay=_parse_float(meta["tau"], "meta tau"),
+            leader_length=_parse_float(meta["lj"], "meta lj"),
+            time_gap=_parse_float(meta["tg"], "meta tg"),
+            thresholds=ConsensusThresholds(
+                eta_r=_parse_float(meta["eta_r"], "meta eta_r"),
+                eta_v=_parse_float(meta["eta_v"], "meta eta_v"),
+                delta_a=_parse_float(meta["delta_a"], "meta delta_a"),
+                delta_jerk=_parse_float(meta["delta_jerk"], "meta delta_jerk"),
+            ),
+            weights=ComfortWeights(
+                omega_1=_parse_float(meta["w1"], "meta w1"),
+                omega_2=_parse_float(meta["w2"], "meta w2"),
+            ),
+            safety_mode=mode,
+            hold_window=_parse_float(meta["hold"], "meta hold"),
+        )
+    except ValueError as exc:
+        raise TableFormatError(f"line 4: {exc}") from exc
 
     shape = axes.shape
     expected = shape[0] * shape[1] * shape[2]

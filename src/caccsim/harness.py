@@ -3,9 +3,10 @@
 A scenario is one follower tracking one constant-speed leader from a given
 initial gap and speed pair.  The follower's control law is chosen once at
 the start: scheduled gains from a table lookup (with a linear feedback
-fallback on a miss), a static consensus gain pair, or linear feedback.  The
-suite runs four benchmark operating points against all three controllers
-and reports convergence, comfort, and safety side by side.
+fallback on a miss), a static consensus GainPair, or linear feedback with
+its own LinearFeedbackGains.  The suite runs four benchmark operating
+points against all three controllers and reports convergence, comfort,
+and safety side by side.
 
 A scenario runs on the table build's simulation kernel as a batch of one
 column through dynamics.simulate_pair, which the build's comfort tie
@@ -16,7 +17,7 @@ reproduces the builder's trajectory bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,9 +54,6 @@ __all__ = [
 
 CONTROLLER_KINDS = ("lookup", "fixed_consensus", "linear_feedback")
 
-# The keys a linear_feedback scenario may set.
-_LINEAR_PARAMS = tuple(f.name for f in fields(LinearFeedbackGains))
-
 # Benchmark operating points: (id, initial gap m, follower m/s, leader m/s).
 BENCHMARK_POINTS = (
     ("scenario1", 50.0, 28.0, 14.0),
@@ -67,7 +65,11 @@ BENCHMARK_POINTS = (
 
 @dataclass
 class ScenarioConfig:
-    """One car-following run: initial condition plus controller choice."""
+    """One car-following run: initial condition plus controller choice.
+
+    fixed_consensus runs a valid GainPair, linear_feedback its
+    LinearFeedbackGains or, when gains is None, the run's fallback gains.
+    """
 
     scenario_id: str
     dr0: float
@@ -76,7 +78,7 @@ class ScenarioConfig:
     duration: float = 120.0
     leader_profile: str = "constant"
     controller: str = "lookup"
-    controller_params: dict = field(default_factory=dict)
+    gains: GainPair | LinearFeedbackGains | None = None
 
     def __post_init__(self) -> None:
         for name in ("dr0", "vi0", "vj0", "duration"):
@@ -96,29 +98,14 @@ class ScenarioConfig:
                 f"unknown controller {self.controller!r}; expected one of "
                 f"{CONTROLLER_KINDS}"
             )
-        params = self.controller_params
         if self.controller == "fixed_consensus":
-            for key in ("k", "gamma"):
-                if key not in params:
-                    raise ValueError(f"fixed_consensus needs controller param {key!r}")
+            fits = isinstance(self.gains, GainPair) and self.gains.valid
         elif self.controller == "linear_feedback":
-            unknown = sorted(set(params) - set(_LINEAR_PARAMS))
-            if unknown:
-                raise ValueError(
-                    f"unknown linear_feedback controller param {unknown[0]!r}; "
-                    f"expected one of {_LINEAR_PARAMS}"
-                )
-        elif params:
-            raise ValueError(
-                f"lookup controller takes no params, got {sorted(params)[0]!r}"
-            )
-        for key, value in params.items():
-            try:
-                float(value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"controller param {key!r} must be a number, got {value!r}"
-                ) from exc
+            fits = self.gains is None or isinstance(self.gains, LinearFeedbackGains)
+        else:
+            fits = self.gains is None
+        if not fits:
+            raise ValueError(f"{self.controller} controller cannot take gains {self.gains!r}")
 
 
 @dataclass(frozen=True)
@@ -164,8 +151,6 @@ def _resolve_controller(
     Returns (law, gains or None, fallback_engaged).
     """
     kind = scenario.controller
-    params = scenario.controller_params
-
     if kind == "lookup":
         if table is None:
             raise ValueError("lookup controller needs a gain table")
@@ -173,16 +158,9 @@ def _resolve_controller(
         if gains is None or not gains.valid:
             return LinearFeedbackLaw(fallback_gains), None, True
         return ConsensusLaw.of(gains), gains, False
-
     if kind == "fixed_consensus":
-        gains = GainPair(k=float(params["k"]), gamma=float(params["gamma"]))
-        return ConsensusLaw.of(gains), gains, False
-
-    lf = LinearFeedbackGains(**{
-        key: float(params.get(key, getattr(fallback_gains, key)))
-        for key in _LINEAR_PARAMS
-    })
-    return LinearFeedbackLaw(lf), None, False
+        return ConsensusLaw.of(scenario.gains), scenario.gains, False
+    return LinearFeedbackLaw(scenario.gains or fallback_gains), None, False
 
 
 def run_scenario(
@@ -219,32 +197,25 @@ def run_suite(
     table: GainTable,
     cfg: BuildConfig,
     baselines: BaselineConfig | None = None,
-    duration: float | None = None,
 ) -> SuiteResult:
-    """Benchmark all three controllers on the four benchmark points."""
+    """Benchmark all three controllers on the four benchmark points, each
+    run lasting cfg.t_max."""
     baselines = baselines or BaselineConfig()
-    duration = duration if duration is not None else cfg.t_max
+    gains = {"fixed_consensus": baselines.fixed, "linear_feedback": baselines.linear}
     reports: list[RunReport] = []
     trajectories: dict = {}
     times: dict = {}
 
     for sid, dr0, vi0, vj0 in BENCHMARK_POINTS:
         for kind in CONTROLLER_KINDS:
-            params: dict = {}
-            if kind == "fixed_consensus":
-                params = {"gamma": baselines.fixed.gamma, "k": baselines.fixed.k}
-            elif kind == "linear_feedback":
-                params = {
-                    key: getattr(baselines.linear, key) for key in _LINEAR_PARAMS
-                }
             scenario = ScenarioConfig(
                 scenario_id=sid,
                 dr0=dr0,
                 vi0=vi0,
                 vj0=vj0,
-                duration=duration,
+                duration=cfg.t_max,
                 controller=kind,
-                controller_params=params,
+                gains=gains.get(kind),
             )
             report, trajectory = run_scenario(
                 scenario, cfg, table=table, fallback_gains=baselines.linear

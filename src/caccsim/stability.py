@@ -138,14 +138,15 @@ def transfer_magnitude(
     if not gains.valid:
         raise ValueError("invalid gain pair")
     s = 1j * np.asarray(omega, dtype=float)
-    numerator = (
-        adjacency
-        * gains.k
-        * np.exp(-s * comm_delay)
-        * (1.0 + s * (time_gap + comm_delay) + s * gains.gamma)
-    )
-    denominator = s * s + gains.gamma * s + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Huge gains overflow to a non-finite magnitude; the sweep skips those.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        numerator = (
+            adjacency
+            * gains.k
+            * np.exp(-s * comm_delay)
+            * (1.0 + s * (time_gap + comm_delay) + s * gains.gamma)
+        )
+        denominator = s * s + gains.gamma * s + 1.0
         magnitude = np.abs(numerator) / np.abs(denominator)
     if np.ndim(omega) == 0:
         return float(magnitude)

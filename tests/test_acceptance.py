@@ -237,7 +237,7 @@ def test_criterion_06_stored_cells_match_reselection(serial_build, acceptance_lo
                 vj0=vj0,
                 duration=cfg.t_max,
                 controller="fixed_consensus",
-                controller_params={"gamma": gamma, "k": k},
+                gains=GainPair(k=k, gamma=gamma),
             )
             report, _ = run_scenario(scenario, cfg)
             outcomes.append((gamma, k, report.metrics))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 from textwrap import dedent
 
@@ -285,8 +286,12 @@ def test_stability_unstable_pair(capsys):
 def test_stability_reports_overflowed_sweep_points(capsys):
     """gamma = 1e307 overflows the magnitude at the 60 highest sweep
     points; they are skipped as overflowed, not as denominator zeros, and
-    the rest peak at k, so the pair reads stable."""
-    rc = main(["stability", "--gamma", "1e307", "--k", "0.1"])
+    the rest peak at k, so the pair reads stable.  The skip line is all
+    that is reported: no numpy warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["stability", "--gamma", "1e307", "--k", "0.1"])
+    assert caught == []
     out = capsys.readouterr().out
     assert rc == 0
     assert "max|G|=0.100000" in out and "-> stable" in out

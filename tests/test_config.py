@@ -16,11 +16,13 @@ from caccsim.config import (
     load_scenario,
     load_sweep,
 )
+from caccsim.controllers import GainPair, LinearFeedbackGains
 from caccsim.gaintable import (
     AxisGrid,
     BuildConfig,
     CandidateSets,
     GainTable,
+    TableFormatError,
     load_table,
     save_table,
 )
@@ -188,7 +190,7 @@ def test_scenario_with_controller_params(tmp_path):
     scenario = load_scenario(path)
     assert scenario.scenario_id == "probe"
     assert scenario.controller == "fixed_consensus"
-    assert scenario.controller_params == {"gamma": "4.0", "k": "0.1"}
+    assert scenario.gains == GainPair(k=0.1, gamma=4.0)
 
 
 def test_scenario_params_are_checked_against_the_files_controller(tmp_path):
@@ -204,9 +206,110 @@ def test_scenario_params_are_checked_against_the_files_controller(tmp_path):
         k_v = 0.5
         """
     scenario = load_scenario(write(tmp_path, "good.ini", text))
-    assert scenario.controller_params == {"k_v": "0.5"}
+    assert scenario.gains == LinearFeedbackGains(k_v=0.5)
     with pytest.raises(ValueError, match="'kv'"):
         load_scenario(write(tmp_path, "bad.ini", text.replace("k_v", "kv")))
+
+
+SCENARIO = "[scenario]\ndr0 = 12\nvi0 = 10\nvj0 = 11\n"
+FIXED = SCENARIO + "controller = fixed_consensus\n[controller_params]\n"
+LINEAR = SCENARIO + "controller = linear_feedback\n[controller_params]\n"
+
+
+UNKNOWN_KEYS = [
+    (load_build_config, "build", "[build]\ntmax = 5\n", "tmax"),
+    (load_build_config, "build", "[build]\nthresholds = 0.1\n", "thresholds"),
+    (load_build_config, "thresholds", "[thresholds]\neta = 0.1\n", "eta"),
+    (load_build_config, "weights", "[weights]\nomega1 = 3\n", "omega1"),
+    (load_sweep, "sweep", "[sweep]\npoint = 5\n", "point"),
+    (load_baselines, "fixed_consensus", "[fixed_consensus]\nvalid = no\n", "valid"),
+    (load_baselines, "linear_feedback", "[linear_feedback]\nkv = 0.5\n", "kv"),
+    (load_scenario, "scenario", SCENARIO + "durration = 30\n", "durration"),
+    (load_scenario, "scenario", SCENARIO + "scenario_id = x\n", "scenario_id"),
+    (load_scenario, "controller_params", FIXED + "k = 0.1\ngamma = 4\nkk = 1\n", "kk"),
+    (load_axes, "axes", "[axes]\ndr = 0\nvi = 10\nvj = 10\nvk = 10\n", "vk"),
+    (load_candidates, "candidates", "[candidates]\ngamma = 1\nk = 0.1\nks = 1\n", "ks"),
+]
+
+BAD_NUMBERS = [
+    (load_build_config, "build", "[build]\ndt = fast\n", "dt"),
+    (load_build_config, "weights", "[weights]\nomega_1 = 5%\n", "omega_1"),
+    (load_sweep, "sweep", "[sweep]\npoints = 4.5\n", "points"),
+    (load_axes, "axes", "[axes]\ndr = 0,x\nvi = 10\nvj = 10\n", "dr"),
+    (load_candidates, "candidates", "[candidates]\ngamma = 1\nk = low\n", "k"),
+    (load_scenario, "scenario", SCENARIO + "duration = long\n", "duration"),
+]
+
+
+def _ids(cases):
+    return [f"{section}-{key}" for _, section, _, key in cases]
+
+
+@pytest.mark.parametrize("loader, section, text, key", UNKNOWN_KEYS, ids=_ids(UNKNOWN_KEYS))
+def test_unknown_key_is_refused_naming_file_section_and_key(
+    tmp_path, loader, section, text, key
+):
+    """A misspelt key, or a field the reader does not read (nested
+    settings, GainPair.valid, a scenario's id under its field name), fails
+    at load instead of leaving the default in place."""
+    path = write(tmp_path, "bad.ini", text)
+    with pytest.raises(ValueError, match=f"unknown key '{key}' in \\[{section}\\]") as info:
+        loader(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("loader, section, text, key", BAD_NUMBERS, ids=_ids(BAD_NUMBERS))
+def test_bad_number_is_refused_naming_file_section_and_key(
+    tmp_path, loader, section, text, key
+):
+    path = write(tmp_path, "bad.ini", text)
+    with pytest.raises(ValueError, match=f"for key '{key}' in \\[{section}\\]") as info:
+        loader(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (FIXED + "k = -1\ngamma = 4\n", "k must be positive and finite"),
+        (FIXED + "k = inf\ngamma = 4\n", "k must be positive and finite"),
+        (LINEAR + "k_v = inf\n", "k_v must be finite"),
+    ],
+    ids=["k=-1", "k=inf", "k_v=inf"],
+)
+def test_scenario_gains_are_checked_at_load(tmp_path, text, message):
+    with pytest.raises(ValueError, match=message):
+        load_scenario(write(tmp_path, "gains.ini", text))
+
+
+def _table_with_meta(tmp_path, old, new):
+    table = GainTable(
+        axes=AxisGrid(dr=[0.0], vi=[10.0], vj=[10.0]),
+        candidates=CandidateSets(gammas=[1.0], ks=[0.1]),
+        config=BuildConfig(),
+        k_cells=[math.nan],
+        gamma_cells=[math.nan],
+    )
+    saved = tmp_path / "table.txt"
+    save_table(table, saved)
+    text = saved.read_text(encoding="utf-8")
+    assert f" {old} " in text
+    saved.write_text(text.replace(f" {old} ", f" {new} "), encoding="utf-8")
+    return saved
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("w1=1.0", "w1=NaN", "omega_1 must be non-negative and finite"),
+        ("tmax=120.0", "tmax=0.5", "t_max must exceed hold_window"),
+    ],
+)
+def test_table_meta_rejected_by_the_settings_is_a_format_error(
+    tmp_path, old, new, message
+):
+    with pytest.raises(TableFormatError, match=f"line 4: {message}"):
+        load_table(_table_with_meta(tmp_path, old, new))
 
 
 def test_scenario_id_defaults_to_path(tmp_path):

@@ -381,7 +381,7 @@ def per_cell_oracle(axes, candidates, cfg):
             scenario = ScenarioConfig(
                 "cell", float(axes.dr[i1]), float(axes.vi[i2]), float(axes.vj[i3]),
                 duration=cfg.t_max, controller="fixed_consensus",
-                controller_params={"gamma": gamma, "k": k},
+                gains=GainPair(k=k, gamma=gamma),
             )
             report, traj = run_scenario(scenario, cfg)
             metrics.append(report.metrics)
@@ -532,7 +532,7 @@ def test_time_tie_comfort_comes_from_re_simulated_runs(monkeypatch):
     for gamma, k in candidates.pairs():
         scenario = ScenarioConfig(
             "tie", 80.0, 34.0, 6.0, duration=cfg.t_max, controller="fixed_consensus",
-            controller_params={"gamma": gamma, "k": k},
+            gains=GainPair(k=k, gamma=gamma),
         )
         expected[(gamma, k)] = run_scenario(scenario, cfg)[0].metrics.omega
     assert asked == expected

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from caccsim.controllers import ConsensusLaw, GainPair, consensus_command
+from caccsim.config import load_scenario
+from caccsim.controllers import (
+    ConsensusLaw,
+    GainPair,
+    LinearFeedbackGains,
+    consensus_command,
+)
 from caccsim.dynamics import FollowerRuns
 from caccsim.gaintable import _BLOCK_STEPS, BuildConfig
 from caccsim.harness import (
@@ -44,6 +51,17 @@ def test_scenario_config_validation():
         ScenarioConfig("x", 10.0, -1.0, 10.0)
 
 
+def scenario_file(tmp_path, controller, params):
+    """A scenario file for controller, with params as [controller_params]
+    (None writes an empty value)."""
+    lines = ["[scenario]", "dr0 = 10", "vi0 = 10", "vj0 = 10"]
+    lines += [f"controller = {controller}", "[controller_params]"]
+    lines += [f"{k} = {'' if v is None else v}" for k, v in params.items()]
+    path = tmp_path / "scenario.ini"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize(
     "params, key",
     [
@@ -53,28 +71,40 @@ def test_scenario_config_validation():
         ({"k": 0.1, "gamma": None}, "gamma"),
     ],
 )
-def test_fixed_consensus_needs_numeric_k_and_gamma(params, key):
+def test_fixed_consensus_needs_numeric_k_and_gamma(tmp_path, params, key):
     with pytest.raises(ValueError, match=f"'{key}'"):
-        ScenarioConfig(
-            "x", 10.0, 10.0, 10.0, controller="fixed_consensus",
-            controller_params=params,
-        )
+        load_scenario(scenario_file(tmp_path, "fixed_consensus", params))
 
 
 @pytest.mark.parametrize(
     "params, key", [({"k_v": 0.58, "kv": 9.0}, "kv"), ({"k_v": "fast"}, "k_v")]
 )
-def test_linear_feedback_rejects_an_unknown_param(params, key):
+def test_linear_feedback_rejects_an_unknown_param(tmp_path, params, key):
     with pytest.raises(ValueError, match=f"'{key}'"):
-        ScenarioConfig(
-            "x", 10.0, 10.0, 10.0, controller="linear_feedback",
-            controller_params=params,
-        )
+        load_scenario(scenario_file(tmp_path, "linear_feedback", params))
 
 
-def test_lookup_takes_no_params():
+def test_lookup_takes_no_params(tmp_path):
     with pytest.raises(ValueError, match="'k'"):
-        ScenarioConfig("x", 10.0, 10.0, 10.0, controller_params={"k": 0.1})
+        load_scenario(scenario_file(tmp_path, "lookup", {"k": 0.1}))
+
+
+@pytest.mark.parametrize(
+    "controller, gains",
+    [
+        ("fixed_consensus", None),
+        ("fixed_consensus", GainPair.invalid()),
+        ("fixed_consensus", LinearFeedbackGains()),
+        ("linear_feedback", GainPair(k=0.1, gamma=4.0)),
+        ("lookup", GainPair(k=0.1, gamma=4.0)),
+        ("lookup", LinearFeedbackGains()),
+    ],
+)
+def test_scenario_config_rejects_gains_that_do_not_fit_the_controller(
+    controller, gains
+):
+    with pytest.raises(ValueError, match=f"{controller} controller cannot take"):
+        ScenarioConfig("x", 10.0, 10.0, 10.0, controller=controller, gains=gains)
 
 
 @pytest.mark.parametrize(
@@ -191,8 +221,7 @@ def test_run_scenario_lookup_without_table_is_an_error(tiny_cfg):
 def test_run_scenario_fixed_consensus(tiny_cfg):
     scenario = ScenarioConfig(
         "fixed", 15.0, 12.0, 11.0, duration=60.0,
-        controller="fixed_consensus",
-        controller_params={"gamma": 5.0, "k": 0.1},
+        controller="fixed_consensus", gains=GainPair(k=0.1, gamma=5.0),
     )
     report, _ = run_scenario(scenario, tiny_cfg)
     assert report.gains == GainPair(k=0.1, gamma=5.0)
@@ -209,8 +238,24 @@ def test_run_scenario_linear_feedback(tiny_cfg):
     assert report.metrics.consensus_reached
 
 
+def test_linear_feedback_scenario_runs_its_own_gains(tiny_cfg):
+    """A scenario's gains drive the run; without them, the run's fallback
+    gains do."""
+    gains = LinearFeedbackGains(k_v=0.3)
+    own = ScenarioConfig(
+        "lf", 15.0, 12.0, 11.0, duration=20.0, controller="linear_feedback",
+        gains=gains,
+    )
+    _, with_gains = run_scenario(own, tiny_cfg)
+    bare = replace(own, gains=None)
+    _, with_fallback = run_scenario(bare, tiny_cfg, fallback_gains=gains)
+    _, with_default = run_scenario(bare, tiny_cfg)
+    assert np.array_equal(with_gains.v_follower, with_fallback.v_follower)
+    assert not np.array_equal(with_gains.v_follower, with_default.v_follower)
+
+
 def test_run_suite_structure(tiny_table, tiny_cfg):
-    result = run_suite(tiny_table, tiny_cfg, duration=30.0)
+    result = run_suite(tiny_table, replace(tiny_cfg, t_max=30.0))
     assert len(result.reports) == 12
     expected_keys = [
         (sid, kind)
@@ -249,7 +294,7 @@ def test_trajectory_csv_layout(tiny_cfg, tmp_path):
 
 
 def test_comparison_csv_layout(tiny_table, tiny_cfg, tmp_path):
-    result = run_suite(tiny_table, tiny_cfg, duration=20.0)
+    result = run_suite(tiny_table, replace(tiny_cfg, t_max=20.0))
     path = tmp_path / "comparison.csv"
     write_comparison_csv(path, result.reports)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -266,7 +311,7 @@ def test_comparison_csv_layout(tiny_table, tiny_cfg, tmp_path):
 
 
 def test_suite_summary_format(tiny_table, tiny_cfg):
-    result = run_suite(tiny_table, tiny_cfg, duration=20.0)
+    result = run_suite(tiny_table, replace(tiny_cfg, t_max=20.0))
     text = format_suite_summary(result)
     lines = text.splitlines()
     assert lines[0] == "benchmark suite summary"
@@ -281,7 +326,7 @@ def test_suite_summary_format(tiny_table, tiny_cfg):
 
 def test_suite_summary_marks_unreached_cells(tiny_table, tiny_cfg):
     """Runs too short to converge show up as n/r rather than a number."""
-    result = run_suite(tiny_table, tiny_cfg, duration=2.0)
+    result = run_suite(tiny_table, replace(tiny_cfg, t_max=2.0))
     text = format_suite_summary(result)
     assert "n/r" in text
     assert all(math.isinf(r.metrics.t_consensus) for r in result.reports)

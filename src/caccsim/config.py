@@ -5,8 +5,11 @@ with `#` comments.  A section is read into a settings dataclass by one
 reader, _section: each key names a field and is parsed as the type of that
 field's default, and missing optional keys keep the default.  An unknown
 key, a value that does not parse and a missing required key raise a
-ValueError naming the file, the section and the key; the dataclass itself
-refuses a parsed value it does not accept, naming the field.
+ValueError naming the file, the section and the key; a value the settings
+dataclass refuses raises its ValueError, naming the field, prefixed with the
+file and the section.  A file that is not in this shape (no section header,
+a repeated section or key, a [DEFAULT] section) raises a ValueError naming
+the file.
 """
 
 from __future__ import annotations
@@ -34,9 +37,18 @@ __all__ = [
 
 def _read(path) -> configparser.ConfigParser:
     # No interpolation: a "%" in a value is a bad value, not a syntax error.
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # No header can name the default section "", so [DEFAULT] is read as a
+    # section of its own, not merged into every other one.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#",), interpolation=None, default_section=""
+    )
     with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if parser.has_section("DEFAULT"):
+        raise ValueError(f"{path}: a [DEFAULT] section is not allowed")
     return parser
 
 
@@ -78,7 +90,10 @@ def _section(parser, section: str, defaults, path, required=(), keys=None, **giv
     for key in required:
         if not parser.has_option(section, key):
             raise ValueError(f"{path}: missing required key {key!r} in [{section}]")
-    return replace(defaults, **values, **given)
+    try:
+        return replace(defaults, **values, **given)
+    except ValueError as exc:
+        raise ValueError(f"{path}: [{section}]: {exc}") from exc
 
 
 def load_build_config(path) -> BuildConfig:

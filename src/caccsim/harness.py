@@ -12,10 +12,14 @@ A scenario runs on the table build's simulation kernel as a batch of one
 column through dynamics.simulate_pair, which the build's comfort tie
 re-run calls too, so a re-run of any table cell's operating point
 reproduces the builder's trajectory bit for bit.
+
+A trajectory CSV is formatted column by column, _CSV_CHUNK rows at a time,
+each float as its repr; a chunk of one repeated value is formatted once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -240,8 +244,18 @@ def _csv_num(value: float) -> str:
     return repr(float(value))
 
 
-# One trajectory CSV row: nine floats in repr form, then the band flag.
-_CSV_ROW = "%r,%r,%r,%r,%r,%r,%r,%r,%r,%d\n"
+# Rows the trajectory CSV writer formats at a time; it bounds the strings
+# held at once.
+_CSV_CHUNK = 2048
+_CSV_FLAG = ("0\n", "1\n")
+
+
+def _csv_floats(chunk: np.ndarray):
+    """repr of each value; a chunk of one bit pattern is formatted once."""
+    bits = chunk.view(np.int64)
+    if (bits == bits[0]).all():
+        return itertools.repeat(_csv_num(chunk[0]), len(chunk))
+    return map(repr, chunk.tolist())
 
 
 def write_trajectory_csv(path, trajectory: Trajectory, thresholds) -> None:
@@ -265,11 +279,14 @@ def write_trajectory_csv(path, trajectory: Trajectory, thresholds) -> None:
         trajectory.gap - trajectory.desired_gaps(),
     )
     columns = [np.asarray(s, dtype=float) for s in series]
-    columns.append(consensus_flags(trajectory, thresholds))
+    flags = consensus_flags(trajectory, thresholds)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,r_i,v_i,a_i,jerk_i,r_j,v_j,gap,gap_error,consensus_flag\n")
-        rows = zip(*(column.tolist() for column in columns))
-        fh.write("".join([_CSV_ROW % row for row in rows]))
+        for start in range(0, len(flags), _CSV_CHUNK):
+            rows = slice(start, start + _CSV_CHUNK)
+            fields = [_csv_floats(column[rows]) for column in columns]
+            fields.append(map(_CSV_FLAG.__getitem__, flags[rows].tolist()))
+            fh.write("".join(map(",".join, zip(*fields))))
 
 
 def write_comparison_csv(path, reports: list[RunReport]) -> None:

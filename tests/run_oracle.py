@@ -1,4 +1,4 @@
-"""Whole-array reference evaluation of one run.
+"""Whole-array reference evaluation and CSV record of one run.
 
 The oracle that property tests pin caccsim's one run evaluator to, both as
 evaluate_run and as the table build's block-by-block scoring.  It shares
@@ -6,6 +6,10 @@ only the band arithmetic and the comfort score with caccsim.metrics; the
 hold and the safety searches are its own, over whole arrays: the hold by a
 cumulative sum of the band flags, the gap floor by an accumulated arming
 mask.
+
+oracle_trajectory_csv is the row-template form of the trajectory CSV, the
+reference that the column-wise writer in caccsim.harness is pinned to byte
+for byte.
 """
 
 from __future__ import annotations
@@ -80,3 +84,28 @@ def oracle_run(trajectory, thresholds, weights, mode, hold_window) -> RunMetrics
     )
     metrics.omega = omega_score(metrics, weights)
     return metrics
+
+
+# One trajectory CSV row: nine floats in repr form, then the band flag.
+_CSV_ROW = "%r,%r,%r,%r,%r,%r,%r,%r,%r,%d\n"
+
+
+def oracle_trajectory_csv(path, trajectory, thresholds) -> None:
+    """write_trajectory_csv's file, formatted row by row from one template."""
+    series = (
+        trajectory.t,
+        trajectory.r_follower,
+        trajectory.v_follower,
+        trajectory.a_follower,
+        jerk_series(trajectory),
+        trajectory.r_leader,
+        trajectory.v_leader,
+        trajectory.gap,
+        trajectory.gap - trajectory.desired_gaps(),
+    )
+    columns = [np.asarray(s, dtype=float) for s in series]
+    columns.append(consensus_flags(trajectory, thresholds))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,r_i,v_i,a_i,jerk_i,r_j,v_j,gap,gap_error,consensus_flag\n")
+        rows = zip(*(column.tolist() for column in columns))
+        fh.write("".join([_CSV_ROW % row for row in rows]))

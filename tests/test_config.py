@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 from textwrap import dedent
 
@@ -280,6 +281,59 @@ def test_bad_number_is_refused_naming_file_section_and_key(
 def test_scenario_gains_are_checked_at_load(tmp_path, text, message):
     with pytest.raises(ValueError, match=message):
         load_scenario(write(tmp_path, "gains.ini", text))
+
+
+MALFORMED = [
+    (load_build_config, "dt = 0.02\n", "no section headers"),
+    (load_build_config, "[build]\ndt = 0.02\n[build]\nt_max = 40\n", "section 'build' already"),
+    (load_build_config, "[build]\ndt = 0.02\ndt = 0.05\n", "option 'dt' in section 'build'"),
+    (load_sweep, "[sweep]\npoints\n", "parsing errors"),
+    (load_build_config, "[DEFAULT]\ndt = 0.02\n[thresholds]\neta_r = 0.1\n", r"\[DEFAULT\]"),
+    (load_build_config, "[DEFAULT]\ndt = 0.02\n", r"\[DEFAULT\]"),
+    (load_scenario, SCENARIO + "[DEFAULT]\n", r"\[DEFAULT\]"),
+]
+
+
+@pytest.mark.parametrize(
+    "loader, text, message",
+    MALFORMED,
+    ids=["no-header", "duplicate-section", "duplicate-key", "key-without-value",
+         "default-keys", "default-only", "default-empty"],
+)
+def test_malformed_file_is_a_value_error_naming_the_file(tmp_path, loader, text, message):
+    """A file not in the section shape fails as a ValueError, never as a
+    configparser error; a [DEFAULT] section is refused, not merged into
+    every other section or dropped."""
+    path = write(tmp_path, "bad.ini", text)
+    with pytest.raises(ValueError, match=message) as info:
+        loader(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+OUT_OF_RANGE = [
+    (load_build_config, "build", "[build]\nt_max = 0.5\n", "t_max must exceed hold_window"),
+    (load_build_config, "weights", "[weights]\nomega_1 = -1\n", "omega_1 must be non-negative"),
+    (load_build_config, "thresholds", "[thresholds]\neta_r = 0\n", "eta_r must be positive"),
+    (load_scenario, "scenario", SCENARIO + "duration = 0\n", "duration must be positive"),
+    (load_scenario, "controller_params", FIXED + "k = -1\ngamma = 4\n", "k must be positive"),
+    (load_sweep, "sweep", "[sweep]\npoints = 1\n", "need at least 2 sweep points"),
+]
+
+
+@pytest.mark.parametrize(
+    "loader, section, text, message",
+    OUT_OF_RANGE,
+    ids=["t_max", "omega_1", "eta_r", "duration", "k", "points"],
+)
+def test_out_of_range_value_is_refused_naming_file_and_section(
+    tmp_path, loader, section, text, message
+):
+    """A value that parses but that the settings dataclass refuses keeps
+    the dataclass's message, prefixed with the file and the section."""
+    path = write(tmp_path, "bad.ini", text)
+    prefix = re.escape(f"{path}: [{section}]: ")
+    with pytest.raises(ValueError, match=f"^{prefix}{message}"):
+        loader(path)
 
 
 def _table_with_meta(tmp_path, old, new):

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caccsim.config import load_scenario
 from caccsim.controllers import (
@@ -18,6 +22,7 @@ from caccsim.controllers import (
 from caccsim.dynamics import FollowerRuns
 from caccsim.gaintable import _BLOCK_STEPS, BuildConfig
 from caccsim.harness import (
+    _CSV_CHUNK,
     BENCHMARK_POINTS,
     CONTROLLER_KINDS,
     BaselineConfig,
@@ -29,7 +34,9 @@ from caccsim.harness import (
     write_comparison_csv,
     write_trajectory_csv,
 )
-from caccsim.metrics import ConsensusThresholds
+from caccsim.metrics import ConsensusThresholds, Trajectory
+
+from run_oracle import oracle_trajectory_csv
 
 
 def test_benchmark_points_are_fixed():
@@ -291,6 +298,63 @@ def test_trajectory_csv_layout(tiny_cfg, tmp_path):
     gap = float(row[7])
     v_i = float(row[2])
     assert float(row[8]) == gap - (5.0 + v_i * 0.76)
+
+
+# Finite and bounded, so the jerk and gap-error arithmetic cannot overflow;
+# the strategy still draws both zeros and subnormals.
+VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def csv_column(draw, n):
+    """One series of n values: noise, a constant, all 0.0 but one -0.0, or
+    noise with a run of one value across a chunk edge."""
+    kind = draw(st.sampled_from(["noise", "constant", "negative_zero", "straddle"]))
+    if kind == "constant":
+        return np.full(n, draw(VALUES))
+    if kind == "negative_zero":
+        column = np.zeros(n)
+        column[draw(st.integers(0, n - 1))] = -0.0
+        return column
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # A few distinct values repeat inside a chunk without making it constant.
+    column = rng.choice([draw(VALUES) for _ in range(3)] + list(rng.normal(size=3)), n)
+    if kind == "straddle":
+        edge = draw(st.sampled_from(range(0, n, _CSV_CHUNK)))
+        lo = max(0, edge - draw(st.integers(0, _CSV_CHUNK)))
+        column[lo : edge + draw(st.integers(1, _CSV_CHUNK + 1))] = draw(VALUES)
+    return column
+
+
+# Loose bands except the acceleration one, so the flags follow a_i.
+LOOSE_BANDS = ConsensusThresholds(eta_r=1e9, eta_v=1e9, delta_a=0.5, delta_jerk=1e9)
+
+
+@pytest.mark.parametrize(
+    "n", [2, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 1]
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_trajectory_csv_matches_the_row_template_oracle(n, data):
+    """The column-wise writer gives the row template's bytes at and around
+    the chunk length: a constant chunk is formatted once, but -0.0 stays
+    apart from 0.0."""
+    names = ("t", "r_follower", "v_follower", "a_follower", "r_leader", "v_leader", "gap")
+    series = {name: data.draw(csv_column(n), label=name) for name in names}
+    trajectory = Trajectory(
+        dt=0.01,
+        leader_length=5.0,
+        time_gap=0.7,
+        comm_delay=0.06,
+        v_leader_delayed=series["v_leader"],
+        **series,
+    )
+    thresholds = data.draw(st.sampled_from([ConsensusThresholds(), LOOSE_BANDS]))
+    with tempfile.TemporaryDirectory() as tmp:
+        written, expected = Path(tmp, "run.csv"), Path(tmp, "oracle.csv")
+        write_trajectory_csv(written, trajectory, thresholds)
+        oracle_trajectory_csv(expected, trajectory, thresholds)
+        assert written.read_bytes() == expected.read_bytes()
 
 
 def test_comparison_csv_layout(tiny_table, tiny_cfg, tmp_path):

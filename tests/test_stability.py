@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,7 +152,8 @@ def test_frequency_sweep_rejects_non_finite_bound_naming_the_field(
         FrequencySweep(**{field: value})
     path = tmp_path / "sweep.ini"
     path.write_text(f"[sweep]\n{field} = {value}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    prefix = re.escape(f"{path}: [sweep]: ")
+    with pytest.raises(ValueError, match=f"^{prefix}{field} must be finite"):
         load_sweep(path)
 
 

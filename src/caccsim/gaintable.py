@@ -26,10 +26,15 @@ reuses, and the scorer judges them in scratch buffers of its own, with no
 Lookup does its scalar work on Python floats: each AxisGrid keeps its axes
 as tuples of floats (_dr, _vi, _vj), made once when the grid is built and
 kept current by making the axis arrays read-only.  A query bisects the
-three tuples and reads one cell with ndarray.item, about 3 us on a 2-CPU
-VM against about 8 us for searchsorted on the arrays.  Nothing read from
-the cell arrays is cached, since a GainTable's cells may be written in
-place.  Save formats the cell block from flat tolist() columns; load
+three tuples, stopping at the first axis that misses, and reads one cell
+with ndarray.item.  It returns a shared, frozen GainPair: one module-level
+marker for every marker cell, and per table one pair per distinct (k,
+gamma), built on the first query that reads it.  The key is the two floats
+read on this query, so a write to the cell arrays in place cannot leave a
+stale pair behind: the next query reads the new floats.  A query takes
+about 2 us on a 2-CPU VM, mostly the three bisections, against about 3 us
+when each query built its GainPair and about 8 us for searchsorted on the
+arrays.  Save formats the cell block from flat tolist() columns; load
 parses it line by line into lists and makes each cell array at once.
 """
 
@@ -72,6 +77,9 @@ _BLOCK_STEPS = 256
 # Cells per batch, and per task of a parallel build.  Results do not depend
 # on it.
 _CELL_CHUNK = 48
+
+# What GainTable.cell returns for every marker cell.  GainPair is frozen.
+_MARKER = GainPair.invalid()
 
 
 def _ascending_floats(values, name: str) -> np.ndarray:
@@ -221,6 +229,7 @@ class GainTable:
     config: BuildConfig
     k_cells: np.ndarray
     gamma_cells: np.ndarray
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = self.axes.shape
@@ -239,11 +248,17 @@ class GainTable:
         return np.isfinite(self.k_cells)
 
     def cell(self, i1: int, i2: int, i3: int) -> GainPair:
+        """The cell's gains as a shared pair: _MARKER for a marker cell, else
+        the one pair this table keeps per (k, gamma) read on this call."""
         k = self.k_cells.item(i1, i2, i3)
         gamma = self.gamma_cells.item(i1, i2, i3)
         if math.isnan(k):
-            return GainPair.invalid()
-        return GainPair(k=k, gamma=gamma)
+            return _MARKER
+        try:
+            return self._pairs[k, gamma]
+        except KeyError:
+            pair = self._pairs[k, gamma] = GainPair(k=k, gamma=gamma)
+            return pair
 
     def distinct_valid_pairs(self) -> list[tuple[float, float]]:
         """Sorted distinct (gamma, k) pairs stored in valid cells."""
@@ -501,14 +516,19 @@ def lookup(table: GainTable, dr: float, vi: float, vj: float) -> GainPair | None
 
     A returned pair may be the invalid marker; callers engage the fallback
     controller on either None or an invalid pair.  Each query bisects the
-    tuples of floats that table.axes keeps (_dr, _vi, _vj) and reads the
-    cell with ndarray.item, about 3 us; nothing is cached from the cells.
+    tuples of floats that table.axes keeps (_dr, _vi, _vj), returning at the
+    first axis that misses, and reads the cell with table.cell, about 2 us.
+    The pair returned is shared (see GainTable.cell) and frozen.
     """
     axes = table.axes
     i1 = _nearest_index(axes._dr, dr)
+    if i1 is None:
+        return None
     i2 = _nearest_index(axes._vi, vi)
+    if i2 is None:
+        return None
     i3 = _nearest_index(axes._vj, vj)
-    if i1 is None or i2 is None or i3 is None:
+    if i3 is None:
         return None
     return table.cell(i1, i2, i3)
 
@@ -604,7 +624,8 @@ def load_table(path) -> GainTable:
     Cell lines are checked one at a time, in row-major order, and their
     gains gathered into lists that become the two cell arrays at the end.
     The table's AxisGrid makes the axis tuples that lookup bisects (about
-    3 us a query) once, here.
+    2 us a query) once, here.  No GainPair is built here: lookup builds
+    each distinct one on first use.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n")

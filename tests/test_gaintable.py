@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -604,15 +605,20 @@ def test_axis_grid_arrays_are_read_only():
     assert dr.flags.writeable  # the caller's array is copied, not frozen
 
 
-def index_table(axes):
-    """A table whose cell at flat index i holds k = i + 1: a hit names its cell."""
+def index_table(axes, markers=()):
+    """A table whose cell at flat index i holds k = i + 1, so a hit names its
+    cell, except the flat indices in markers, which hold the NaN marker."""
     n = int(np.prod(axes.shape))
+    k_cells = np.arange(1.0, n + 1.0)
+    gamma_cells = np.ones(n)
+    at = np.asarray(sorted(markers), dtype=int)
+    k_cells[at] = gamma_cells[at] = math.nan
     return GainTable(
         axes=axes,
         candidates=CandidateSets(gammas=[1.0], ks=[1.0]),
         config=BuildConfig(),
-        k_cells=np.arange(1.0, n + 1.0),
-        gamma_cells=np.ones(n),
+        k_cells=k_cells,
+        gamma_cells=gamma_cells,
     )
 
 
@@ -651,18 +657,27 @@ def axis_queries(grid):
     )
 
 
-SHIPPED_TABLE = index_table(load_axes(ROOT / "configs" / "axes_default.ini"))
+SHIPPED_AXES = load_axes(ROOT / "configs" / "axes_default.ini")
+SHIPPED_TABLE = index_table(
+    SHIPPED_AXES, markers=range(0, int(np.prod(SHIPPED_AXES.shape)), 5)
+)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_lookup_matches_a_full_scan(data):
     """On the shipped axes and on random ones: grid values, midpoints,
-    signed zeros, infinities, NaN, ints and one ulp outside either end."""
+    signed zeros, infinities, NaN, ints and one ulp outside either end.  Both
+    kinds of table hold marker cells.  The expected gains are a GainPair
+    built here from the two floats in the nearest cell, so the oracle shares
+    nothing with GainTable.cell."""
     if data.draw(st.booleans(), label="shipped axes"):
         table = SHIPPED_TABLE
     else:
-        table = index_table(AxisGrid(*(data.draw(ascending_grids) for _ in range(3))))
+        axes = AxisGrid(*(data.draw(ascending_grids) for _ in range(3)))
+        n = int(np.prod(axes.shape))
+        markers = data.draw(st.sets(st.integers(0, n - 1)), label="marker cells")
+        table = index_table(axes, markers)
     axes = table.axes
     grids = (axes.dr.tolist(), axes.vi.tolist(), axes.vj.tolist())
     query = [data.draw(axis_queries(grid)) for grid in grids]
@@ -673,7 +688,13 @@ def test_lookup_matches_a_full_scan(data):
     if None in expected:
         assert got is None
     else:
-        assert got == table.cell(*expected)
+        k = table.k_cells.item(*expected)
+        gamma = table.gamma_cells.item(*expected)
+        if math.isnan(k):
+            assert got is not None and not got.valid
+            assert math.isnan(got.k) and math.isnan(got.gamma)
+        else:
+            assert got == GainPair(k=k, gamma=gamma)
 
 
 def test_lookup_exact_and_nearest(tiny_table):
@@ -699,6 +720,57 @@ def test_lookup_marker_cell_returns_invalid_pair():
     miss = lookup(table, 10.0, 14.0, 14.0)
     assert miss is not None
     assert not miss.valid
+
+
+def test_lookup_shares_pairs_and_reads_in_place_writes():
+    """One pair object per stored (k, gamma), one marker object; an in-place
+    write to the cells shows at the next lookup."""
+    table = index_table(AxisGrid(dr=[0.0, 10.0], vi=[14.0], vj=[14.0]))
+    first = lookup(table, 0.0, 14.0, 14.0)
+    assert first == GainPair(k=1.0, gamma=1.0)
+    assert lookup(table, 1.0, 14.0, 14.0) is first
+
+    table.k_cells[0, 0, 0] = 2.0  # now equal to the cell at dr=10
+    moved = lookup(table, 0.0, 14.0, 14.0)
+    assert moved == GainPair(k=2.0, gamma=1.0)
+    assert lookup(table, 10.0, 14.0, 14.0) is moved
+
+    table.k_cells[0, 0, 0] = table.gamma_cells[0, 0, 0] = math.nan
+    marker = lookup(table, 0.0, 14.0, 14.0)
+    assert not marker.valid and math.isnan(marker.k) and math.isnan(marker.gamma)
+    other = index_table(AxisGrid(dr=[0.0], vi=[14.0], vj=[14.0]), markers={0})
+    assert lookup(other, 0.0, 14.0, 14.0) is marker
+
+    table.k_cells[0, 0, 0] = table.gamma_cells[0, 0, 0] = 1.0
+    assert lookup(table, 0.0, 14.0, 14.0) is first
+    for shared in (first, marker):
+        with pytest.raises(FrozenInstanceError):
+            shared.k = 3.0
+
+
+def test_lookups_build_at_most_one_pair_per_stored_pair(monkeypatch):
+    """Every cell of the production table, then 2000 seeded in-grid
+    queries: GainPair is constructed at most once per distinct stored pair
+    (plus once for the marker)."""
+    table = load_table(ROOT / "perfbench" / "reference" / "table.txt")
+    built = []
+    post_init = GainPair.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GainPair, "__post_init__", counted)
+    axes = table.axes
+    queries = list(itertools.product(axes.dr.tolist(), axes.vi.tolist(), axes.vj.tolist()))
+    lo = [grid[0] for grid in (axes.dr, axes.vi, axes.vj)]
+    hi = [grid[-1] for grid in (axes.dr, axes.vi, axes.vj)]
+    queries += np.random.default_rng(11).uniform(lo, hi, size=(2000, 3)).tolist()
+    got = [lookup(table, *query) for query in queries]
+    assert all(pair is not None for pair in got)
+    assert any(not pair.valid for pair in got)
+    assert built  # the counter sees constructions
+    assert len(built) <= len(table.distinct_valid_pairs()) + 1
 
 
 def test_save_load_round_trip(tiny_table, tmp_path):

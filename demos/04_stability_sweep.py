@@ -1,21 +1,16 @@
-"""Frequency-domain checks: disturbance amplification and the gamma floor.
+"""Frequency-domain check: disturbance amplification.
 
 A platoon is string stable when a disturbance shrinks as it propagates
 backwards, i.e. the leader-to-follower transfer magnitude never exceeds
 one at any frequency.  This demo sweeps that magnitude for a range of
-speed-error weights, then shows the closed-form lower bound on gamma for
-a few coupling topologies.
+speed-error weights, then for a range of position gains.
 
     python demos/04_stability_sweep.py
 """
 
-import numpy as np
-
 from caccsim.controllers import GainPair
 from caccsim.stability import (
     FrequencySweep,
-    TopologyMatrix,
-    gamma_lower_bound,
     string_stability_margin,
     transfer_magnitude,
 )
@@ -38,24 +33,10 @@ for k in [0.1, 0.4, 0.8, 1.2]:
     verdict = "stable" if margin.stable else "UNSTABLE"
     print(f"  k={k:4.1f}  max|G|={margin.max_magnitude:.4f}  {verdict}")
 
-# The low-frequency end tends to the product of adjacency and k, not to
-# one; a platoon filtered this way attenuates slow drift.
+# The low-frequency end tends to k, not to one; a platoon filtered this
+# way attenuates slow drift.
 g = GainPair(k=0.1, gamma=1.0)
 low = transfer_magnitude(1e-3, g)
 print()
-print(f"low-frequency gain: |G|(0.001) = {low:.6f} (limit is adjacency*k = 0.1)")
+print(f"low-frequency gain: |G|(0.001) = {low:.6f} (limit is k = 0.1)")
 
-# Coupling topologies.  Real eigenvalues ask nothing of gamma; complex
-# pairs impose a floor that grows with how rotational the coupling is.
-print()
-print("gamma floor by coupling topology:")
-chain = TopologyMatrix.from_predecessor_chain([1.0, 1.0, 1.0, 1.0])
-cases = [
-    ("predecessor chain (diagonal)", chain.entries),
-    ("symmetric ring-ish", np.array([[2.0, 1.0], [1.0, 2.0]])),
-    ("skewed coupling", np.array([[1.0, 1.0], [-1.0, 1.0]])),
-    ("strongly rotational", np.array([[0.2, 1.0], [-1.0, 0.2]])),
-]
-for name, entries in cases:
-    bound = gamma_lower_bound(entries)
-    print(f"  {name:30s} gamma >= {bound:.4f}")

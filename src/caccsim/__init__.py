@@ -49,8 +49,6 @@ from .metrics import (
 from .stability import (
     FrequencySweep,
     StabilityMargin,
-    TopologyMatrix,
-    gamma_lower_bound,
     string_stability_margin,
     transfer_magnitude,
 )

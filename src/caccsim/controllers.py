@@ -111,7 +111,6 @@ def consensus_command(
     headway_time,
     k,
     gamma,
-    adjacency=1.0,
 ):
     """Consensus law on raw values; elementwise over arrays.
 
@@ -122,7 +121,7 @@ def consensus_command(
     """
     spacing_error = r_follower - r_leader_delayed + leader_length + v_follower * headway_time
     speed_error = v_follower - v_leader_delayed
-    return -(adjacency * k) * (spacing_error + gamma * speed_error)
+    return -k * (spacing_error + gamma * speed_error)
 
 
 def linear_feedback_accel(
@@ -158,7 +157,7 @@ def linear_feedback_accel(
 
 
 class ConsensusLaw:
-    """consensus_command with one (gamma, k) per column, adjacency 1."""
+    """consensus_command with one (gamma, k) per column."""
 
     def __init__(self, gamma, k):
         self.gamma = np.array(gamma, dtype=float)
@@ -188,7 +187,7 @@ class ConsensusLaw:
         spacing, speed_err = err[:m], err[m:]
         term = np.empty(m)
         lj, headway = np.array(cfg.leader_length), np.array(cfg.headway_time)
-        gamma, neg_k = self.gamma, -self.k  # -(adjacency * k)
+        gamma, neg_k = self.gamma, -self.k
         subtract, add, multiply = np.subtract, np.add, np.multiply
 
         def step(state, speed, target, cmd):

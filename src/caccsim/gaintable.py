@@ -615,7 +615,12 @@ def _parse_float(text: str, context: str) -> float:
 
 
 def _parse_float_list(text: str, context: str) -> list[float]:
-    return [_parse_float(part, context) for part in text.split(",") if part != ""]
+    if not text:
+        return []
+    parts = text.split(",")
+    if "" in parts:
+        raise TableFormatError(f"{context}: empty entry in {text!r}")
+    return [_parse_float(part, context) for part in parts]
 
 
 def load_table(path) -> GainTable:
@@ -640,16 +645,20 @@ def load_table(path) -> GainTable:
         raise TableFormatError("truncated file: missing header lines")
 
     axes_kv = _parse_kv_tokens(lines[1], "axes", ("dr", "vi", "vj"), 2)
-    axes = AxisGrid(
-        dr=_parse_float_list(axes_kv["dr"], "dr axis"),
-        vi=_parse_float_list(axes_kv["vi"], "vi axis"),
-        vj=_parse_float_list(axes_kv["vj"], "vj axis"),
-    )
+    dr = _parse_float_list(axes_kv["dr"], "line 2 dr axis")
+    vi = _parse_float_list(axes_kv["vi"], "line 2 vi axis")
+    vj = _parse_float_list(axes_kv["vj"], "line 2 vj axis")
+    try:
+        axes = AxisGrid(dr=dr, vi=vi, vj=vj)
+    except ValueError as exc:
+        raise TableFormatError(f"line 2: {exc}") from exc
     cand_kv = _parse_kv_tokens(lines[2], "candidates", ("gamma", "k"), 3)
-    candidates = CandidateSets(
-        gammas=_parse_float_list(cand_kv["gamma"], "gamma candidates"),
-        ks=_parse_float_list(cand_kv["k"], "k candidates"),
-    )
+    cand_gammas = _parse_float_list(cand_kv["gamma"], "line 3 gamma candidates")
+    cand_ks = _parse_float_list(cand_kv["k"], "line 3 k candidates")
+    try:
+        candidates = CandidateSets(gammas=cand_gammas, ks=cand_ks)
+    except ValueError as exc:
+        raise TableFormatError(f"line 3: {exc}") from exc
     meta_keys = (
         "dt", "tmax", "tau", "lj", "tg", "eta_r", "eta_v",
         "delta_a", "delta_jerk", "w1", "w2", "mode", "hold",

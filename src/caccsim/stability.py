@@ -1,9 +1,8 @@
-"""Offline stability checks for the consensus controller.
+"""Offline stability check for the consensus controller.
 
-Two independent checks: a lower bound on the speed-error weight derived
-from the eigenvalues of the vehicle-network coupling matrix, and a
-frequency sweep of the leader-to-follower disturbance transfer magnitude.
-A gain pair is string stable when the magnitude never exceeds one.
+One check: a frequency sweep of the leader-to-follower disturbance
+transfer magnitude, for one follower coupled to one delayed leader.  A
+gain pair is string stable when the magnitude never exceeds one.
 """
 
 from __future__ import annotations
@@ -16,82 +15,11 @@ import numpy as np
 from .controllers import GainPair
 
 __all__ = [
-    "TopologyMatrix",
     "FrequencySweep",
     "StabilityMargin",
-    "gamma_lower_bound",
     "transfer_magnitude",
     "string_stability_margin",
 ]
-
-MAX_EIGEN_SIZE = 16
-
-
-@dataclass(frozen=True)
-class TopologyMatrix:
-    """Real square coupling matrix of the vehicle network."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"entries must be square, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("matrix must be at least 1x1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def from_predecessor_chain(cls, couplings) -> "TopologyMatrix":
-        """Diagonal matrix of per-link couplings (predecessor following)."""
-        return cls(np.diag(np.asarray(list(couplings), dtype=float)))
-
-
-def _is_triangular(arr: np.ndarray) -> bool:
-    return np.allclose(arr, np.triu(arr), atol=0.0) or np.allclose(
-        arr, np.tril(arr), atol=0.0
-    )
-
-
-def _eigenvalues(arr: np.ndarray) -> np.ndarray:
-    """Eigenvalues, exact for triangular structure, LAPACK otherwise."""
-    if _is_triangular(arr):
-        return np.diag(arr).astype(complex)
-    if arr.shape[0] > MAX_EIGEN_SIZE:
-        raise ValueError(
-            f"matrices larger than {MAX_EIGEN_SIZE}x{MAX_EIGEN_SIZE} are not supported"
-        )
-    return np.linalg.eigvals(arr)
-
-
-def gamma_lower_bound(matrix) -> float:
-    """Smallest admissible speed-error weight for a coupling matrix.
-
-    Each eigenvalue mu contributes |Im mu| / sqrt(|Re mu| * |mu|); real
-    eigenvalues contribute zero, and a purely imaginary eigenvalue makes
-    the bound infinite.  The result is the maximum contribution and is
-    invariant under transposition and under scaling by a positive factor.
-    """
-    arr = matrix.entries if isinstance(matrix, TopologyMatrix) else np.asarray(
-        matrix, dtype=float
-    )
-    bound = 0.0
-    for mu in _eigenvalues(np.atleast_2d(arr)):
-        im = mu.imag
-        re = mu.real
-        if im == 0.0:
-            continue
-        if re == 0.0:
-            return math.inf
-        contribution = abs(im) / math.sqrt(abs(re) * abs(mu))
-        bound = max(bound, contribution)
-    return bound
 
 
 @dataclass(frozen=True)
@@ -124,7 +52,6 @@ class FrequencySweep:
 def transfer_magnitude(
     omega,
     gains: GainPair,
-    adjacency: float = 1.0,
     time_gap: float = 0.7,
     comm_delay: float = 0.06,
 ):
@@ -133,7 +60,7 @@ def transfer_magnitude(
     Elementwise over arrays.  The delay enters the numerator phase (unit
     magnitude) and the spacing horizon, so the magnitude depends on the
     delay only through time_gap + comm_delay.  The low-frequency limit is
-    adjacency * k, a property of this transfer model rather than unity.
+    k, a property of this transfer model rather than unity.
     """
     if not gains.valid:
         raise ValueError("invalid gain pair")
@@ -141,8 +68,7 @@ def transfer_magnitude(
     # Huge gains overflow to a non-finite magnitude; the sweep skips those.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         numerator = (
-            adjacency
-            * gains.k
+            gains.k
             * np.exp(-s * comm_delay)
             * (1.0 + s * (time_gap + comm_delay) + s * gains.gamma)
         )
@@ -170,7 +96,6 @@ class StabilityMargin:
 
 def string_stability_margin(
     gains: GainPair,
-    adjacency: float = 1.0,
     time_gap: float = 0.7,
     comm_delay: float = 0.06,
     sweep: FrequencySweep | None = None,
@@ -182,9 +107,7 @@ def string_stability_margin(
     """
     sweep = sweep or FrequencySweep()
     omegas = sweep.omegas()
-    magnitudes = transfer_magnitude(
-        omegas, gains, adjacency, time_gap, comm_delay
-    )
+    magnitudes = transfer_magnitude(omegas, gains, time_gap, comm_delay)
     finite = np.isfinite(magnitudes)
     skipped = [float(w) for w in omegas[~finite]]
     if not finite.any():

@@ -80,11 +80,6 @@ def test_consensus_equilibrium_gives_zero_command():
     assert cmd == 0.0
 
 
-def test_consensus_unconnected_leader_commands_nothing():
-    cmd = consensus_command(0.0, 50.0, 28.0, 14.0, 5.0, 0.76, 0.1, 2.0, adjacency=0.0)
-    assert cmd == 0.0
-
-
 def test_consensus_command_scales_exactly_with_k_doubling():
     """Doubling k doubles the command bit for bit (power-of-two scaling)."""
     base = consensus_command(3.0, 41.0, 17.0, 15.0, 5.0, 0.76, k=0.1, gamma=2.0)

@@ -978,6 +978,31 @@ def shift_token(lines):
             "line 5: cell indices (0, 0, 1) out of row-major order, "
             "expected (0, 0, 0)",
         ),
+        # Header faults name their line too, whichever check catches them.
+        (
+            set_lines(line2="axes dr=20.0,10.0 vi=10.0,14.0 vj=10.0,14.0"),
+            "line 2: dr axis must be strictly ascending",
+        ),
+        (
+            set_lines(line2="axes dr=10.0,20.0 vi= vj=10.0,14.0"),
+            "line 2: vi axis must be a non-empty 1-D sequence",
+        ),
+        (
+            set_lines(line2="axes dr=10.0,,20.0 vi=10.0,14.0 vj=10.0,14.0"),
+            "line 2 dr axis: empty entry in '10.0,,20.0'",
+        ),
+        (
+            set_lines(line2="axes dr=10.0,x vi=10.0,14.0 vj=10.0,14.0"),
+            "line 2 dr axis: bad number 'x'",
+        ),
+        (
+            set_lines(line3="candidates gamma=2.0,5.0 k=-1,0.1"),
+            "line 3: k candidates must be positive",
+        ),
+        (
+            set_lines(line3="candidates gamma=inf,5.0 k=0.1"),
+            "line 3: gamma candidates must be finite",
+        ),
     ],
 )
 def test_load_reports_the_first_fault_by_line(tiny_table, tmp_path, mutate, message):

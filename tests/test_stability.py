@@ -11,120 +11,10 @@ import pytest
 from caccsim.config import load_sweep
 from caccsim.controllers import GainPair
 from caccsim.stability import (
-    MAX_EIGEN_SIZE,
     FrequencySweep,
-    TopologyMatrix,
-    gamma_lower_bound,
     string_stability_margin,
     transfer_magnitude,
 )
-
-
-def test_topology_matrix_validation():
-    with pytest.raises(ValueError, match="square"):
-        TopologyMatrix(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="finite"):
-        TopologyMatrix(np.array([[math.nan]]))
-    assert TopologyMatrix(np.eye(3)).n == 3
-
-
-def test_predecessor_chain_is_diagonal():
-    m = TopologyMatrix.from_predecessor_chain([1.0, 1.0, 0.5])
-    assert m.entries.tolist() == [
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.5],
-    ]
-
-
-def test_gamma_bound_zero_for_real_spectra():
-    """Diagonal and triangular couplings need no speed-error weighting."""
-    assert gamma_lower_bound(TopologyMatrix(np.diag([1.0, 2.0, 3.0]))) == 0.0
-    assert gamma_lower_bound(TopologyMatrix.from_predecessor_chain([1.0] * 8)) == 0.0
-    tri = np.triu(np.ones((5, 5)))
-    assert gamma_lower_bound(TopologyMatrix(tri)) == 0.0
-
-
-def test_gamma_bound_conjugate_pair_hand_value():
-    """Eigenvalues 1 +/- j give a bound of 2 to the power -1/4."""
-    m = TopologyMatrix(np.array([[1.0, 1.0], [-1.0, 1.0]]))
-    assert gamma_lower_bound(m) == pytest.approx(2.0 ** -0.25, abs=1e-6)
-
-
-def test_gamma_bound_second_hand_value():
-    """Eigenvalues 3 +/- 4j give 4 / sqrt(15)."""
-    m = TopologyMatrix(np.array([[3.0, 4.0], [-4.0, 3.0]]))
-    assert gamma_lower_bound(m) == pytest.approx(4.0 / math.sqrt(15.0), rel=1e-9)
-
-
-def test_gamma_bound_purely_imaginary_pair_is_unbounded():
-    m = TopologyMatrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    assert gamma_lower_bound(m) == math.inf
-
-
-def test_gamma_bound_accepts_plain_arrays():
-    assert gamma_lower_bound(np.diag([2.0, 5.0])) == 0.0
-
-
-def test_gamma_bound_scale_invariant():
-    """Scaling the coupling by a positive factor moves every eigenvalue
-    by that factor and leaves the bound unchanged."""
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        a = rng.normal(size=(4, 4))
-        c = float(rng.uniform(0.1, 50.0))
-        b0 = gamma_lower_bound(a)
-        b1 = gamma_lower_bound(c * a)
-        if math.isinf(b0):
-            assert math.isinf(b1)
-        else:
-            assert b1 == pytest.approx(b0, rel=1e-9, abs=1e-12)
-
-
-def test_gamma_bound_transpose_invariant():
-    rng = np.random.default_rng(29)
-    for _ in range(50):
-        a = rng.normal(size=(5, 5))
-        b0 = gamma_lower_bound(a)
-        b1 = gamma_lower_bound(a.T)
-        if math.isinf(b0):
-            assert math.isinf(b1)
-        else:
-            assert b1 == pytest.approx(b0, rel=1e-9, abs=1e-12)
-
-
-def test_gamma_bound_eigensolver_against_characteristic_roots():
-    """2x2 general case checked against the quadratic formula."""
-    rng = np.random.default_rng(41)
-    for _ in range(100):
-        a = rng.uniform(-3.0, 3.0, size=(2, 2))
-        tr = a[0, 0] + a[1, 1]
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        disc = tr * tr - 4.0 * det
-        if disc >= 0:
-            expected = 0.0
-        else:
-            re = tr / 2.0
-            im = math.sqrt(-disc) / 2.0
-            mag = math.hypot(re, im)
-            if re == 0.0:
-                expected = math.inf
-            else:
-                expected = im / math.sqrt(abs(re) * mag)
-        got = gamma_lower_bound(a)
-        if math.isinf(expected):
-            assert math.isinf(got)
-        else:
-            assert got == pytest.approx(expected, rel=1e-8, abs=1e-10)
-
-
-def test_eigen_size_guard():
-    n = MAX_EIGEN_SIZE + 1
-    dense = np.eye(n) + np.ones((n, n))
-    with pytest.raises(ValueError, match="not supported"):
-        gamma_lower_bound(dense)
-    big_tri = np.triu(np.ones((n, n)))
-    assert gamma_lower_bound(big_tri) == 0.0
 
 
 def test_frequency_sweep_validation_and_spacing():
@@ -181,14 +71,11 @@ def test_transfer_magnitude_depends_on_delay_only_via_horizon():
     assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
-def test_transfer_magnitude_scales_with_adjacency_and_k():
+def test_transfer_magnitude_scales_with_k():
     gains = GainPair(k=0.1, gamma=2.0)
     strong = GainPair(k=0.2, gamma=2.0)
     base = transfer_magnitude(0.5, gains)
     assert transfer_magnitude(0.5, strong) == pytest.approx(2.0 * base, rel=1e-12)
-    assert transfer_magnitude(0.5, gains, adjacency=0.5) == pytest.approx(
-        0.5 * base, rel=1e-12
-    )
 
 
 def test_transfer_magnitude_array_matches_scalars():

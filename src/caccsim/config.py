@@ -53,7 +53,9 @@ def _read(path) -> configparser.ConfigParser:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+    # An empty value is an empty list, which the settings refuse by name; an
+    # empty entry, trailing comma included, fails float() as a bad value.
+    return [float(part) for part in text.split(",")] if text.strip() else []
 
 
 # How a key is parsed, by its field's type; an array is comma-separated floats.

@@ -23,24 +23,28 @@ A block is built in place: the kernel hands out views of block buffers it
 reuses, and the scorer judges them in scratch buffers of its own, with no
 2-D accumulate.
 
-Lookup does its scalar work on Python floats: each AxisGrid keeps its axes
-as tuples of floats (_dr, _vi, _vj), made once when the grid is built and
-kept current by making the axis arrays read-only.  A query bisects the
-three tuples, stopping at the first axis that misses, and reads one cell
-with ndarray.item.  It returns a shared, frozen GainPair: one module-level
-marker for every marker cell, and per table one pair per distinct (k,
-gamma), built on the first query that reads it.  The key is the two floats
-read on this query, so a write to the cell arrays in place cannot leave a
-stale pair behind: the next query reads the new floats.  A query takes
-about 2 us on a 2-CPU VM, mostly the three bisections, against about 3 us
-when each query built its GainPair and about 8 us for searchsorted on the
-arrays.  Save formats the cell block from flat tolist() columns; load
+Lookup does its scalar work on Python floats.  Each AxisGrid keeps, per
+axis, its first and last values and its cuts: the largest float that snaps
+to each grid value rather than to the next one, found once when the grid is
+built (_cut, where the tie rule is stated) and kept current by making the
+axis arrays read-only.  A query checks the three ranges, stopping at the
+first axis that misses, snaps each axis with one bisect_left over its cuts
+and reads one cell with ndarray.item.  It returns a shared, frozen
+GainPair: one module-level marker for every marker cell, and per table one
+pair per distinct (k, gamma), built on the first query that reads it.  The
+key is the two floats read on this query, so a write to the cell arrays in
+place cannot leave a stale pair behind: the next query reads the new
+floats.  A query takes about 1.1 us on a 2-CPU VM (perfbench's median on
+grid), against about 1.5 us when each axis bisected its values and
+compared the two distances, about 3 us when each query built its GainPair
+and about 8 us for searchsorted on the arrays.  Save formats the cell block from flat tolist() columns; load
 parses it line by line into lists and makes each cell array at once.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -82,13 +86,62 @@ _CELL_CHUNK = 48
 _MARKER = GainPair.invalid()
 
 
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<Q")
+_SIGN = 1 << 63
+
+
+def _order_key(x: float) -> int:
+    """x's rank among the floats: keys ascend with x, neighbouring floats
+    have neighbouring keys, and both zeros have key 0."""
+    (bits,) = _BITS.unpack(_DOUBLE.pack(x))
+    return bits if bits < _SIGN else _SIGN - bits
+
+
+def _from_key(key: int) -> float:
+    return _DOUBLE.unpack(_BITS.pack(key if key >= 0 else _SIGN - key))[0]
+
+
+def _cut(a: float, b: float) -> float:
+    """The largest float that snaps to the grid value a rather than to the
+    next one, b.
+
+    This is the tie rule of lookup: a query q between a and b snaps to the
+    nearer of the two by the subtractions q - a and b - q, and a tie goes to
+    a.  Both sides are monotone in q, so the rule holds up to the cut and
+    fails above it.  The search bisects the order keys of the floats,
+    keeping lo where the rule holds and hi where it fails, at most 64
+    halvings.  The two roundings keep the cut within an ulp of b - a of the
+    midpoint, so the search first narrows [a, b] to the floats just outside
+    that band, once the rule holds at the lower one and fails at the upper
+    one: most cuts then take two or three halvings.
+    """
+
+    def to_a(key: int) -> bool:
+        q = _from_key(key)
+        return q - a <= b - q
+
+    lo, hi = _order_key(a), _order_key(b)
+    mid, ulp = a / 2 + b / 2, math.ulp(b - a)
+    near = max(lo, _order_key(mid - ulp) - 1), min(hi, _order_key(mid + ulp) + 1)
+    if to_a(near[0]) and not to_a(near[1]):
+        lo, hi = near
+    while hi - lo > 1:
+        key = (lo + hi) // 2
+        if to_a(key):
+            lo = key
+        else:
+            hi = key
+    return _from_key(lo)
+
+
 def _ascending_floats(values, name: str) -> np.ndarray:
     arr = np.asarray(list(values), dtype=float)
     if arr.ndim != 1 or len(arr) < 1:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
-    if len(arr) > 1 and not np.all(np.diff(arr) > 0):
+    if not np.all(arr[1:] > arr[:-1]):
         raise ValueError(f"{name} must be strictly ascending")
     return arr
 
@@ -101,8 +154,10 @@ class AxisGrid:
     vi : m/s, follower speed values.
     vj : m/s, leader speed values.
 
-    The arrays are read-only copies.  Each axis is also kept as a tuple of
-    Python floats (_dr, _vi, _vj) for lookup to bisect.
+    The arrays are read-only copies.  For lookup, each axis is also kept as
+    (first value, last value, cuts) in Python floats (_dr_snap, _vi_snap,
+    _vj_snap), the cuts being the tuple of _cut over neighbouring values.
+    A pickled grid is built again from its arrays, so it stays read-only.
     """
 
     dr: np.ndarray
@@ -114,7 +169,12 @@ class AxisGrid:
             arr = _ascending_floats(getattr(self, name), f"{name} axis")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-            object.__setattr__(self, "_" + name, tuple(arr.tolist()))
+            grid = arr.tolist()
+            cuts = tuple(map(_cut, grid, grid[1:]))
+            object.__setattr__(self, f"_{name}_snap", (grid[0], grid[-1], cuts))
+
+    def __reduce__(self):
+        return AxisGrid, (self.dr, self.vi, self.vj)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -233,8 +293,14 @@ class GainTable:
 
     def __post_init__(self) -> None:
         shape = self.axes.shape
-        self.k_cells = np.asarray(self.k_cells, dtype=float).reshape(shape)
-        self.gamma_cells = np.asarray(self.gamma_cells, dtype=float).reshape(shape)
+        n_cells = shape[0] * shape[1] * shape[2]
+        for name in ("k_cells", "gamma_cells"):
+            cells = np.asarray(getattr(self, name), dtype=float)
+            if cells.size != n_cells:
+                raise ValueError(
+                    f"{name} has {cells.size} values, but the axes have {n_cells} cells"
+                )
+            setattr(self, name, cells.reshape(shape))
         if not np.array_equal(
             np.isnan(self.k_cells), np.isnan(self.gamma_cells)
         ):
@@ -495,42 +561,30 @@ def _validate_members(table: GainTable) -> None:
         )
 
 
-def _nearest_index(grid, query: float) -> int | None:
-    """Nearest grid index by absolute distance; ties go to the smaller value.
-
-    grid is an ascending sequence: a tuple of floats, or an array.  None
-    when the query lies strictly outside [grid[0], grid[-1]] or is NaN.
-    """
-    if not grid[0] <= query <= grid[-1]:
-        return None
-    i = bisect_left(grid, query)
-    if i == 0:
-        return 0
-    below = query - grid[i - 1]
-    above = grid[i] - query
-    return i - 1 if below <= above else i
-
-
 def lookup(table: GainTable, dr: float, vi: float, vj: float) -> GainPair | None:
     """Gain pair of the nearest cell, or None when any axis is out of range.
 
     A returned pair may be the invalid marker; callers engage the fallback
-    controller on either None or an invalid pair.  Each query bisects the
-    tuples of floats that table.axes keeps (_dr, _vi, _vj), returning at the
-    first axis that misses, and reads the cell with table.cell, about 2 us.
-    The pair returned is shared (see GainTable.cell) and frozen.
+    controller on either None or an invalid pair.  Each query checks the
+    range of each axis (false for NaN), returning at the first that misses,
+    snaps each axis to the number of its cuts below the query with one
+    bisect_left (see _cut for the tie rule) and reads the cell with
+    table.cell, about 1.1 us.  The pair returned is shared (see
+    GainTable.cell) and frozen.
     """
     axes = table.axes
-    i1 = _nearest_index(axes._dr, dr)
-    if i1 is None:
+    lo, hi, dr_cuts = axes._dr_snap
+    if not lo <= dr <= hi:
         return None
-    i2 = _nearest_index(axes._vi, vi)
-    if i2 is None:
+    lo, hi, vi_cuts = axes._vi_snap
+    if not lo <= vi <= hi:
         return None
-    i3 = _nearest_index(axes._vj, vj)
-    if i3 is None:
+    lo, hi, vj_cuts = axes._vj_snap
+    if not lo <= vj <= hi:
         return None
-    return table.cell(i1, i2, i3)
+    return table.cell(
+        bisect_left(dr_cuts, dr), bisect_left(vi_cuts, vi), bisect_left(vj_cuts, vj)
+    )
 
 
 def _fmt(value: float) -> str:
@@ -628,8 +682,8 @@ def load_table(path) -> GainTable:
 
     Cell lines are checked one at a time, in row-major order, and their
     gains gathered into lists that become the two cell arrays at the end.
-    The table's AxisGrid makes the axis tuples that lookup bisects (about
-    2 us a query) once, here.  No GainPair is built here: lookup builds
+    The table's AxisGrid finds the cuts that lookup bisects (about 1.1 us
+    a query) once, here.  No GainPair is built here: lookup builds
     each distinct one on first use.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -283,6 +283,31 @@ def test_scenario_gains_are_checked_at_load(tmp_path, text, message):
         load_scenario(write(tmp_path, "gains.ini", text))
 
 
+EMPTY_ENTRIES = [
+    (load_axes, "axes", "[axes]\ndr = 10.0,,20.0\nvi = 10\nvj = 10\n", "dr"),
+    (load_axes, "axes", "[axes]\ndr = 10\nvi = 10,14,\nvj = 10\n", "vi"),
+    (load_axes, "axes", "[axes]\ndr = 10\nvi = 10\nvj = , 10\n", "vj"),
+    (load_candidates, "candidates", "[candidates]\ngamma = 1,,2\nk = 0.1\n", "gamma"),
+    (load_candidates, "candidates", "[candidates]\ngamma = 1\nk = 0.1, # low\n", "k"),
+]
+
+
+@pytest.mark.parametrize(
+    "loader, section, text, key",
+    EMPTY_ENTRIES,
+    ids=["dr-doubled-comma", "vi-trailing-comma", "vj-leading-comma",
+         "gamma-doubled-comma", "k-trailing-comma"],
+)
+def test_empty_list_entry_is_refused_naming_file_section_and_key(
+    tmp_path, loader, section, text, key
+):
+    """A doubled, leading or trailing comma is a bad value, not a shorter list."""
+    path = write(tmp_path, "bad.ini", text)
+    with pytest.raises(ValueError, match=f"bad value .* for key '{key}' in \\[{section}\\]") as info:
+        loader(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 MALFORMED = [
     (load_build_config, "dt = 0.02\n", "no section headers"),
     (load_build_config, "[build]\ndt = 0.02\n[build]\nt_max = 40\n", "section 'build' already"),
@@ -317,13 +342,15 @@ OUT_OF_RANGE = [
     (load_scenario, "scenario", SCENARIO + "duration = 0\n", "duration must be positive"),
     (load_scenario, "controller_params", FIXED + "k = -1\ngamma = 4\n", "k must be positive"),
     (load_sweep, "sweep", "[sweep]\npoints = 1\n", "need at least 2 sweep points"),
+    (load_axes, "axes", "[axes]\ndr =\nvi = 10\nvj = 10\n", "dr axis must be a non-empty"),
+    (load_candidates, "candidates", "[candidates]\ngamma = 1\nk =\n", "k candidates must be a non-empty"),
 ]
 
 
 @pytest.mark.parametrize(
     "loader, section, text, message",
     OUT_OF_RANGE,
-    ids=["t_max", "omega_1", "eta_r", "duration", "k", "points"],
+    ids=["t_max", "omega_1", "eta_r", "duration", "k", "points", "empty-dr", "empty-k"],
 )
 def test_out_of_range_value_is_refused_naming_file_and_section(
     tmp_path, loader, section, text, message

@@ -6,6 +6,9 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
+import sys
+from bisect import bisect_left
 from dataclasses import FrozenInstanceError, astuple, replace
 from pathlib import Path
 
@@ -27,7 +30,6 @@ from caccsim.gaintable import (
     GainTable,
     TableFormatError,
     _CellScorer,
-    _nearest_index,
     _select_cell,
     build_table,
     load_table,
@@ -581,17 +583,30 @@ def test_gain_table_rejects_mismatched_markers(tiny_candidates, tiny_cfg):
         )
 
 
+@pytest.mark.parametrize("name", ["k_cells", "gamma_cells"])
+def test_gain_table_rejects_cells_of_the_wrong_size(tiny_candidates, tiny_cfg, name):
+    cells = {"k_cells": np.ones(2), "gamma_cells": np.ones(2), name: np.ones(3)}
+    with pytest.raises(ValueError, match=f"{name} has 3 values, but the axes have 2 cells"):
+        GainTable(
+            axes=AxisGrid(dr=[0.0, 1.0], vi=[1.0], vj=[1.0]),
+            candidates=tiny_candidates,
+            config=tiny_cfg,
+            **cells,
+        )
+
+
 def test_nearest_index_rules():
-    grid = np.array([10.0, 20.0, 40.0])
-    assert _nearest_index(grid, 10.0) == 0
-    assert _nearest_index(grid, 40.0) == 2
-    assert _nearest_index(grid, 14.9) == 0
-    assert _nearest_index(grid, 15.1) == 1
-    assert _nearest_index(grid, 15.0) == 0  # tie toward the smaller value
-    assert _nearest_index(grid, 30.0) == 1  # tie toward the smaller value
-    assert _nearest_index(grid, 9.999) is None
-    assert _nearest_index(grid, 40.001) is None
-    assert _nearest_index(grid, math.nan) is None
+    grid = [10.0, 20.0, 40.0]
+    assert AxisGrid(dr=grid, vi=[0.0], vj=[0.0])._dr_snap == (10.0, 40.0, (15.0, 30.0))
+    assert snap(grid, 10.0) == 0
+    assert snap(grid, 40.0) == 2
+    assert snap(grid, 14.9) == 0
+    assert snap(grid, 15.1) == 1
+    assert snap(grid, 15.0) == 0  # tie toward the smaller value
+    assert snap(grid, 30.0) == 1  # tie toward the smaller value
+    assert snap(grid, 9.999) is None
+    assert snap(grid, 40.001) is None
+    assert snap(grid, math.nan) is None
 
 
 def test_axis_grid_arrays_are_read_only():
@@ -620,6 +635,20 @@ def index_table(axes, markers=()):
         k_cells=k_cells,
         gamma_cells=gamma_cells,
     )
+
+
+def snap(grid, query):
+    """The index lookup snaps query to on the dr axis grid, or None on a miss."""
+    table = index_table(AxisGrid(dr=grid, vi=[0.0], vj=[0.0]))
+    pair = lookup(table, query, 0.0, 0.0)
+    return None if pair is None else int(pair.k) - 1
+
+
+def axis_snap(snap_triple, query):
+    """One axis of lookup: None outside [first, last] or NaN, else the number
+    of cuts below the query."""
+    first, last, cuts = snap_triple
+    return bisect_left(cuts, query) if first <= query <= last else None
 
 
 def scan(grid, query):
@@ -682,8 +711,9 @@ def test_lookup_matches_a_full_scan(data):
     grids = (axes.dr.tolist(), axes.vi.tolist(), axes.vj.tolist())
     query = [data.draw(axis_queries(grid)) for grid in grids]
     expected = [scan(grid, q) for grid, q in zip(grids, query)]
-    for grid, q, want in zip((axes.dr, axes.vi, axes.vj), query, expected):
-        assert _nearest_index(grid, q) == want
+    snaps = (axes._dr_snap, axes._vi_snap, axes._vj_snap)
+    for snap_triple, q, want in zip(snaps, query, expected):
+        assert axis_snap(snap_triple, q) == want
     got = lookup(table, *query)
     if None in expected:
         assert got is None
@@ -695,6 +725,58 @@ def test_lookup_matches_a_full_scan(data):
             assert math.isnan(got.k) and math.isnan(got.gamma)
         else:
             assert got == GainPair(k=k, gamma=gamma)
+
+
+# Floats of every scale: subnormals, the largest finite values, both signs.
+any_scale = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([
+        -sys.float_info.max, -1.7e308, -5e-324, -0.0, 0.0, 5e-324, 1.7e308,
+        sys.float_info.max,
+    ]),
+)
+any_scale_grids = st.lists(any_scale, min_size=1, max_size=8, unique=True).map(sorted)
+symmetric_grids = any_scale_grids.map(
+    lambda grid: sorted({abs(x) for x in grid} | {-abs(x) for x in grid})
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(any_scale_grids, symmetric_grids))
+def test_cuts_snap_down_and_the_next_float_snaps_up(grid):
+    """Each cut lies in [grid[j], grid[j+1]); the scan oracle snaps it to
+    grid[j] and the next float up to grid[j+1], and so does lookup."""
+    first, last, cuts = AxisGrid(dr=grid, vi=[0.0], vj=[0.0])._dr_snap
+    assert (first, last) == (grid[0], grid[-1])
+    assert len(cuts) == len(grid) - 1
+    for j, cut in enumerate(cuts):
+        above = math.nextafter(cut, math.inf)
+        assert grid[j] <= cut < grid[j + 1]
+        assert scan(grid, cut) == snap(grid, cut) == j
+        assert scan(grid, above) == snap(grid, above) == j + 1
+
+
+def test_cut_far_from_the_midpoint():
+    """Around a midpoint near 0 the cut can lie nearly 2^62 floats away from it."""
+    assert AxisGrid(dr=[-1.0, 1.0], vi=[0.0], vj=[0.0])._dr_snap[2] == (2.0**-54,)
+    assert snap([-1.0, 1.0], 2.0**-54) == 0
+    assert snap([-1.0, 1.0], math.nextafter(2.0**-54, 1.0)) == 1
+
+
+def test_pickled_axis_grid_answers_lookups_the_same():
+    """Build tasks send the grid to worker processes by pickle."""
+    axes = AxisGrid(dr=[-1.0, 1.0, 2.5], vi=[0.0, 3.0], vj=[1e-310, 7.0, 9.0])
+    copy = pickle.loads(pickle.dumps(axes))
+    assert copy == axes
+    assert (copy._dr_snap, copy._vi_snap, copy._vj_snap) == (
+        axes._dr_snap, axes._vi_snap, axes._vj_snap
+    )
+    assert not copy.dr.flags.writeable
+    table, copied = index_table(axes, markers={1}), index_table(copy, markers={1})
+    rng = np.random.default_rng(3)
+    for query in rng.uniform([-1.5, -0.5, -1.0], [3.0, 3.5, 10.0], size=(500, 3)).tolist():
+        assert lookup(copied, *query) == lookup(table, *query)
 
 
 def test_lookup_exact_and_nearest(tiny_table):

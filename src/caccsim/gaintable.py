@@ -37,8 +37,15 @@ place cannot leave a stale pair behind: the next query reads the new
 floats.  A query takes about 1.1 us on a 2-CPU VM (perfbench's median on
 grid), against about 1.5 us when each axis bisected its values and
 compared the two distances, about 3 us when each query built its GainPair
-and about 8 us for searchsorted on the arrays.  Save formats the cell block from flat tolist() columns; load
-parses it line by line into lists and makes each cell array at once.
+and about 8 us for searchsorted on the arrays.
+
+Save formats the cell block from flat tolist() columns, its index tokens
+from _index_tokens.  Load reads the block as columns: whole-block string
+operations certify that it is exactly what save writes, each distinct
+gain token is parsed once and the gain columns are mapped through those
+values (_read_cell_block).  Any other block, a hand-edited but valid one
+or a faulty one, goes to the per-line reader (_read_cell_lines), which
+accepts what the file format allows and names the first faulty line.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ import struct
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -548,16 +556,20 @@ def build_table(
     return table
 
 
-def _validate_members(table: GainTable) -> None:
-    """Every valid cell's gains must come from the candidate sets."""
-    mask = table.valid_mask()
-    gammas = table.gamma_cells[mask]
-    ks = table.k_cells[mask]
-    bad = ~(np.isin(gammas, table.candidates.gammas) & np.isin(ks, table.candidates.ks))
+def _validate_members(table: GainTable, first_line: int | None = None) -> None:
+    """Every valid cell's gains must come from the candidate sets.  The
+    fault names the line of the first bad cell when first_line, the line of
+    cell 0, is given."""
+    k = table.k_cells.ravel()
+    gamma = table.gamma_cells.ravel()
+    cands = table.candidates
+    bad = np.isfinite(k) & ~(np.isin(gamma, cands.gammas) & np.isin(k, cands.ks))
     if bad.any():
-        i = bad.argmax()
+        i = int(bad.argmax())
+        where = "" if first_line is None else f"line {first_line + i}: "
         raise TableFormatError(
-            f"stored gains (gamma={gammas[i]!r}, k={ks[i]!r}) are not candidate members"
+            f"{where}stored gains (gamma={gamma[i].item()!r}, k={k[i].item()!r}) "
+            "are not candidate members"
         )
 
 
@@ -611,6 +623,17 @@ def _meta_line(cfg: BuildConfig) -> str:
     )
 
 
+def _index_tokens(shape) -> list[list[str]]:
+    """The index tokens of the cell lines, one list per axis, in row-major
+    order: cell line j is "cell" and the j-th token of each list, then k
+    and gamma, joined by single spaces."""
+    n1, n2, n3 = shape
+    return [
+        list(chain.from_iterable(repeat(str(i), inner) for i in range(n))) * outer
+        for n, inner, outer in ((n1, n2 * n3, 1), (n2, n3, n1), (n3, 1, n1 * n2))
+    ]
+
+
 def save_table(table: GainTable, path) -> None:
     """Write the table as UTF-8 text with LF line endings.
 
@@ -633,7 +656,7 @@ def save_table(table: GainTable, path) -> None:
     gamma_text = map(_fmt, table.gamma_cells.ravel().tolist())
     lines += [
         f"cell {i1} {i2} {i3} {k} {gamma}"
-        for (i1, i2, i3), k, gamma in zip(np.ndindex(table.shape), k_text, gamma_text)
+        for i1, i2, i3, k, gamma in zip(*_index_tokens(table.shape), k_text, gamma_text)
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
@@ -680,16 +703,24 @@ def _parse_float_list(text: str, context: str) -> list[float]:
 def load_table(path) -> GainTable:
     """Parse a table file, validating structure, order, and membership.
 
-    Cell lines are checked one at a time, in row-major order, and their
-    gains gathered into lists that become the two cell arrays at the end.
-    The table's AxisGrid finds the cuts that lookup bisects (about 1.1 us
-    a query) once, here.  No GainPair is built here: lookup builds
-    each distinct one on first use.
+    A cell block in exactly the layout save_table writes is read as
+    columns, parsing each distinct gain once (_read_cell_block, about 6 ms
+    for the 6069 cells of the production table on a 2-CPU VM, against
+    about 20 ms line by line); any other block is checked one line at a
+    time by _read_cell_lines, with the same arrays or the same fault.  A
+    fault in the cell block names its line.  The table's AxisGrid finds the cuts that
+    lookup bisects (about 1.1 us a query) once, here.  No GainPair is built
+    here: lookup builds each distinct one on first use.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+        lines = fh.read().split("\n", 4)
+    # The four header lines and the cell block, or a shorter file.
+    if len(lines) == 5:
+        block = lines.pop()
+    else:
+        block = ""
+        if lines[-1] == "":
+            lines.pop()
     if not lines or lines[0] != FORMAT_VERSION:
         found = lines[0] if lines else "<empty file>"
         raise TableFormatError(
@@ -747,11 +778,77 @@ def load_table(path) -> GainTable:
 
     shape = axes.shape
     expected = shape[0] * shape[1] * shape[2]
-    cell_lines = lines[4:]
-    if len(cell_lines) != expected:
+    body = block.removesuffix("\n")
+    found = body.count("\n") + 1 if block else 0
+    if found > expected:
         raise TableFormatError(
-            f"expected {expected} cell lines, found {len(cell_lines)}"
+            f"line {5 + expected}: expected {expected} cell lines, found {found}"
         )
+    if found < expected:
+        raise TableFormatError(
+            f"line {5 + found}: end of file, expected {expected} cell lines, "
+            f"found {found}"
+        )
+    k_cells, gamma_cells = _read_cell_block(body, shape) or _read_cell_lines(
+        body.split("\n"), shape
+    )
+    table = GainTable(
+        axes=axes,
+        candidates=candidates,
+        config=cfg,
+        k_cells=k_cells,
+        gamma_cells=gamma_cells,
+    )
+    _validate_members(table, first_line=5)
+    return table
+
+
+def _read_cell_block(body: str, shape) -> tuple[np.ndarray, np.ndarray] | None:
+    """The k and gamma cells of a block of exactly the lines save_table
+    writes, or None for any other block.
+
+    body is the block without its last newline, one line per cell
+    (load_table has counted its newlines).  Whole-block string operations
+    certify the layout: 6n tokens, joined by single spaces they give body
+    with its newlines as spaces (so no tab, carriage return, doubled or
+    trailing space, or blank line), every newline is followed by "cell ",
+    every sixth token is "cell" and the index tokens are those of
+    _index_tokens.  Each distinct gain token is parsed once, and the
+    marker and finiteness rules are checked on the arrays.  A block that
+    passes reads as _read_cell_lines reads it; None sends any other block
+    there.
+    """
+    n = shape[0] * shape[1] * shape[2]
+    tokens = body.split()
+    if (
+        len(tokens) != 6 * n
+        or body.count("\ncell ") != n - 1
+        or tokens[0::6] != ["cell"] * n
+        or [tokens[1::6], tokens[2::6], tokens[3::6]] != _index_tokens(shape)
+        or " ".join(tokens) != body.replace("\n", " ")
+    ):
+        return None
+    k_text, gamma_text = tokens[4::6], tokens[5::6]
+    del tokens  # the other four columns are not needed past the checks
+    try:
+        value = {t: _parse_float(t, "cell") for t in {*k_text, *gamma_text}}
+    except TableFormatError:
+        return None
+    k = np.array(list(map(value.__getitem__, k_text)))
+    gamma = np.array(list(map(value.__getitem__, gamma_text)))
+    # Both gains finite, or both NaN: the rules _read_cell_lines words.
+    both = (np.isfinite(k) & np.isfinite(gamma)) | (np.isnan(k) & np.isnan(gamma))
+    return (k, gamma) if both.all() else None
+
+
+def _read_cell_lines(cell_lines: list[str], shape) -> tuple[np.ndarray, np.ndarray]:
+    """The k and gamma cells, checking the cell lines one at a time in
+    row-major order; raises on the first faulty line, naming it.
+
+    Reads every block load_table accepts: one line per cell, tokens split
+    on any whitespace, indices as int() reads them, gains as _parse_float
+    does.
+    """
     ks, gammas = [], []
     for row, (line, index) in enumerate(zip(cell_lines, np.ndindex(shape))):
         lineno = 5 + row
@@ -778,14 +875,4 @@ def load_table(path) -> GainTable:
                 raise TableFormatError(f"line {lineno}: gains must be finite or NaN")
         ks.append(k)
         gammas.append(gamma)
-    k_cells = np.array(ks).reshape(shape)
-    gamma_cells = np.array(gammas).reshape(shape)
-    table = GainTable(
-        axes=axes,
-        candidates=candidates,
-        config=cfg,
-        k_cells=k_cells,
-        gamma_cells=gamma_cells,
-    )
-    _validate_members(table)
-    return table
+    return np.array(ks), np.array(gammas)

@@ -11,6 +11,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, astuple, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1025,6 +1026,26 @@ def shift_token(lines):
     lines[5] = lines[5].removeprefix("cell ")
 
 
+def blank_first_cell(lines):
+    """Move the first cell onto the second cell line, leaving a blank line."""
+    lines[5] = f"{lines[4]} {lines[5]}"
+    lines[4] = ""
+
+
+def append_lines(*texts):
+    def mutate(lines):
+        lines.extend(texts)
+
+    return mutate
+
+
+def drop_lines(n):
+    def mutate(lines):
+        del lines[-n:]
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -1040,6 +1061,25 @@ def shift_token(lines):
             "line 5: malformed cell line 'cell 0 0 0 0.1 5.0 5.0'",
         ),
         (shift_token, "line 5: malformed cell line 'cell 0 0 0 0.1 5.0 cell'"),
+        (blank_first_cell, "line 5: malformed cell line ''"),
+        # Gains outside the candidate sets, checked once every line reads.
+        (
+            set_lines(line6="cell 0 0 1 0.1 5.5"),
+            "line 6: stored gains (gamma=5.5, k=0.1) are not candidate members",
+        ),
+        (
+            set_lines(line7="cell 0 1 0 0.2 2.0", line9="cell 1 0 0 0.1 x"),
+            "line 9 gamma: bad number 'x'",
+        ),
+        # A wrong number of cell lines names the first line past the block,
+        # or the end of the file.
+        (append_lines(""), "line 13: expected 8 cell lines, found 9"),
+        (
+            append_lines("cell 1 1 2 0.1 5.0", "cell 1 1 3 0.1 5.0"),
+            "line 13: expected 8 cell lines, found 10",
+        ),
+        (drop_lines(1), "line 12: end of file, expected 8 cell lines, found 7"),
+        (drop_lines(8), "line 5: end of file, expected 8 cell lines, found 0"),
         # Two faulty lines: the earlier one is reported, whichever check
         # catches the later one.
         (
@@ -1093,3 +1133,154 @@ def test_load_reports_the_first_fault_by_line(tiny_table, tmp_path, mutate, mess
     with pytest.raises(TableFormatError) as caught:
         load_table(corrupt(path, tmp_path, mutate))
     assert str(caught.value) == message
+
+
+def test_build_reports_nonmember_gains_as_plain_floats(tiny_table):
+    shape = tiny_table.shape
+    bad = replace(
+        tiny_table, k_cells=np.full(shape, 0.1), gamma_cells=np.full(shape, 5.5)
+    )
+    with pytest.raises(TableFormatError) as caught:
+        gaintable._validate_members(bad)
+    assert str(caught.value) == (
+        "stored gains (gamma=5.5, k=0.1) are not candidate members"
+    )
+
+
+def no_line_reader(lines, shape):
+    raise AssertionError("the per-line reader ran")
+
+
+def test_saved_tables_take_the_block_reader(tiny_table, tmp_path, monkeypatch):
+    """The reference table and save_table output never reach the per-line
+    reader, so the block reader is what they are read with."""
+    path = tmp_path / "table.txt"
+    save_table(tiny_table, path)
+    reference = ROOT / "perfbench" / "reference" / "table.txt"
+    want = reference.read_bytes()
+    monkeypatch.setattr(gaintable, "_read_cell_lines", no_line_reader)
+    assert load_table(path) == tiny_table
+    again = tmp_path / "again.txt"
+    save_table(load_table(reference), again)
+    assert again.read_bytes() == want
+
+
+@st.composite
+def random_tables(draw):
+    """A table of random cells, markers included, from random candidates."""
+    shape = draw(st.tuples(st.integers(2, 3), st.integers(1, 3), st.integers(1, 12)))
+    gains = st.floats(1e-6, 1e3, allow_subnormal=False)
+    gammas = sorted(draw(st.lists(gains, min_size=1, max_size=3, unique=True)))
+    ks = sorted(draw(st.lists(gains, min_size=1, max_size=3, unique=True)))
+    n = shape[0] * shape[1] * shape[2]
+    cell = st.tuples(st.integers(-1, len(gammas) - 1), st.integers(0, len(ks) - 1))
+    picks = draw(st.lists(cell, min_size=n, max_size=n))
+    return GainTable(
+        axes=AxisGrid(*(np.arange(float(m)) for m in shape)),
+        candidates=CandidateSets(gammas=gammas, ks=ks),
+        config=BuildConfig(),
+        k_cells=np.array([math.nan if g < 0 else ks[k] for g, k in picks]),
+        gamma_cells=np.array([math.nan if g < 0 else gammas[g] for g, k in picks]),
+    )
+
+
+# Faults and layouts other than save_table's.  Each edits cell line `row`
+# (0-based, at least 4) of a table file, drawing any choice it makes.
+
+
+def set_token(lines, row, position, text):
+    parts = lines[row].split()
+    if position < len(parts):
+        parts[position] = text.format(parts[position])
+        lines[row] = " ".join(parts)
+
+
+def set_separator(text):
+    def mutate(lines, row, draw):
+        parts = lines[row].split(" ")
+        if len(parts) > 1:
+            at = draw(st.integers(1, len(parts) - 1))
+            lines[row] = " ".join(parts[:at]) + text + " ".join(parts[at:])
+
+    return mutate
+
+
+def append_text(text):
+    def mutate(lines, row, draw):
+        lines[row] += text
+
+    return mutate
+
+
+def signed_or_padded_index(lines, row, draw):
+    set_token(lines, row, draw(st.integers(1, 3)), draw(st.sampled_from(["+{}", "0{}"])))
+
+
+def lowercase_nan(lines, row, draw):
+    set_token(lines, row, draw(st.integers(4, 5)), "nan")
+
+
+def infinite_gain(lines, row, draw):
+    set_token(lines, row, draw(st.integers(4, 5)), draw(st.sampled_from(["inf", "-inf"])))
+
+
+def nonmember_gains(lines, row, draw):
+    set_token(lines, row, 4, "1e9")
+    set_token(lines, row, 5, "1e9")
+
+
+def swapped_lines(lines, row, draw):
+    other = draw(st.integers(4, len(lines) - 1))
+    lines[row], lines[other] = lines[other], lines[row]
+
+
+def shifted_cell_token(lines, row, draw):
+    if row + 1 < len(lines):
+        lines[row] += " cell"
+        lines[row + 1] = lines[row + 1].removeprefix("cell ")
+
+
+LINE_MUTATIONS = {
+    "double space": set_separator("  "),
+    "tab": set_separator("\t"),
+    "trailing space": append_text(" "),
+    "crlf": append_text("\r"),
+    "index +1 or 01": signed_or_padded_index,
+    "shifted cell token": shifted_cell_token,
+    "blank first cell line": lambda lines, row, draw: blank_first_cell(lines),
+    "nan": lowercase_nan,
+    "inf": infinite_gain,
+    "non-member": nonmember_gains,
+    "swapped lines": swapped_lines,
+}
+
+
+def read_outcome(path):
+    """The loaded cell arrays as bytes, or the load fault's text."""
+    try:
+        table = load_table(path)
+    except TableFormatError as exc:
+        return str(exc)
+    return table.k_cells.tobytes(), table.gamma_cells.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=random_tables(), data=st.data())
+def test_block_reader_matches_the_per_line_reader(table, data, tmp_path_factory):
+    """load_table gives the same arrays, or the same fault text, as when
+    every block goes to the per-line reader; unmutated save_table output
+    takes the block path."""
+    path = tmp_path_factory.mktemp("block") / "table.txt"
+    save_table(table, path)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    names = data.draw(st.lists(st.sampled_from(sorted(LINE_MUTATIONS)), max_size=3))
+    for name in names:
+        row = data.draw(st.integers(4, len(lines) - 1))
+        LINE_MUTATIONS[name](lines, row, data.draw)
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    got = read_outcome(path)
+    with mock.patch.object(gaintable, "_read_cell_block", lambda body, shape: None):
+        assert got == read_outcome(path)
+    if not names:
+        with mock.patch.object(gaintable, "_read_cell_lines", no_line_reader):
+            assert load_table(path) == table

@@ -27,17 +27,18 @@ Lookup does its scalar work on Python floats.  Each AxisGrid keeps, per
 axis, its first and last values and its cuts: the largest float that snaps
 to each grid value rather than to the next one, found once when the grid is
 built (_cut, where the tie rule is stated) and kept current by making the
-axis arrays read-only.  A query checks the three ranges, stopping at the
-first axis that misses, snaps each axis with one bisect_left over its cuts
-and reads one cell with ndarray.item.  It returns a shared, frozen
-GainPair: one module-level marker for every marker cell, and per table one
-pair per distinct (k, gamma), built on the first query that reads it.  The
-key is the two floats read on this query, so a write to the cell arrays in
-place cannot leave a stale pair behind: the next query reads the new
-floats.  A query takes about 1.1 us on a 2-CPU VM (perfbench's median on
-grid), against about 1.5 us when each axis bisected its values and
-compared the two distances, about 3 us when each query built its GainPair
-and about 8 us for searchsorted on the arrays.
+axis arrays read-only.  Each GainTable builds its cell index once, when
+the table is built (_cell_index): nested lists of the shared, frozen
+GainPair of every cell, one module-level marker for every marker cell and
+one pair per distinct stored (k, gamma).  A table's cells are thus fixed
+when it is built.  A query checks the three ranges, stopping at the first
+axis that misses, snaps each axis with one bisect_left over its cuts and
+indexes the cell index.  A query takes about 0.7 us on a 2-CPU VM
+(perfbench's median on grid), against about 1.1 us when it read the two
+floats of its cell and looked their pair up in a dict, about 1.5 us when
+each axis bisected its values and compared the two distances, about 3 us
+when each query built its GainPair and about 8 us for searchsorted on the
+arrays.
 
 Save formats the cell block from flat tolist() columns, its index tokens
 from _index_tokens.  Load reads the block as columns: whole-block string
@@ -289,7 +290,14 @@ class GainTable:
     """Built gain table: axes, candidate sets, settings, and cell gains.
 
     k_cells and gamma_cells have the axes shape; NaN in both marks a cell
-    where no candidate passed the gap floor or none converged.
+    where no candidate passed the gap floor or none converged.  Every other
+    cell holds a valid gain pair, both gains positive and finite.
+
+    A table's cells are fixed when it is built: __post_init__ builds _cells,
+    the shared GainPair of every cell as nested lists [i1][i2][i3]
+    (_cell_index), which cell and lookup read.  The cell arrays stay
+    writable, but a write to them is not seen by the table; a table built
+    from the written arrays sees it.
     """
 
     axes: AxisGrid
@@ -297,7 +305,7 @@ class GainTable:
     config: BuildConfig
     k_cells: np.ndarray
     gamma_cells: np.ndarray
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cells: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = self.axes.shape
@@ -313,6 +321,7 @@ class GainTable:
             np.isnan(self.k_cells), np.isnan(self.gamma_cells)
         ):
             raise ValueError("k and gamma markers disagree on some cells")
+        self._cells = _cell_index(self.k_cells, self.gamma_cells)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -322,17 +331,9 @@ class GainTable:
         return np.isfinite(self.k_cells)
 
     def cell(self, i1: int, i2: int, i3: int) -> GainPair:
-        """The cell's gains as a shared pair: _MARKER for a marker cell, else
-        the one pair this table keeps per (k, gamma) read on this call."""
-        k = self.k_cells.item(i1, i2, i3)
-        gamma = self.gamma_cells.item(i1, i2, i3)
-        if math.isnan(k):
-            return _MARKER
-        try:
-            return self._pairs[k, gamma]
-        except KeyError:
-            pair = self._pairs[k, gamma] = GainPair(k=k, gamma=gamma)
-            return pair
+        """The cell's shared, frozen gains: _MARKER for a marker cell, else
+        the one pair this table built for its (k, gamma)."""
+        return self._cells[i1][i2][i3]
 
     def distinct_valid_pairs(self) -> list[tuple[float, float]]:
         """Sorted distinct (gamma, k) pairs stored in valid cells."""
@@ -353,6 +354,40 @@ class GainTable:
             and np.array_equal(self.k_cells, other.k_cells, equal_nan=True)
             and np.array_equal(self.gamma_cells, other.gamma_cells, equal_nan=True)
         )
+
+
+def _cell_index(k_cells: np.ndarray, gamma_cells: np.ndarray) -> list:
+    """The shared GainPair of every cell as nested lists [i1][i2][i3]:
+    _MARKER on each marker cell and one pair per distinct stored (k, gamma).
+
+    The cells are checked on the arrays first: a cell that is not a marker
+    must hold a valid pair, and the fault names its indices and field.  Each
+    array is coded by np.unique (NaN taking one code), the two codes are
+    combined into one per cell and coded again, so each distinct pair is
+    built once and no Python loop runs over the cells.
+    """
+    k, gamma = k_cells.ravel(), gamma_cells.ravel()
+    k_ok, gamma_ok = (k > 0) & (k < math.inf), (gamma > 0) & (gamma < math.inf)
+    bad = ~np.isnan(k) & ~(k_ok & gamma_ok)
+    if bad.any():
+        i = int(bad.argmax())
+        name, value = ("k", k[i]) if not k_ok[i] else ("gamma", gamma[i])
+        index = tuple(map(int, np.unravel_index(i, k_cells.shape)))
+        raise ValueError(
+            f"cell {index}: {name} must be positive and finite, got {value.item()!r}"
+        )
+    k_values, k_code = np.unique(k, return_inverse=True)
+    gamma_values, gamma_code = np.unique(gamma, return_inverse=True)
+    n_gamma = len(gamma_values)
+    codes, cell_code = np.unique(k_code * n_gamma + gamma_code, return_inverse=True)
+    ks, gammas = k_values.tolist(), gamma_values.tolist()
+    pairs = np.empty(len(codes), dtype=object)
+    pairs[:] = [
+        _MARKER if math.isnan(ks[code // n_gamma])
+        else GainPair(k=ks[code // n_gamma], gamma=gammas[code % n_gamma])
+        for code in codes.tolist()
+    ]
+    return pairs[cell_code].reshape(k_cells.shape).tolist()
 
 
 class _CellScorer:
@@ -545,24 +580,27 @@ def build_table(
         k_cells[flat_indices] = k_vals
         gamma_cells[flat_indices] = gamma_vals
 
-    table = GainTable(
+    _validate_members(k_cells, gamma_cells, candidates)
+    return GainTable(
         axes=axes,
         candidates=candidates,
         config=cfg,
         k_cells=k_cells.reshape(shape),
         gamma_cells=gamma_cells.reshape(shape),
     )
-    _validate_members(table)
-    return table
 
 
-def _validate_members(table: GainTable, first_line: int | None = None) -> None:
-    """Every valid cell's gains must come from the candidate sets.  The
-    fault names the line of the first bad cell when first_line, the line of
-    cell 0, is given."""
-    k = table.k_cells.ravel()
-    gamma = table.gamma_cells.ravel()
-    cands = table.candidates
+def _validate_members(
+    k_cells: np.ndarray,
+    gamma_cells: np.ndarray,
+    cands: CandidateSets,
+    first_line: int | None = None,
+) -> None:
+    """Every valid cell's gains must come from the candidate sets, checked on
+    the arrays before a table is built from them.  The fault names the line
+    of the first bad cell when first_line, the line of cell 0, is given."""
+    k = k_cells.ravel()
+    gamma = gamma_cells.ravel()
     bad = np.isfinite(k) & ~(np.isin(gamma, cands.gammas) & np.isin(k, cands.ks))
     if bad.any():
         i = int(bad.argmax())
@@ -580,8 +618,8 @@ def lookup(table: GainTable, dr: float, vi: float, vj: float) -> GainPair | None
     controller on either None or an invalid pair.  Each query checks the
     range of each axis (false for NaN), returning at the first that misses,
     snaps each axis to the number of its cuts below the query with one
-    bisect_left (see _cut for the tie rule) and reads the cell with
-    table.cell, about 1.1 us.  The pair returned is shared (see
+    bisect_left (see _cut for the tie rule) and indexes the table's cell
+    index with the three, about 0.7 us.  The pair returned is shared (see
     GainTable.cell) and frozen.
     """
     axes = table.axes
@@ -594,9 +632,9 @@ def lookup(table: GainTable, dr: float, vi: float, vj: float) -> GainPair | None
     lo, hi, vj_cuts = axes._vj_snap
     if not lo <= vj <= hi:
         return None
-    return table.cell(
-        bisect_left(dr_cuts, dr), bisect_left(vi_cuts, vi), bisect_left(vj_cuts, vj)
-    )
+    return table._cells[bisect_left(dr_cuts, dr)][bisect_left(vi_cuts, vi)][
+        bisect_left(vj_cuts, vj)
+    ]
 
 
 def _fmt(value: float) -> str:
@@ -708,9 +746,12 @@ def load_table(path) -> GainTable:
     for the 6069 cells of the production table on a 2-CPU VM, against
     about 20 ms line by line); any other block is checked one line at a
     time by _read_cell_lines, with the same arrays or the same fault.  A
-    fault in the cell block names its line.  The table's AxisGrid finds the cuts that
-    lookup bisects (about 1.1 us a query) once, here.  No GainPair is built
-    here: lookup builds each distinct one on first use.
+    fault in the cell block names its line, a gain outside the candidate
+    sets too: membership is checked on the arrays, before the table is
+    built.  The table's AxisGrid finds the cuts that lookup bisects once,
+    here, and the table builds its cell index, the one GainPair of each
+    distinct stored pair (about 0.8 ms of the load for the production
+    table), so a lookup (about 0.7 us) builds nothing.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n", 4)
@@ -792,15 +833,14 @@ def load_table(path) -> GainTable:
     k_cells, gamma_cells = _read_cell_block(body, shape) or _read_cell_lines(
         body.split("\n"), shape
     )
-    table = GainTable(
+    _validate_members(k_cells, gamma_cells, candidates, first_line=5)
+    return GainTable(
         axes=axes,
         candidates=candidates,
         config=cfg,
         k_cells=k_cells,
         gamma_cells=gamma_cells,
     )
-    _validate_members(table, first_line=5)
-    return table
 
 
 def _read_cell_block(body: str, shape) -> tuple[np.ndarray, np.ndarray] | None:

@@ -596,7 +596,39 @@ def test_gain_table_rejects_cells_of_the_wrong_size(tiny_candidates, tiny_cfg, n
         )
 
 
-def test_nearest_index_rules():
+@pytest.mark.parametrize(
+    "k, gamma, message",
+    [
+        (-0.1, 2.0, "cell (1, 0, 1): k must be positive and finite, got -0.1"),
+        (0.1, 0.0, "cell (1, 0, 1): gamma must be positive and finite, got 0.0"),
+        (math.inf, 2.0, "cell (1, 0, 1): k must be positive and finite, got inf"),
+        (0.1, -math.inf, "cell (1, 0, 1): gamma must be positive and finite, got -inf"),
+        (0.0, -1.0, "cell (1, 0, 1): k must be positive and finite, got 0.0"),
+    ],
+)
+def test_gain_table_refuses_an_invalid_cell_naming_it(
+    tiny_candidates, tiny_cfg, k, gamma, message
+):
+    """A cell that is not a marker must hold a valid pair; the first bad cell
+    in row-major order is named with its field when the table is built, not
+    at its first lookup."""
+    k_cells, gamma_cells = np.full((2, 1, 3), 0.1), np.full((2, 1, 3), 2.0)
+    k_cells[0, 0, 1] = gamma_cells[0, 0, 1] = math.nan
+    k_cells[1, 0, 1], gamma_cells[1, 0, 1] = k, gamma
+    k_cells[1, 0, 2] = -5.0  # a later bad cell is not the one named
+    with pytest.raises(ValueError) as caught:
+        GainTable(
+            axes=AxisGrid(dr=[0.0, 1.0], vi=[1.0], vj=[1.0, 2.0, 3.0]),
+            candidates=tiny_candidates,
+            config=tiny_cfg,
+            k_cells=k_cells,
+            gamma_cells=gamma_cells,
+        )
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
+def test_snap_takes_the_nearer_value_with_ties_to_the_smaller():
     grid = [10.0, 20.0, 40.0]
     assert AxisGrid(dr=grid, vi=[0.0], vj=[0.0])._dr_snap == (10.0, 40.0, (15.0, 30.0))
     assert snap(grid, 10.0) == 0
@@ -805,37 +837,44 @@ def test_lookup_marker_cell_returns_invalid_pair():
     assert not miss.valid
 
 
-def test_lookup_shares_pairs_and_reads_in_place_writes():
-    """One pair object per stored (k, gamma), one marker object; an in-place
-    write to the cells shows at the next lookup."""
+def written(table, k, gamma):
+    """A table built from copies of table's cells with (k, gamma) written to
+    cell (0, 0, 0)."""
+    k_cells, gamma_cells = table.k_cells.copy(), table.gamma_cells.copy()
+    k_cells[0, 0, 0], gamma_cells[0, 0, 0] = k, gamma
+    return replace(table, k_cells=k_cells, gamma_cells=gamma_cells)
+
+
+def test_lookup_shares_pairs_and_rebuilt_tables_see_writes():
+    """One pair object per stored (k, gamma), one marker object, all frozen.
+    A table's cells are fixed when it is built: a table built from written
+    copies of its cells sees the writes."""
     table = index_table(AxisGrid(dr=[0.0, 10.0], vi=[14.0], vj=[14.0]))
     first = lookup(table, 0.0, 14.0, 14.0)
     assert first == GainPair(k=1.0, gamma=1.0)
     assert lookup(table, 1.0, 14.0, 14.0) is first
 
-    table.k_cells[0, 0, 0] = 2.0  # now equal to the cell at dr=10
-    moved = lookup(table, 0.0, 14.0, 14.0)
+    moved_table = written(table, 2.0, 1.0)  # now equal to the cell at dr=10
+    moved = lookup(moved_table, 0.0, 14.0, 14.0)
     assert moved == GainPair(k=2.0, gamma=1.0)
-    assert lookup(table, 10.0, 14.0, 14.0) is moved
+    assert lookup(moved_table, 10.0, 14.0, 14.0) is moved
+    assert lookup(table, 0.0, 14.0, 14.0) is first
 
-    table.k_cells[0, 0, 0] = table.gamma_cells[0, 0, 0] = math.nan
-    marker = lookup(table, 0.0, 14.0, 14.0)
+    marker = lookup(written(table, math.nan, math.nan), 0.0, 14.0, 14.0)
     assert not marker.valid and math.isnan(marker.k) and math.isnan(marker.gamma)
     other = index_table(AxisGrid(dr=[0.0], vi=[14.0], vj=[14.0]), markers={0})
     assert lookup(other, 0.0, 14.0, 14.0) is marker
 
-    table.k_cells[0, 0, 0] = table.gamma_cells[0, 0, 0] = 1.0
-    assert lookup(table, 0.0, 14.0, 14.0) is first
-    for shared in (first, marker):
+    assert lookup(written(table, 1.0, 1.0), 0.0, 14.0, 14.0) == first
+    for shared in (first, moved, marker):
         with pytest.raises(FrozenInstanceError):
             shared.k = 3.0
 
 
 def test_lookups_build_at_most_one_pair_per_stored_pair(monkeypatch):
-    """Every cell of the production table, then 2000 seeded in-grid
-    queries: GainPair is constructed at most once per distinct stored pair
-    (plus once for the marker)."""
-    table = load_table(ROOT / "perfbench" / "reference" / "table.txt")
+    """Loading the production table, then every cell of it and 2000 seeded
+    in-grid queries: GainPair is constructed at most once per distinct
+    stored pair (plus once for the marker)."""
     built = []
     post_init = GainPair.__post_init__
 
@@ -844,6 +883,7 @@ def test_lookups_build_at_most_one_pair_per_stored_pair(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(GainPair, "__post_init__", counted)
+    table = load_table(ROOT / "perfbench" / "reference" / "table.txt")
     axes = table.axes
     queries = list(itertools.product(axes.dr.tolist(), axes.vi.tolist(), axes.vj.tolist()))
     lo = [grid[0] for grid in (axes.dr, axes.vi, axes.vj)]
@@ -1062,10 +1102,15 @@ def drop_lines(n):
         ),
         (shift_token, "line 5: malformed cell line 'cell 0 0 0 0.1 5.0 cell'"),
         (blank_first_cell, "line 5: malformed cell line ''"),
-        # Gains outside the candidate sets, checked once every line reads.
+        # Gains outside the candidate sets, checked once every line reads,
+        # before the table refuses a pair that is not valid.
         (
             set_lines(line6="cell 0 0 1 0.1 5.5"),
             "line 6: stored gains (gamma=5.5, k=0.1) are not candidate members",
+        ),
+        (
+            set_lines(line5="cell 0 0 0 -0.1 4"),
+            "line 5: stored gains (gamma=4.0, k=-0.1) are not candidate members",
         ),
         (
             set_lines(line7="cell 0 1 0 0.2 2.0", line9="cell 1 0 0 0.1 x"),
@@ -1141,7 +1186,7 @@ def test_build_reports_nonmember_gains_as_plain_floats(tiny_table):
         tiny_table, k_cells=np.full(shape, 0.1), gamma_cells=np.full(shape, 5.5)
     )
     with pytest.raises(TableFormatError) as caught:
-        gaintable._validate_members(bad)
+        gaintable._validate_members(bad.k_cells, bad.gamma_cells, bad.candidates)
     assert str(caught.value) == (
         "stored gains (gamma=5.5, k=0.1) are not candidate members"
     )
@@ -1182,6 +1227,30 @@ def random_tables(draw):
         k_cells=np.array([math.nan if g < 0 else ks[k] for g, k in picks]),
         gamma_cells=np.array([math.nan if g < 0 else gammas[g] for g, k in picks]),
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=random_tables())
+def test_cell_index_matches_the_cell_arrays(table):
+    """Every cell, read by cell() and by lookup at its grid values, is the
+    pair built here from the two floats the arrays hold, or the invalid pair
+    on a marker; the table holds one object per distinct stored pair and
+    _MARKER on every marker cell."""
+    axes = table.axes
+    shared = {}
+    for index in np.ndindex(table.shape):
+        k = table.k_cells.item(*index)
+        gamma = table.gamma_cells.item(*index)
+        got = table.cell(*index)
+        query = (axes.dr.item(index[0]), axes.vi.item(index[1]), axes.vj.item(index[2]))
+        assert lookup(table, *query) is got
+        if math.isnan(k):
+            assert got is gaintable._MARKER
+            assert not got.valid and math.isnan(got.k) and math.isnan(got.gamma)
+        else:
+            assert got == GainPair(k=k, gamma=gamma)
+            assert shared.setdefault((k, gamma), got) is got
+    assert len(shared) == len(table.distinct_valid_pairs())
 
 
 # Faults and layouts other than save_table's.  Each edits cell line `row`

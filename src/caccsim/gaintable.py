@@ -34,14 +34,12 @@ one pair per distinct stored (k, gamma).  A table's cells are thus fixed
 when it is built.  A query checks the three ranges, stopping at the first
 axis that misses, snaps each axis with one bisect_left over its cuts and
 indexes the cell index.  A query takes about 0.7 us on a 2-CPU VM
-(perfbench's median on grid), against about 1.1 us when it read the two
-floats of its cell and looked their pair up in a dict, about 1.5 us when
-each axis bisected its values and compared the two distances, about 3 us
-when each query built its GainPair and about 8 us for searchsorted on the
-arrays.
+(perfbench's median on grid).
 
-Save formats the cell block from flat tolist() columns, its index tokens
-from _index_tokens.  Load reads the block as columns: whole-block string
+Save writes the header lines from _HEADER, which names each line's keys
+and the fields they hold, and load reads them back through it.  Save
+formats the cell block from flat tolist() columns, its index tokens from
+_index_tokens.  Load reads the block as columns: whole-block string
 operations certify that it is exactly what save writes, each distinct
 gain token is parsed once and the gain columns are mapped through those
 values (_read_cell_block).  Any other block, a hand-edited but valid one
@@ -53,10 +51,14 @@ from __future__ import annotations
 
 import math
 import struct
+import typing
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from enum import Enum
+from functools import cache
 from itertools import chain, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -356,6 +358,33 @@ class GainTable:
         )
 
 
+# The header, lines 2 to 4 of a table file, which save_table writes and
+# load_table reads from this alone.  Per line: its prefix, the GainTable
+# field it holds, the context that names a bad value, and its keys in file
+# order, each with the field it fills (dotted into nested settings).  A
+# value is parsed by its field's type: a float list, a float or an Enum.
+_HEADER = (
+    ("axes", "axes", "line 2 {} axis", {"dr": "dr", "vi": "vi", "vj": "vj"}),
+    ("candidates", "candidates", "line 3 {} candidates", {"gamma": "gammas", "k": "ks"}),
+    ("meta", "config", "line 4: meta {}", {
+        "dt": "dt", "tmax": "t_max", "tau": "comm_delay",
+        "lj": "leader_length", "tg": "time_gap",
+        "eta_r": "thresholds.eta_r", "eta_v": "thresholds.eta_v",
+        "delta_a": "thresholds.delta_a", "delta_jerk": "thresholds.delta_jerk",
+        "w1": "weights.omega_1", "w2": "weights.omega_2",
+        "mode": "safety_mode", "hold": "hold_window",
+    }),
+)
+
+
+@cache
+def _field_type(cls, path: str):
+    """The type of the dataclass field at path, dotted into nested fields."""
+    for name in path.split("."):
+        cls = typing.get_type_hints(cls)[name]
+    return cls
+
+
 def _cell_index(k_cells: np.ndarray, gamma_cells: np.ndarray) -> list:
     """The shared GainPair of every cell as nested lists [i1][i2][i3]:
     _MARKER on each marker cell and one pair per distinct stored (k, gamma).
@@ -644,21 +673,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _fmt_list(values) -> str:
-    return ",".join(_fmt(float(v)) for v in values)
-
-
-def _meta_line(cfg: BuildConfig) -> str:
-    thr = cfg.thresholds
-    w = cfg.weights
-    return (
-        f"meta dt={_fmt(cfg.dt)} tmax={_fmt(cfg.t_max)} tau={_fmt(cfg.comm_delay)} "
-        f"lj={_fmt(cfg.leader_length)} tg={_fmt(cfg.time_gap)} "
-        f"eta_r={_fmt(thr.eta_r)} eta_v={_fmt(thr.eta_v)} "
-        f"delta_a={_fmt(thr.delta_a)} delta_jerk={_fmt(thr.delta_jerk)} "
-        f"w1={_fmt(w.omega_1)} w2={_fmt(w.omega_2)} "
-        f"mode={cfg.safety_mode.value} hold={_fmt(cfg.hold_window)}"
-    )
+def _fmt_value(value) -> str:
+    """A header value: comma-separated floats, a float or an Enum's value."""
+    if isinstance(value, np.ndarray):
+        return ",".join(map(_fmt, value.tolist()))
+    return value.value if isinstance(value, Enum) else _fmt(value)
 
 
 def _index_tokens(shape) -> list[list[str]]:
@@ -678,18 +697,11 @@ def save_table(table: GainTable, path) -> None:
     Numbers use shortest round-trip decimals, so save, load, save is
     byte-identical.
     """
-    lines = [
-        FORMAT_VERSION,
-        (
-            f"axes dr={_fmt_list(table.axes.dr)} "
-            f"vi={_fmt_list(table.axes.vi)} vj={_fmt_list(table.axes.vj)}"
-        ),
-        (
-            f"candidates gamma={_fmt_list(table.candidates.gammas)} "
-            f"k={_fmt_list(table.candidates.ks)}"
-        ),
-        _meta_line(table.config),
-    ]
+    lines = [FORMAT_VERSION]
+    for prefix, name, _, keys in _HEADER:
+        settings = getattr(table, name)
+        values = [_fmt_value(attrgetter(path)(settings)) for path in keys.values()]
+        lines.append(" ".join([prefix, *map("{}={}".format, keys, values)]))
     k_text = map(_fmt, table.k_cells.ravel().tolist())
     gamma_text = map(_fmt, table.gamma_cells.ravel().tolist())
     lines += [
@@ -701,7 +713,7 @@ def save_table(table: GainTable, path) -> None:
         fh.write("\n")
 
 
-def _parse_kv_tokens(line: str, prefix: str, keys: tuple[str, ...], lineno: int):
+def _parse_kv_tokens(line: str, prefix: str, keys: dict, lineno: int) -> dict[str, str]:
     tokens = line.split()
     if not tokens or tokens[0] != prefix:
         raise TableFormatError(f"line {lineno}: expected a {prefix!r} line")
@@ -738,6 +750,43 @@ def _parse_float_list(text: str, context: str) -> list[float]:
     return [_parse_float(part, context) for part in parts]
 
 
+def _build(cls, values: dict):
+    """The dataclass cls from values keyed by field path; a nested field is
+    built from the paths under its name."""
+    by_name = {}  # a field's own value is keyed by the empty path
+    for path, value in values.items():
+        name, _, rest = path.partition(".")
+        by_name.setdefault(name, {})[rest] = value
+    return cls(**{
+        name: inner[""] if "" in inner else _build(_field_type(cls, name), inner)
+        for name, inner in by_name.items()
+    })
+
+
+def _read_header(lines: list[str]) -> dict:
+    """The GainTable fields the header lines hold, read by _HEADER; a fault
+    names its line."""
+    header = {}
+    for lineno, (prefix, name, context, keys) in enumerate(_HEADER, start=2):
+        texts = _parse_kv_tokens(lines[lineno - 1], prefix, keys, lineno)
+        values = {}
+        for key, path in keys.items():
+            kind, text = _field_type(GainTable, f"{name}.{path}"), texts[key]
+            if kind is np.ndarray:
+                values[path] = _parse_float_list(text, context.format(key))
+            elif kind is float:
+                values[path] = _parse_float(text, context.format(key))
+            elif text in {member.value for member in kind}:
+                values[path] = kind(text)
+            else:
+                raise TableFormatError(f"line {lineno}: unknown {key} {text!r}")
+        try:
+            header[name] = _build(_field_type(GainTable, name), values)
+        except ValueError as exc:
+            raise TableFormatError(f"line {lineno}: {exc}") from exc
+    return header
+
+
 def load_table(path) -> GainTable:
     """Parse a table file, validating structure, order, and membership.
 
@@ -762,7 +811,7 @@ def load_table(path) -> GainTable:
         block = ""
         if lines[-1] == "":
             lines.pop()
-    if not lines or lines[0] != FORMAT_VERSION:
+    if not lines or lines[0].removesuffix("\r") != FORMAT_VERSION:
         found = lines[0] if lines else "<empty file>"
         raise TableFormatError(
             f"unsupported table format version: {found!r} (expected {FORMAT_VERSION!r})"
@@ -770,54 +819,9 @@ def load_table(path) -> GainTable:
     if len(lines) < 4:
         raise TableFormatError("truncated file: missing header lines")
 
-    axes_kv = _parse_kv_tokens(lines[1], "axes", ("dr", "vi", "vj"), 2)
-    dr = _parse_float_list(axes_kv["dr"], "line 2 dr axis")
-    vi = _parse_float_list(axes_kv["vi"], "line 2 vi axis")
-    vj = _parse_float_list(axes_kv["vj"], "line 2 vj axis")
-    try:
-        axes = AxisGrid(dr=dr, vi=vi, vj=vj)
-    except ValueError as exc:
-        raise TableFormatError(f"line 2: {exc}") from exc
-    cand_kv = _parse_kv_tokens(lines[2], "candidates", ("gamma", "k"), 3)
-    cand_gammas = _parse_float_list(cand_kv["gamma"], "line 3 gamma candidates")
-    cand_ks = _parse_float_list(cand_kv["k"], "line 3 k candidates")
-    try:
-        candidates = CandidateSets(gammas=cand_gammas, ks=cand_ks)
-    except ValueError as exc:
-        raise TableFormatError(f"line 3: {exc}") from exc
-    meta_keys = (
-        "dt", "tmax", "tau", "lj", "tg", "eta_r", "eta_v",
-        "delta_a", "delta_jerk", "w1", "w2", "mode", "hold",
-    )
-    meta = _parse_kv_tokens(lines[3], "meta", meta_keys, 4)
-    try:
-        mode = SafetyMode(meta["mode"])
-    except ValueError as exc:
-        raise TableFormatError(f"line 4: unknown mode {meta['mode']!r}") from exc
-    try:
-        cfg = BuildConfig(
-            dt=_parse_float(meta["dt"], "meta dt"),
-            t_max=_parse_float(meta["tmax"], "meta tmax"),
-            comm_delay=_parse_float(meta["tau"], "meta tau"),
-            leader_length=_parse_float(meta["lj"], "meta lj"),
-            time_gap=_parse_float(meta["tg"], "meta tg"),
-            thresholds=ConsensusThresholds(
-                eta_r=_parse_float(meta["eta_r"], "meta eta_r"),
-                eta_v=_parse_float(meta["eta_v"], "meta eta_v"),
-                delta_a=_parse_float(meta["delta_a"], "meta delta_a"),
-                delta_jerk=_parse_float(meta["delta_jerk"], "meta delta_jerk"),
-            ),
-            weights=ComfortWeights(
-                omega_1=_parse_float(meta["w1"], "meta w1"),
-                omega_2=_parse_float(meta["w2"], "meta w2"),
-            ),
-            safety_mode=mode,
-            hold_window=_parse_float(meta["hold"], "meta hold"),
-        )
-    except ValueError as exc:
-        raise TableFormatError(f"line 4: {exc}") from exc
+    header = _read_header(lines)
 
-    shape = axes.shape
+    shape = header["axes"].shape
     expected = shape[0] * shape[1] * shape[2]
     body = block.removesuffix("\n")
     found = body.count("\n") + 1 if block else 0
@@ -833,14 +837,8 @@ def load_table(path) -> GainTable:
     k_cells, gamma_cells = _read_cell_block(body, shape) or _read_cell_lines(
         body.split("\n"), shape
     )
-    _validate_members(k_cells, gamma_cells, candidates, first_line=5)
-    return GainTable(
-        axes=axes,
-        candidates=candidates,
-        config=cfg,
-        k_cells=k_cells,
-        gamma_cells=gamma_cells,
-    )
+    _validate_members(k_cells, gamma_cells, header["candidates"], first_line=5)
+    return GainTable(**header, k_cells=k_cells, gamma_cells=gamma_cells)
 
 
 def _read_cell_block(body: str, shape) -> tuple[np.ndarray, np.ndarray] | None:

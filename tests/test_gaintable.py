@@ -9,7 +9,7 @@ import math
 import pickle
 import sys
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, astuple, replace
+from dataclasses import FrozenInstanceError, astuple, fields, is_dataclass, replace
 from pathlib import Path
 from unittest import mock
 
@@ -39,6 +39,8 @@ from caccsim.gaintable import (
 )
 from caccsim.harness import ScenarioConfig, run_scenario
 from caccsim.metrics import (
+    ComfortWeights,
+    ConsensusThresholds,
     RunMetrics,
     SafetyMode,
     Trajectory,
@@ -907,6 +909,62 @@ def test_save_load_round_trip(tiny_table, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def leaf_settings(settings, defaults, prefix=""):
+    """(name, value, default) of every leaf field of a settings dataclass,
+    nested settings such as the thresholds included."""
+    leaves = []
+    for f in fields(settings):
+        value, default = getattr(settings, f.name), getattr(defaults, f.name)
+        if is_dataclass(value):
+            leaves += leaf_settings(value, default, f"{prefix}{f.name}.")
+        else:
+            leaves.append((prefix + f.name, value, default))
+    return leaves
+
+
+def test_round_trip_keeps_every_build_setting(tiny_table, tmp_path):
+    """Each setting differs from its default and from every other one, so a
+    setting the table does not store, or two swapped keys, fail the test."""
+    cfg = BuildConfig(
+        dt=0.02,
+        t_max=30.0,
+        comm_delay=0.08,
+        leader_length=4.5,
+        time_gap=0.9,
+        thresholds=ConsensusThresholds(
+            eta_r=0.03, eta_v=0.04, delta_a=0.002, delta_jerk=0.006
+        ),
+        weights=ComfortWeights(omega_1=0.5, omega_2=2.0),
+        safety_mode=SafetyMode.SAME_LANE,
+        hold_window=1.5,
+    )
+    leaves = leaf_settings(cfg, BuildConfig())
+    assert [name for name, value, default in leaves if value == default] == []
+    values = [value for name, value, default in leaves]
+    assert len(set(values)) == len(values)
+    table = replace(tiny_table, config=cfg)
+    path = tmp_path / "table.txt"
+    save_table(table, path)
+    assert path.read_text(encoding="utf-8").splitlines()[3] == (
+        "meta dt=0.02 tmax=30.0 tau=0.08 lj=4.5 tg=0.9 eta_r=0.03 eta_v=0.04 "
+        "delta_a=0.002 delta_jerk=0.006 w1=0.5 w2=2.0 mode=same_lane hold=1.5"
+    )
+    loaded = load_table(path)
+    assert leaf_settings(loaded.config, BuildConfig()) == leaves
+    assert loaded == table
+    again = tmp_path / "again.txt"
+    save_table(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_crlf_copy_of_a_saved_table_loads_equal(tiny_table, tmp_path):
+    path = tmp_path / "table.txt"
+    save_table(tiny_table, path)
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_table(crlf) == tiny_table
+
+
 def test_saved_file_layout(tiny_table, tmp_path):
     """Version line, axes, candidates, meta, then one line per cell."""
     path = tmp_path / "table.txt"
@@ -1060,6 +1118,16 @@ def set_lines(**by_lineno):
     return mutate
 
 
+def edit_line(lineno, old, new):
+    """A mutation replacing old by new in one line (1-based)."""
+
+    def mutate(lines):
+        assert old in lines[lineno - 1]
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+
+    return mutate
+
+
 def shift_token(lines):
     """Move the second cell line's "cell" marker to the end of the first."""
     lines[4] += " cell"
@@ -1169,6 +1237,11 @@ def drop_lines(n):
         (
             set_lines(line3="candidates gamma=inf,5.0 k=0.1"),
             "line 3: gamma candidates must be finite",
+        ),
+        (edit_line(4, " dt=0.01 ", " dt=x "), "line 4: meta dt: bad number 'x'"),
+        (
+            edit_line(4, " mode=projected ", " mode=sideways "),
+            "line 4: unknown mode 'sideways'",
         ),
     ],
 )

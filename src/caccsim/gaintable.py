@@ -39,12 +39,11 @@ indexes the cell index.  A query takes about 0.7 us on a 2-CPU VM
 Save writes the header lines from _HEADER, which names each line's keys
 and the fields they hold, and load reads them back through it.  Save
 formats the cell block from flat tolist() columns, its index tokens from
-_index_tokens.  Load reads the block as columns: whole-block string
-operations certify that it is exactly what save writes, each distinct
-gain token is parsed once and the gain columns are mapped through those
-values (_read_cell_block).  Any other block, a hand-edited but valid one
-or a faulty one, goes to the per-line reader (_read_cell_lines), which
-accepts what the file format allows and names the first faulty line.
+_index_tokens.  Load accepts exactly what save writes, with any line
+ends.  It reads the block as columns: whole-block string operations
+certify the layout, each distinct gain token is parsed once and the gain
+columns are mapped through those values (_read_cell_block).  Only a
+refused block is walked line by line, to name its first faulty line.
 """
 
 from __future__ import annotations
@@ -714,8 +713,8 @@ def save_table(table: GainTable, path) -> None:
 
 
 def _parse_kv_tokens(line: str, prefix: str, keys: dict, lineno: int) -> dict[str, str]:
-    tokens = line.split()
-    if not tokens or tokens[0] != prefix:
+    tokens = line.split(" ")
+    if tokens[0] != prefix:
         raise TableFormatError(f"line {lineno}: expected a {prefix!r} line")
     if len(tokens) != len(keys) + 1:
         raise TableFormatError(
@@ -724,7 +723,7 @@ def _parse_kv_tokens(line: str, prefix: str, keys: dict, lineno: int) -> dict[st
     out = {}
     for token, key in zip(tokens[1:], keys):
         name, sep, value = token.partition("=")
-        if not sep or name != key:
+        if not sep or name != key or token.split() != [token]:
             raise TableFormatError(
                 f"line {lineno}: expected token {key}=..., got {token!r}"
             )
@@ -790,19 +789,16 @@ def _read_header(lines: list[str]) -> dict:
 def load_table(path) -> GainTable:
     """Parse a table file, validating structure, order, and membership.
 
-    A cell block in exactly the layout save_table writes is read as
-    columns, parsing each distinct gain once (_read_cell_block, about 6 ms
-    for the 6069 cells of the production table on a 2-CPU VM, against
-    about 20 ms line by line); any other block is checked one line at a
-    time by _read_cell_lines, with the same arrays or the same fault.  A
-    fault in the cell block names its line, a gain outside the candidate
-    sets too: membership is checked on the arrays, before the table is
-    built.  The table's AxisGrid finds the cuts that lookup bisects once,
-    here, and the table builds its cell index, the one GainPair of each
-    distinct stored pair (about 0.8 ms of the load for the production
-    table), so a lookup (about 0.7 us) builds nothing.
+    Only the layout save_table writes loads, with any line ends: the file
+    is read with universal newlines.  The cell block is read as columns
+    (_read_cell_block, about 6 ms for the 6069 cells of the production
+    table on a 2-CPU VM).  A fault names its line, a gain outside the
+    candidate sets too: membership is checked on the arrays, before the
+    table is built.  The table's AxisGrid finds the cuts that lookup
+    bisects here, and the table builds its cell index (about 0.8 ms of the
+    load for the production table), so a lookup builds nothing.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n", 4)
     # The four header lines and the cell block, or a shorter file.
     if len(lines) == 5:
@@ -811,7 +807,7 @@ def load_table(path) -> GainTable:
         block = ""
         if lines[-1] == "":
             lines.pop()
-    if not lines or lines[0].removesuffix("\r") != FORMAT_VERSION:
+    if not lines or lines[0] != FORMAT_VERSION:
         found = lines[0] if lines else "<empty file>"
         raise TableFormatError(
             f"unsupported table format version: {found!r} (expected {FORMAT_VERSION!r})"
@@ -834,27 +830,24 @@ def load_table(path) -> GainTable:
             f"line {5 + found}: end of file, expected {expected} cell lines, "
             f"found {found}"
         )
-    k_cells, gamma_cells = _read_cell_block(body, shape) or _read_cell_lines(
-        body.split("\n"), shape
-    )
+    k_cells, gamma_cells = _read_cell_block(body, shape)
     _validate_members(k_cells, gamma_cells, header["candidates"], first_line=5)
     return GainTable(**header, k_cells=k_cells, gamma_cells=gamma_cells)
 
 
-def _read_cell_block(body: str, shape) -> tuple[np.ndarray, np.ndarray] | None:
+def _read_cell_block(body: str, shape) -> tuple[np.ndarray, np.ndarray]:
     """The k and gamma cells of a block of exactly the lines save_table
-    writes, or None for any other block.
+    writes; raises the fault of the first faulty line otherwise.
 
     body is the block without its last newline, one line per cell
     (load_table has counted its newlines).  Whole-block string operations
     certify the layout: 6n tokens, joined by single spaces they give body
-    with its newlines as spaces (so no tab, carriage return, doubled or
-    trailing space, or blank line), every newline is followed by "cell ",
-    every sixth token is "cell" and the index tokens are those of
-    _index_tokens.  Each distinct gain token is parsed once, and the
-    marker and finiteness rules are checked on the arrays.  A block that
-    passes reads as _read_cell_lines reads it; None sends any other block
-    there.
+    with its newlines as spaces (so no tab, doubled or trailing space, or
+    blank line), every newline is followed by "cell ", every sixth token
+    is "cell" and the index tokens are those of _index_tokens.  Each
+    distinct gain token is parsed once, and the marker and finiteness rules
+    are checked on the arrays.  A block fails a check only when one of its
+    lines breaks the line rule of _raise_cell_fault, which names the first.
     """
     n = shape[0] * shape[1] * shape[2]
     tokens = body.split()
@@ -865,38 +858,40 @@ def _read_cell_block(body: str, shape) -> tuple[np.ndarray, np.ndarray] | None:
         or [tokens[1::6], tokens[2::6], tokens[3::6]] != _index_tokens(shape)
         or " ".join(tokens) != body.replace("\n", " ")
     ):
-        return None
+        _raise_cell_fault(body, shape)
     k_text, gamma_text = tokens[4::6], tokens[5::6]
     del tokens  # the other four columns are not needed past the checks
     try:
         value = {t: _parse_float(t, "cell") for t in {*k_text, *gamma_text}}
     except TableFormatError:
-        return None
+        _raise_cell_fault(body, shape)
     k = np.array(list(map(value.__getitem__, k_text)))
     gamma = np.array(list(map(value.__getitem__, gamma_text)))
-    # Both gains finite, or both NaN: the rules _read_cell_lines words.
+    # Both gains finite, or both NaN.
     both = (np.isfinite(k) & np.isfinite(gamma)) | (np.isnan(k) & np.isnan(gamma))
-    return (k, gamma) if both.all() else None
+    if not both.all():
+        _raise_cell_fault(body, shape)
+    return k, gamma
 
 
-def _read_cell_lines(cell_lines: list[str], shape) -> tuple[np.ndarray, np.ndarray]:
-    """The k and gamma cells, checking the cell lines one at a time in
-    row-major order; raises on the first faulty line, naming it.
+def _raise_cell_fault(body: str, shape) -> typing.NoReturn:
+    """Raise the fault of the first cell line of body that save_table would
+    not write, naming the line.
 
-    Reads every block load_table accepts: one line per cell, tokens split
-    on any whitespace, indices as int() reads them, gains as _parse_float
-    does.
+    A line is "cell", three indices and two gains, joined by single spaces;
+    an index as str(i) writes it, in row-major order; a gain as _parse_float
+    reads it; both gains finite, or both NaN.
     """
-    ks, gammas = [], []
-    for row, (line, index) in enumerate(zip(cell_lines, np.ndindex(shape))):
-        lineno = 5 + row
+    for lineno, (line, index) in enumerate(zip(body.split("\n"), np.ndindex(shape)), 5):
         parts = line.split()
-        if len(parts) != 6 or parts[0] != "cell":
+        if len(parts) != 6 or parts[0] != "cell" or " ".join(parts) != line:
             raise TableFormatError(f"line {lineno}: malformed cell line {line!r}")
         try:
-            got = (int(parts[1]), int(parts[2]), int(parts[3]))
-        except ValueError as exc:
-            raise TableFormatError(f"line {lineno}: bad cell indices") from exc
+            got = tuple(map(int, parts[1:4]))
+        except ValueError:
+            got = ()
+        if list(map(str, got)) != parts[1:4]:
+            raise TableFormatError(f"line {lineno}: bad cell indices")
         if got != index:
             raise TableFormatError(
                 f"line {lineno}: cell indices {got} out of row-major order, "
@@ -904,13 +899,10 @@ def _read_cell_lines(cell_lines: list[str], shape) -> tuple[np.ndarray, np.ndarr
             )
         k = _parse_float(parts[4], f"line {lineno} k")
         gamma = _parse_float(parts[5], f"line {lineno} gamma")
-        if not (math.isfinite(k) and math.isfinite(gamma)):
-            if math.isnan(k) != math.isnan(gamma):
-                raise TableFormatError(
-                    f"line {lineno}: marker cell must have NaN for both gains"
-                )
-            if math.isinf(k) or math.isinf(gamma):
-                raise TableFormatError(f"line {lineno}: gains must be finite or NaN")
-        ks.append(k)
-        gammas.append(gamma)
-    return np.array(ks), np.array(gammas)
+        if math.isnan(k) != math.isnan(gamma):
+            raise TableFormatError(
+                f"line {lineno}: marker cell must have NaN for both gains"
+            )
+        if math.isinf(k) or math.isinf(gamma):
+            raise TableFormatError(f"line {lineno}: gains must be finite or NaN")
+    raise AssertionError("a refused cell block has no faulty line")

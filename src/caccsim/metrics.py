@@ -173,25 +173,17 @@ def _speed_tolerance(v_leader_delayed, thresholds):
 
 def _bands_ok(
     gap, desired, v_leader_delayed, v_follower, accel, jerk, thresholds,
-    *, speed_tol=None, out=None, spare=None,
+    *, out, spare, speed_tol=None,
 ):
     """The four consensus bands; elementwise over arrays.
 
-    With out, the bands are computed in buffers the caller owns and no
-    array is allocated: out and spare are bool arrays of the result's shape,
-    desired and jerk float arrays of that shape, and all four are
-    overwritten.  Without it, the buffers are made here and no argument is
-    written.  speed_tol is _speed_tolerance(v_leader_delayed, thresholds),
-    when already known.
+    The bands are computed in buffers the caller owns and no array is
+    allocated: out and spare are bool arrays of the result's shape, desired
+    and jerk float arrays of that shape, and all four are overwritten.
+    speed_tol is _speed_tolerance(v_leader_delayed, thresholds), when
+    already known.
     """
-    if out is None:
-        shape = np.broadcast_shapes(
-            *map(np.shape, (gap, desired, v_leader_delayed, v_follower, accel, jerk))
-        )
-        out, spare = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-        work, deviation = np.empty(shape), np.empty(shape)
-    else:
-        work, deviation = jerk, desired
+    work, deviation = jerk, desired
     if speed_tol is None:
         speed_tol = _speed_tolerance(v_leader_delayed, thresholds)
     # A deviation is taken in place where it can be: a buffer written while

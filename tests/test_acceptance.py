@@ -319,6 +319,18 @@ def test_criterion_09_table_round_trip_is_byte_exact(
     )
 
 
+def in_bands(s, thresholds):
+    """Whether one sample sits inside all four consensus bands.  desired and
+    jerk go in as the one-element float buffers _bands_ok overwrites."""
+    gap, desired, v_leader, v_follower, accel, jerk = s
+    out = _bands_ok(
+        gap, np.array([desired], dtype=float), v_leader, v_follower, accel,
+        np.array([jerk], dtype=float), thresholds,
+        out=np.empty(1, dtype=bool), spare=np.empty(1, dtype=bool),
+    )
+    return bool(out[0])
+
+
 def test_criterion_10_metric_property_sweeps(acceptance_log):
     rng = np.random.default_rng(99)
 
@@ -346,8 +358,8 @@ def test_criterion_10_metric_property_sweeps(acceptance_log):
             delta_a=tight.delta_a * rng.uniform(1.0, 3.0),
             delta_jerk=tight.delta_jerk * rng.uniform(1.0, 3.0),
         )
-        if _bands_ok(*sample, tight):
-            assert _bands_ok(*sample, loose)
+        if in_bands(sample, tight):
+            assert in_bands(sample, loose)
 
     # The comfort score is linear in each weight.
     for _ in range(1000):

@@ -11,7 +11,6 @@ import sys
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, astuple, fields, is_dataclass, replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,6 +48,7 @@ from caccsim.metrics import (
     evaluate_run,
 )
 from run_oracle import oracle_run
+from table_oracle import oracle_cells
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -957,12 +957,19 @@ def test_round_trip_keeps_every_build_setting(tiny_table, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_crlf_copy_of_a_saved_table_loads_equal(tiny_table, tmp_path):
-    path = tmp_path / "table.txt"
-    save_table(tiny_table, path)
-    crlf = tmp_path / "crlf.txt"
-    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert load_table(crlf) == tiny_table
+@pytest.mark.parametrize("source", ["tiny", "reference"])
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_crlf_copy_of_a_saved_table_loads_equal(tiny_table, tmp_path, line_end, source):
+    """A copy with other line ends loads through the one cell reader."""
+    if source == "tiny":
+        path = tmp_path / "table.txt"
+        save_table(tiny_table, path)
+    else:
+        path = ROOT / "perfbench" / "reference" / "table.txt"
+    want = load_table(path)
+    copy = tmp_path / "copy.txt"
+    copy.write_bytes(path.read_bytes().replace(b"\n", line_end))
+    assert load_table(copy) == want
 
 
 def test_saved_file_layout(tiny_table, tmp_path):
@@ -1170,6 +1177,27 @@ def drop_lines(n):
         ),
         (shift_token, "line 5: malformed cell line 'cell 0 0 0 0.1 5.0 cell'"),
         (blank_first_cell, "line 5: malformed cell line ''"),
+        # Only save_table's layout loads: tokens joined by single spaces,
+        # indices as str(i) writes them.
+        (
+            edit_line(6, "cell 0 0 1 ", "cell 0\t0 1 "),
+            "line 6: malformed cell line 'cell 0\\t0 1 0.1 5.0'",
+        ),
+        (
+            edit_line(7, "cell 0 1 0 ", "cell 0 1  0 "),
+            "line 7: malformed cell line 'cell 0 1  0 0.1 5.0'",
+        ),
+        (
+            edit_line(8, " 5.0", " 5.0 "),
+            "line 8: malformed cell line 'cell 0 1 1 0.1 5.0 '",
+        ),
+        (edit_line(9, "cell 1 0 0 ", "cell +1 0 0 "), "line 9: bad cell indices"),
+        (edit_line(10, "cell 1 0 1 ", "cell 1 0 01 "), "line 10: bad cell indices"),
+        # A stray carriage return ends a line, as any CR does.
+        (
+            edit_line(11, "cell 1 1 0 ", "cell 1 1\r0 "),
+            "line 13: expected 8 cell lines, found 9",
+        ),
         # Gains outside the candidate sets, checked once every line reads,
         # before the table refuses a pair that is not valid.
         (
@@ -1243,6 +1271,12 @@ def drop_lines(n):
             edit_line(4, " mode=projected ", " mode=sideways "),
             "line 4: unknown mode 'sideways'",
         ),
+        (edit_line(4, " dt=0.01 ", "  dt=0.01 "), "line 4: expected 13 'meta' entries"),
+        (edit_line(2, "axes dr=", "axes\tdr="), "line 2: expected a 'axes' line"),
+        (
+            edit_line(4, " hold=1.0", " hold=1.0\t"),
+            "line 4: expected token hold=..., got 'hold=1.0\\t'",
+        ),
     ],
 )
 def test_load_reports_the_first_fault_by_line(tiny_table, tmp_path, mutate, message):
@@ -1263,24 +1297,6 @@ def test_build_reports_nonmember_gains_as_plain_floats(tiny_table):
     assert str(caught.value) == (
         "stored gains (gamma=5.5, k=0.1) are not candidate members"
     )
-
-
-def no_line_reader(lines, shape):
-    raise AssertionError("the per-line reader ran")
-
-
-def test_saved_tables_take_the_block_reader(tiny_table, tmp_path, monkeypatch):
-    """The reference table and save_table output never reach the per-line
-    reader, so the block reader is what they are read with."""
-    path = tmp_path / "table.txt"
-    save_table(tiny_table, path)
-    reference = ROOT / "perfbench" / "reference" / "table.txt"
-    want = reference.read_bytes()
-    monkeypatch.setattr(gaintable, "_read_cell_lines", no_line_reader)
-    assert load_table(path) == tiny_table
-    again = tmp_path / "again.txt"
-    save_table(load_table(reference), again)
-    assert again.read_bytes() == want
 
 
 @st.composite
@@ -1326,7 +1342,7 @@ def test_cell_index_matches_the_cell_arrays(table):
     assert len(shared) == len(table.distinct_valid_pairs())
 
 
-# Faults and layouts other than save_table's.  Each edits cell line `row`
+# Faults and line ends other than save_table's.  Each edits cell line `row`
 # (0-based, at least 4) of a table file, drawing any choice it makes.
 
 
@@ -1355,7 +1371,9 @@ def append_text(text):
 
 
 def signed_or_padded_index(lines, row, draw):
-    set_token(lines, row, draw(st.integers(1, 3)), draw(st.sampled_from(["+{}", "0{}"])))
+    set_token(
+        lines, row, draw(st.integers(1, 3)), draw(st.sampled_from(["+{}", "0{}", "-{}"]))
+    )
 
 
 def lowercase_nan(lines, row, draw):
@@ -1386,8 +1404,10 @@ LINE_MUTATIONS = {
     "double space": set_separator("  "),
     "tab": set_separator("\t"),
     "trailing space": append_text(" "),
+    "trailing tab": append_text("\t"),
     "crlf": append_text("\r"),
-    "index +1 or 01": signed_or_padded_index,
+    "cr inside a line": set_separator("\r"),
+    "index +1, 01 or -1": signed_or_padded_index,
     "shifted cell token": shifted_cell_token,
     "blank first cell line": lambda lines, row, draw: blank_first_cell(lines),
     "nan": lowercase_nan,
@@ -1397,22 +1417,27 @@ LINE_MUTATIONS = {
 }
 
 
-def read_outcome(path):
-    """The loaded cell arrays as bytes, or the load fault's text."""
+def read_outcome(read, *args):
+    """The flat cell arrays that read returns, as bytes, or its fault's
+    text."""
     try:
-        table = load_table(path)
+        k_cells, gamma_cells = read(*args)
     except TableFormatError as exc:
         return str(exc)
-    return table.k_cells.tobytes(), table.gamma_cells.tobytes()
+    return k_cells.tobytes(), gamma_cells.tobytes()
+
+
+def load_cells(path):
+    table = load_table(path)
+    return table.k_cells, table.gamma_cells
 
 
 @settings(max_examples=300, deadline=None)
 @given(table=random_tables(), data=st.data())
-def test_block_reader_matches_the_per_line_reader(table, data, tmp_path_factory):
-    """load_table gives the same arrays, or the same fault text, as when
-    every block goes to the per-line reader; unmutated save_table output
-    takes the block path."""
-    path = tmp_path_factory.mktemp("block") / "table.txt"
+def test_load_matches_the_per_line_oracle(table, data, tmp_path_factory):
+    """load_table gives the arrays, or the exact fault text, of the
+    line-by-line reference reader in table_oracle."""
+    path = tmp_path_factory.mktemp("oracle") / "table.txt"
     save_table(table, path)
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     names = data.draw(st.lists(st.sampled_from(sorted(LINE_MUTATIONS)), max_size=3))
@@ -1420,9 +1445,4 @@ def test_block_reader_matches_the_per_line_reader(table, data, tmp_path_factory)
         row = data.draw(st.integers(4, len(lines) - 1))
         LINE_MUTATIONS[name](lines, row, data.draw)
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-    got = read_outcome(path)
-    with mock.patch.object(gaintable, "_read_cell_block", lambda body, shape: None):
-        assert got == read_outcome(path)
-    if not names:
-        with mock.patch.object(gaintable, "_read_cell_lines", no_line_reader):
-            assert load_table(path) == table
+    assert read_outcome(load_cells, path) == read_outcome(oracle_cells, path, table)

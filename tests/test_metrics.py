@@ -54,8 +54,15 @@ def sample(gap=GAP_EQ, desired=GAP_EQ, v_leader=V_EQ, v_follower=V_EQ,
 
 
 def in_bands(s, thresholds):
-    """Whether one sample sits inside all four consensus bands."""
-    return bool(_bands_ok(*s, thresholds))
+    """Whether one sample sits inside all four consensus bands.  desired and
+    jerk go in as the one-element float buffers _bands_ok overwrites."""
+    gap, desired, v_leader, v_follower, accel, jerk = s
+    out = _bands_ok(
+        gap, np.array([desired], dtype=float), v_leader, v_follower, accel,
+        np.array([jerk], dtype=float), thresholds,
+        out=np.empty(1, dtype=bool), spare=np.empty(1, dtype=bool),
+    )
+    return bool(out[0])
 
 
 def consensus_time(trajectory, thresholds, hold_window):

@@ -108,9 +108,6 @@ def _stability_report_pair(gains: GainPair, time_gap, comm_delay, sweep) -> bool
     verdict = "stable" if margin.stable else "UNSTABLE"
     print(f"gamma={gains.gamma:g} k={gains.k:g}: max|G|={margin.max_magnitude:.6f} "
           f"at omega={margin.worst_omega:.4g} rad/s -> {verdict}")
-    if margin.skipped_omegas:
-        print(f"  skipped {len(margin.skipped_omegas)} sweep points with "
-              f"non-finite (overflowed) magnitudes")
     return margin.stable
 
 
@@ -161,11 +158,11 @@ def _cmd_inspect_table(args) -> int:
     print(f"tie rule: {TIE_RULE}")
     if args.cell is not None:
         i1, i2, i3 = args.cell
-        if not (0 <= i1 < z1 and 0 <= i2 < z2 and 0 <= i3 < z3):
-            print(f"cell index ({i1}, {i2}, {i3}) outside {z1}x{z2}x{z3}",
-                  file=sys.stderr)
+        try:
+            pair = table.cell(i1, i2, i3)
+        except IndexError as exc:
+            print(exc, file=sys.stderr)
             return 2
-        pair = table.cell(i1, i2, i3)
         coords = (f"dr={table.axes.dr[i1]:g} m, vi={table.axes.vi[i2]:g} m/s, "
                   f"vj={table.axes.vj[i3]:g} m/s")
         if pair.valid:

@@ -5,7 +5,7 @@ stores the gain pair that, in an offline car-following run from that
 operating point, passes the gap-floor check and reaches consensus fastest,
 with comfort score and then lexicographic order breaking ties.  Cells where
 no candidate qualifies store a NaN marker.  Lookup snaps a query to the
-nearest cell per axis and refuses queries outside the grid.
+nearest cell per axis and answers None to queries outside the grid.
 
 The builder runs every candidate of a chunk of cells as columns of one
 batch of the simulation kernel (dynamics.FollowerRuns with the consensus
@@ -24,17 +24,18 @@ reuses, and the scorer judges them in scratch buffers of its own, with no
 2-D accumulate.
 
 Lookup does its scalar work on Python floats.  Each AxisGrid keeps, per
-axis, its first and last values and its cuts: the largest float that snaps
-to each grid value rather than to the next one, found once when the grid is
-built (_cut, where the tie rule is stated) and kept current by making the
-axis arrays read-only.  Each GainTable builds its cell index once, when
-the table is built (_cell_index): nested lists of the shared, frozen
-GainPair of every cell, one module-level marker for every marker cell and
-one pair per distinct stored (k, gamma).  A table's cells are thus fixed
-when it is built.  A query checks the three ranges, stopping at the first
-axis that misses, snaps each axis with one bisect_left over its cuts and
-indexes the cell index.  A query takes about 0.7 us on a 2-CPU VM
-(perfbench's median on grid).
+axis, one tuple of cuts: the largest float that snaps to each grid value
+rather than to the next one, found once when the grid is built (_cut, where
+the tie rule is stated), bounded by the float below the first value and by
+the last value, and kept current by making the axis arrays read-only.  Each
+GainTable builds its cell index once, when the table is built
+(_cell_index): nested lists of the shared, frozen GainPair of every cell,
+one module-level marker for every marker cell and one pair per distinct
+stored (k, gamma), padded with a face of None on every side.  A table's
+cells are thus fixed when it is built.  A query makes no range check: it
+bisects each axis's tuple once and indexes the cell index, where a query
+outside the grid or NaN lands on the None face.  A query takes about
+0.6 us on a 2-CPU VM (perfbench's medians: 0.62 on grid, 0.47 on closing).
 
 Save writes the header lines from _HEADER, which names each line's keys
 and the fields they hold, and load reads them back through it.  Save
@@ -165,9 +166,11 @@ class AxisGrid:
     vj : m/s, leader speed values.
 
     The arrays are read-only copies.  For lookup, each axis is also kept as
-    (first value, last value, cuts) in Python floats (_dr_snap, _vi_snap,
-    _vj_snap), the cuts being the tuple of _cut over neighbouring values.
-    A pickled grid is built again from its arrays, so it stays read-only.
+    one tuple of Python floats (_dr_cuts, _vi_cuts, _vj_cuts): the float
+    below the first value, the cuts (_cut over neighbouring values) and the
+    last value.  A float query bisects to 0 below the first value and to
+    n + 1 above the last, and to 1 + its grid index in between.  A pickled
+    grid is built again from its arrays, so it stays read-only.
     """
 
     dr: np.ndarray
@@ -180,8 +183,9 @@ class AxisGrid:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
             grid = arr.tolist()
-            cuts = tuple(map(_cut, grid, grid[1:]))
-            object.__setattr__(self, f"_{name}_snap", (grid[0], grid[-1], cuts))
+            below = math.nextafter(grid[0], -math.inf)
+            cuts = (below, *map(_cut, grid, grid[1:]), grid[-1])
+            object.__setattr__(self, f"_{name}_cuts", cuts)
 
     def __reduce__(self):
         return AxisGrid, (self.dr, self.vi, self.vj)
@@ -295,10 +299,10 @@ class GainTable:
     cell holds a valid gain pair, both gains positive and finite.
 
     A table's cells are fixed when it is built: __post_init__ builds _cells,
-    the shared GainPair of every cell as nested lists [i1][i2][i3]
-    (_cell_index), which cell and lookup read.  The cell arrays stay
-    writable, but a write to them is not seen by the table; a table built
-    from the written arrays sees it.
+    the shared GainPair of every cell as nested lists [i1 + 1][i2 + 1][i3 + 1]
+    with a face of None on every side (_cell_index), which cell and lookup
+    read.  The cell arrays stay writable, but a write to them is not seen by
+    the table; a table built from the written arrays sees it.
     """
 
     axes: AxisGrid
@@ -333,8 +337,12 @@ class GainTable:
 
     def cell(self, i1: int, i2: int, i3: int) -> GainPair:
         """The cell's shared, frozen gains: _MARKER for a marker cell, else
-        the one pair this table built for its (k, gamma)."""
-        return self._cells[i1][i2][i3]
+        the one pair this table built for its (k, gamma).  An index outside
+        the shape, a negative one too, raises IndexError."""
+        n1, n2, n3 = self.shape
+        if not (0 <= i1 < n1 and 0 <= i2 < n2 and 0 <= i3 < n3):
+            raise IndexError(f"cell index ({i1}, {i2}, {i3}) outside {n1}x{n2}x{n3}")
+        return self._cells[i1 + 1][i2 + 1][i3 + 1]
 
     def distinct_valid_pairs(self) -> list[tuple[float, float]]:
         """Sorted distinct (gamma, k) pairs stored in valid cells."""
@@ -385,8 +393,9 @@ def _field_type(cls, path: str):
 
 
 def _cell_index(k_cells: np.ndarray, gamma_cells: np.ndarray) -> list:
-    """The shared GainPair of every cell as nested lists [i1][i2][i3]:
-    _MARKER on each marker cell and one pair per distinct stored (k, gamma).
+    """The shared GainPair of every cell as nested lists [i1 + 1][i2 + 1]
+    [i3 + 1], padded with a face of None on every side: _MARKER on each
+    marker cell and one pair per distinct stored (k, gamma).
 
     The cells are checked on the arrays first: a cell that is not a marker
     must hold a valid pair, and the fault names its indices and field.  Each
@@ -415,7 +424,8 @@ def _cell_index(k_cells: np.ndarray, gamma_cells: np.ndarray) -> list:
         else GainPair(k=ks[code // n_gamma], gamma=gammas[code % n_gamma])
         for code in codes.tolist()
     ]
-    return pairs[cell_code].reshape(k_cells.shape).tolist()
+    cells = pairs[cell_code].reshape(k_cells.shape)
+    return np.pad(cells, 1, constant_values=None).tolist()
 
 
 class _CellScorer:
@@ -643,26 +653,18 @@ def lookup(table: GainTable, dr: float, vi: float, vj: float) -> GainPair | None
     """Gain pair of the nearest cell, or None when any axis is out of range.
 
     A returned pair may be the invalid marker; callers engage the fallback
-    controller on either None or an invalid pair.  Each query checks the
-    range of each axis (false for NaN), returning at the first that misses,
-    snaps each axis to the number of its cuts below the query with one
-    bisect_left (see _cut for the tie rule) and indexes the table's cell
-    index with the three, about 0.7 us.  The pair returned is shared (see
-    GainTable.cell) and frozen.
+    controller on either None or an invalid pair.  There are no range
+    checks: each axis bisects its AxisGrid cut tuple once (see _cut for the
+    tie rule), and a query below the first value, NaN or -inf lands on the
+    None face of the padded cell index, as does one above the last value or
+    +inf.  About 0.6 us a query.  The queries are floats: an int past 2**53
+    that lies between the first value and the float below it bisects into
+    the grid.  The pair returned is shared (see GainTable.cell) and frozen.
     """
     axes = table.axes
-    lo, hi, dr_cuts = axes._dr_snap
-    if not lo <= dr <= hi:
-        return None
-    lo, hi, vi_cuts = axes._vi_snap
-    if not lo <= vi <= hi:
-        return None
-    lo, hi, vj_cuts = axes._vj_snap
-    if not lo <= vj <= hi:
-        return None
-    return table._cells[bisect_left(dr_cuts, dr)][bisect_left(vi_cuts, vi)][
-        bisect_left(vj_cuts, vj)
-    ]
+    return table._cells[bisect_left(axes._dr_cuts, dr)][
+        bisect_left(axes._vi_cuts, vi)
+    ][bisect_left(axes._vj_cuts, vj)]
 
 
 def _fmt(value: float) -> str:

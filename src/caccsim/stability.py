@@ -8,7 +8,7 @@ gain pair is string stable when the magnitude never exceeds one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def transfer_magnitude(
     if not gains.valid:
         raise ValueError("invalid gain pair")
     s = 1j * np.asarray(omega, dtype=float)
-    # Huge gains overflow to a non-finite magnitude; the sweep skips those.
+    # Huge gains overflow to a non-finite magnitude, which is not stable.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         numerator = (
             gains.k
@@ -81,17 +81,11 @@ def transfer_magnitude(
 
 @dataclass
 class StabilityMargin:
-    """Result of a string-stability sweep.
-
-    skipped_omegas lists the sweep points whose magnitude came out
-    non-finite: a valid pair's denominator has no zero at omega > 0, so
-    these are points where the magnitude overflowed (huge k or gamma).
-    """
+    """Result of a string-stability sweep."""
 
     max_magnitude: float
     worst_omega: float
     stable: bool
-    skipped_omegas: list = field(default_factory=list)
 
 
 def string_stability_margin(
@@ -102,23 +96,16 @@ def string_stability_margin(
 ) -> StabilityMargin:
     """Sweep the transfer magnitude; stable when it never exceeds one.
 
-    Sweep points whose magnitude is not finite (it overflowed) are skipped
-    and reported in skipped_omegas.
+    A magnitude that overflowed (huge k or gamma) counts like any other:
+    NaN is taken as the peak and fails the bound, as inf does.
     """
     sweep = sweep or FrequencySweep()
     omegas = sweep.omegas()
     magnitudes = transfer_magnitude(omegas, gains, time_gap, comm_delay)
-    finite = np.isfinite(magnitudes)
-    skipped = [float(w) for w in omegas[~finite]]
-    if not finite.any():
-        raise ValueError("every sweep point gave a non-finite (overflowed) magnitude")
-    magnitudes = magnitudes[finite]
-    omegas = omegas[finite]
     worst = int(np.argmax(magnitudes))
     max_magnitude = float(magnitudes[worst])
     return StabilityMargin(
         max_magnitude=max_magnitude,
         worst_omega=float(omegas[worst]),
         stable=max_magnitude <= 1.0,
-        skipped_omegas=skipped,
     )

@@ -283,20 +283,18 @@ def test_stability_unstable_pair(capsys):
     assert "UNSTABLE" in out
 
 
-def test_stability_reports_overflowed_sweep_points(capsys):
-    """gamma = 1e307 overflows the magnitude at the 60 highest sweep
-    points; they are skipped as overflowed, not as denominator zeros, and
-    the rest peak at k, so the pair reads stable.  The skip line is all
-    that is reported: no numpy warning."""
+def test_stability_overflowed_pair_reads_unstable(capsys):
+    """gamma = 1e307 overflows the magnitude at the highest sweep points.
+    An overflowed point counts like any other, so the pair reads UNSTABLE;
+    no point is skipped and no numpy warning is raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(["stability", "--gamma", "1e307", "--k", "0.1"])
     assert caught == []
     out = capsys.readouterr().out
-    assert rc == 0
-    assert "max|G|=0.100000" in out and "-> stable" in out
-    assert "skipped 60 sweep points with non-finite (overflowed) magnitudes" in out
-    assert "denominator" not in out
+    assert rc == 1
+    assert "-> UNSTABLE" in out
+    assert "skipped" not in out and "denominator" not in out
 
 
 def test_stability_table_mode(cli_env, capsys):

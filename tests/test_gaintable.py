@@ -632,7 +632,9 @@ def test_gain_table_refuses_an_invalid_cell_naming_it(
 
 def test_snap_takes_the_nearer_value_with_ties_to_the_smaller():
     grid = [10.0, 20.0, 40.0]
-    assert AxisGrid(dr=grid, vi=[0.0], vj=[0.0])._dr_snap == (10.0, 40.0, (15.0, 30.0))
+    assert AxisGrid(dr=grid, vi=[0.0], vj=[0.0])._dr_cuts == (
+        math.nextafter(10.0, -math.inf), 15.0, 30.0, 40.0
+    )
     assert snap(grid, 10.0) == 0
     assert snap(grid, 40.0) == 2
     assert snap(grid, 14.9) == 0
@@ -679,11 +681,12 @@ def snap(grid, query):
     return None if pair is None else int(pair.k) - 1
 
 
-def axis_snap(snap_triple, query):
-    """One axis of lookup: None outside [first, last] or NaN, else the number
-    of cuts below the query."""
-    first, last, cuts = snap_triple
-    return bisect_left(cuts, query) if first <= query <= last else None
+def axis_snap(cuts, query):
+    """One axis of lookup: None when the query bisects the axis's cut tuple
+    to either end (outside [first, last], or NaN), else the grid index, one
+    less than the place it bisects to."""
+    i = bisect_left(cuts, query)
+    return i - 1 if 0 < i < len(cuts) else None
 
 
 def scan(grid, query):
@@ -709,6 +712,11 @@ ascending_grids = st.lists(
 def axis_queries(grid):
     lo, hi = grid[0], grid[-1]
     mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])] or grid
+    # Lookup takes floats: past 2**53 an int is drawn as the float it rounds
+    # to, since the scan's subtractions would round it and the bisection not.
+    ints = st.integers(math.floor(lo) - 2, math.ceil(hi) + 2)
+    if not -(2**53) <= lo <= hi <= 2**53:
+        ints = ints.map(float)
     return st.one_of(
         st.sampled_from(grid),
         st.sampled_from(mids),
@@ -716,50 +724,9 @@ def axis_queries(grid):
             0.0, -0.0, math.inf, -math.inf, math.nan,
             math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
         ]),
-        st.integers(math.floor(lo) - 2, math.ceil(hi) + 2),
+        ints,
         st.floats(lo - 10, hi + 10),
     )
-
-
-SHIPPED_AXES = load_axes(ROOT / "configs" / "axes_default.ini")
-SHIPPED_TABLE = index_table(
-    SHIPPED_AXES, markers=range(0, int(np.prod(SHIPPED_AXES.shape)), 5)
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_lookup_matches_a_full_scan(data):
-    """On the shipped axes and on random ones: grid values, midpoints,
-    signed zeros, infinities, NaN, ints and one ulp outside either end.  Both
-    kinds of table hold marker cells.  The expected gains are a GainPair
-    built here from the two floats in the nearest cell, so the oracle shares
-    nothing with GainTable.cell."""
-    if data.draw(st.booleans(), label="shipped axes"):
-        table = SHIPPED_TABLE
-    else:
-        axes = AxisGrid(*(data.draw(ascending_grids) for _ in range(3)))
-        n = int(np.prod(axes.shape))
-        markers = data.draw(st.sets(st.integers(0, n - 1)), label="marker cells")
-        table = index_table(axes, markers)
-    axes = table.axes
-    grids = (axes.dr.tolist(), axes.vi.tolist(), axes.vj.tolist())
-    query = [data.draw(axis_queries(grid)) for grid in grids]
-    expected = [scan(grid, q) for grid, q in zip(grids, query)]
-    snaps = (axes._dr_snap, axes._vi_snap, axes._vj_snap)
-    for snap_triple, q, want in zip(snaps, query, expected):
-        assert axis_snap(snap_triple, q) == want
-    got = lookup(table, *query)
-    if None in expected:
-        assert got is None
-    else:
-        k = table.k_cells.item(*expected)
-        gamma = table.gamma_cells.item(*expected)
-        if math.isnan(k):
-            assert got is not None and not got.valid
-            assert math.isnan(got.k) and math.isnan(got.gamma)
-        else:
-            assert got == GainPair(k=k, gamma=gamma)
 
 
 # Floats of every scale: subnormals, the largest finite values, both signs.
@@ -777,13 +744,58 @@ symmetric_grids = any_scale_grids.map(
 )
 
 
+SHIPPED_AXES = load_axes(ROOT / "configs" / "axes_default.ini")
+SHIPPED_TABLE = index_table(
+    SHIPPED_AXES, markers=range(0, int(np.prod(SHIPPED_AXES.shape)), 5)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_lookup_matches_a_full_scan(data):
+    """On the shipped axes and on random ones, of moderate values or of
+    every scale (where the float below -max is -inf): grid values,
+    midpoints, signed zeros, infinities, NaN, ints and one ulp outside
+    either end.  Both kinds of table hold marker cells.  The expected gains
+    are a GainPair built here from the two floats in the nearest cell, so
+    the oracle shares nothing with GainTable.cell."""
+    if data.draw(st.booleans(), label="shipped axes"):
+        table = SHIPPED_TABLE
+    else:
+        grids = st.one_of(ascending_grids, any_scale_grids, symmetric_grids)
+        axes = AxisGrid(*(data.draw(grids) for _ in range(3)))
+        n = int(np.prod(axes.shape))
+        markers = data.draw(st.sets(st.integers(0, n - 1)), label="marker cells")
+        table = index_table(axes, markers)
+    axes = table.axes
+    grids = (axes.dr.tolist(), axes.vi.tolist(), axes.vj.tolist())
+    query = [data.draw(axis_queries(grid)) for grid in grids]
+    expected = [scan(grid, q) for grid, q in zip(grids, query)]
+    cut_tuples = (axes._dr_cuts, axes._vi_cuts, axes._vj_cuts)
+    for cuts, q, want in zip(cut_tuples, query, expected):
+        assert axis_snap(cuts, q) == want
+    got = lookup(table, *query)
+    if None in expected:
+        assert got is None
+    else:
+        k = table.k_cells.item(*expected)
+        gamma = table.gamma_cells.item(*expected)
+        if math.isnan(k):
+            assert got is not None and not got.valid
+            assert math.isnan(got.k) and math.isnan(got.gamma)
+        else:
+            assert got == GainPair(k=k, gamma=gamma)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(any_scale_grids, symmetric_grids))
 def test_cuts_snap_down_and_the_next_float_snaps_up(grid):
-    """Each cut lies in [grid[j], grid[j+1]); the scan oracle snaps it to
-    grid[j] and the next float up to grid[j+1], and so does lookup."""
-    first, last, cuts = AxisGrid(dr=grid, vi=[0.0], vj=[0.0])._dr_snap
-    assert (first, last) == (grid[0], grid[-1])
+    """The tuple runs from the float below the first value to the last
+    value.  Each cut between lies in [grid[j], grid[j+1]); the scan oracle
+    snaps it to grid[j] and the next float up to grid[j+1], and so does
+    lookup."""
+    below, *cuts, last = AxisGrid(dr=grid, vi=[0.0], vj=[0.0])._dr_cuts
+    assert (below, last) == (math.nextafter(grid[0], -math.inf), grid[-1])
     assert len(cuts) == len(grid) - 1
     for j, cut in enumerate(cuts):
         above = math.nextafter(cut, math.inf)
@@ -794,7 +806,7 @@ def test_cuts_snap_down_and_the_next_float_snaps_up(grid):
 
 def test_cut_far_from_the_midpoint():
     """Around a midpoint near 0 the cut can lie nearly 2^62 floats away from it."""
-    assert AxisGrid(dr=[-1.0, 1.0], vi=[0.0], vj=[0.0])._dr_snap[2] == (2.0**-54,)
+    assert AxisGrid(dr=[-1.0, 1.0], vi=[0.0], vj=[0.0])._dr_cuts[1:-1] == (2.0**-54,)
     assert snap([-1.0, 1.0], 2.0**-54) == 0
     assert snap([-1.0, 1.0], math.nextafter(2.0**-54, 1.0)) == 1
 
@@ -804,14 +816,28 @@ def test_pickled_axis_grid_answers_lookups_the_same():
     axes = AxisGrid(dr=[-1.0, 1.0, 2.5], vi=[0.0, 3.0], vj=[1e-310, 7.0, 9.0])
     copy = pickle.loads(pickle.dumps(axes))
     assert copy == axes
-    assert (copy._dr_snap, copy._vi_snap, copy._vj_snap) == (
-        axes._dr_snap, axes._vi_snap, axes._vj_snap
+    assert (copy._dr_cuts, copy._vi_cuts, copy._vj_cuts) == (
+        axes._dr_cuts, axes._vi_cuts, axes._vj_cuts
     )
     assert not copy.dr.flags.writeable
     table, copied = index_table(axes, markers={1}), index_table(copy, markers={1})
     rng = np.random.default_rng(3)
     for query in rng.uniform([-1.5, -0.5, -1.0], [3.0, 3.5, 10.0], size=(500, 3)).tolist():
         assert lookup(copied, *query) == lookup(table, *query)
+
+
+@pytest.mark.parametrize(
+    "index",
+    [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (-3, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 3)],
+)
+def test_cell_outside_the_shape_raises_index_error(index):
+    """The cell index lookup reads is padded with None all round; cell reads
+    only the cells inside the shape and wraps no negative index."""
+    table = index_table(AxisGrid(dr=[0.0, 1.0], vi=[2.0], vj=[3.0, 4.0, 5.0]))
+    for flat, inside in enumerate(np.ndindex(table.shape)):
+        assert table.cell(*inside) == GainPair(k=flat + 1.0, gamma=1.0)
+    with pytest.raises(IndexError, match=r"outside 2x1x3$"):
+        table.cell(*index)
 
 
 def test_lookup_exact_and_nearest(tiny_table):

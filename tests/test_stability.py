@@ -109,7 +109,15 @@ def test_margin_reports_sweep_maximum():
     magnitudes = transfer_magnitude(sweep.omegas(), gains)
     assert margin.max_magnitude == float(np.max(magnitudes))
     assert margin.worst_omega == float(sweep.omegas()[int(np.argmax(magnitudes))])
-    assert margin.skipped_omegas == []
+
+
+def test_overflowing_pair_is_not_stable():
+    """k = gamma = 1e308 overflows the magnitude to NaN at some sweep points;
+    an overflowed point counts like any other and the pair is not stable."""
+    gains = GainPair(k=1e308, gamma=1e308)
+    assert not np.isfinite(transfer_magnitude(FrequencySweep().omegas(), gains)).all()
+    margin = string_stability_margin(gains)
+    assert not margin.stable
 
 
 def test_excessive_static_gain_is_unstable():

@@ -85,14 +85,9 @@ def _cmd_suite(args) -> int:
     cfg = load_build_config(args.config)
     table = load_table(args.table)
     baselines = load_baselines(args.baselines)
-    result = run_suite(table, cfg, baselines)
-
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for (sid, kind), trajectory in sorted(result.trajectories.items()):
-        write_trajectory_csv(
-            out_dir / f"{sid}_{kind}.csv", trajectory, cfg.thresholds
-        )
+    result = run_suite(table, cfg, baselines, out_dir)
     write_comparison_csv(out_dir / "comparison.csv", result.reports)
     summary = format_suite_summary(result)
     (out_dir / "summary.txt").write_text(summary, encoding="utf-8", newline="\n")

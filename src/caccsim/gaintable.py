@@ -90,7 +90,9 @@ TIE_RULE = "min convergence time, then min comfort score, then smallest (gamma, 
 _BLOCK_STEPS = 256
 
 # Cells per batch, and per task of a parallel build.  Results do not depend
-# on it.
+# on it.  It stays at 48 although 192 builds 15-21 % faster: a worker's
+# buffers grow with the chunk (41 -> 65 MB peak RSS at 192 cells), and
+# perfbench's peak_rss_mb counts workers.
 _CELL_CHUNK = 48
 
 # What GainTable.cell returns for every marker cell.  GainPair is frozen.

@@ -5,8 +5,8 @@ initial gap and speed pair.  The follower's control law is chosen once at
 the start: scheduled gains from a table lookup (with a linear feedback
 fallback on a miss), a static consensus GainPair, or linear feedback with
 its own LinearFeedbackGains.  The suite runs four benchmark operating
-points against all three controllers and reports convergence, comfort,
-and safety side by side.
+points against all three controllers, writes each run's trajectory CSV
+when the run ends and returns none, and reports the runs side by side.
 
 A scenario runs on the table build's simulation kernel as a batch of one
 column through dynamics.simulate_pair, which the build's comfort tie
@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -85,10 +86,12 @@ class ScenarioConfig:
     gains: GainPair | LinearFeedbackGains | None = None
 
     def __post_init__(self) -> None:
+        # Stored as floats, so lookup sees the point the kernel integrates.
         for name in ("dr0", "vi0", "vj0", "duration"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            setattr(self, name, float(value))
         if not self.duration > 0:
             raise ValueError("duration must be positive")
         if self.vi0 < 0 or self.vj0 < 0:
@@ -137,10 +140,10 @@ class RunReport:
 
 @dataclass
 class SuiteResult:
-    """All suite runs plus the convergence-time ordering verdicts."""
+    """All suite run reports plus the convergence-time ordering verdicts;
+    no trajectory (run_suite writes each one when its run ends)."""
 
     reports: list[RunReport]
-    trajectories: dict
     lookup_beats_fixed: dict
     all_scenarios_beat_fixed: bool
 
@@ -201,13 +204,15 @@ def run_suite(
     table: GainTable,
     cfg: BuildConfig,
     baselines: BaselineConfig | None = None,
+    out_dir=None,
 ) -> SuiteResult:
     """Benchmark all three controllers on the four benchmark points, each
-    run lasting cfg.t_max."""
+    run lasting cfg.t_max.  Each run's trajectory is written to out_dir (if
+    given) as {sid}_{kind}.csv when the run ends and then dropped, so one is
+    held at a time; none is returned."""
     baselines = baselines or BaselineConfig()
     gains = {"fixed_consensus": baselines.fixed, "linear_feedback": baselines.linear}
     reports: list[RunReport] = []
-    trajectories: dict = {}
     times: dict = {}
 
     for sid, dr0, vi0, vj0 in BENCHMARK_POINTS:
@@ -224,8 +229,11 @@ def run_suite(
             report, trajectory = run_scenario(
                 scenario, cfg, table=table, fallback_gains=baselines.linear
             )
+            if out_dir is not None:
+                csv_path = Path(out_dir, f"{sid}_{kind}.csv")
+                write_trajectory_csv(csv_path, trajectory, cfg.thresholds)
+            del trajectory
             reports.append(report)
-            trajectories[(sid, kind)] = trajectory
             times[(sid, kind)] = report.metrics.t_consensus
 
     lookup_beats_fixed = {
@@ -234,7 +242,6 @@ def run_suite(
     }
     return SuiteResult(
         reports=reports,
-        trajectories=trajectories,
         lookup_beats_fixed=lookup_beats_fixed,
         all_scenarios_beat_fixed=all(lookup_beats_fixed.values()),
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,13 @@ from caccsim.controllers import (
     consensus_command,
 )
 from caccsim.dynamics import FollowerRuns
-from caccsim.gaintable import _BLOCK_STEPS, BuildConfig
+from caccsim.gaintable import (
+    _BLOCK_STEPS,
+    AxisGrid,
+    BuildConfig,
+    CandidateSets,
+    GainTable,
+)
 from caccsim.harness import (
     _CSV_CHUNK,
     BENCHMARK_POINTS,
@@ -261,8 +268,14 @@ def test_linear_feedback_scenario_runs_its_own_gains(tiny_cfg):
     assert not np.array_equal(with_gains.v_follower, with_default.v_follower)
 
 
-def test_run_suite_structure(tiny_table, tiny_cfg):
-    result = run_suite(tiny_table, replace(tiny_cfg, t_max=30.0))
+def test_run_suite_structure(tiny_table, tiny_cfg, tmp_path, monkeypatch):
+    """The suite writes each run's trajectory CSV to out_dir, byte for byte
+    what run_scenario then write_trajectory_csv give for that scenario; with
+    no out_dir it writes nothing and reports the same."""
+    cfg = replace(tiny_cfg, t_max=30.0)
+    out_dir = tmp_path / "suite"
+    out_dir.mkdir()
+    result = run_suite(tiny_table, cfg, out_dir=out_dir)
     assert len(result.reports) == 12
     expected_keys = [
         (sid, kind)
@@ -270,13 +283,86 @@ def test_run_suite_structure(tiny_table, tiny_cfg):
         for kind in CONTROLLER_KINDS
     ]
     assert [(r.scenario_id, r.controller) for r in result.reports] == expected_keys
-    assert sorted(result.trajectories.keys()) == sorted(expected_keys)
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        f"{sid}_{kind}.csv" for sid, kind in expected_keys
+    )
+    baselines = BaselineConfig()
+    gains = {"fixed_consensus": baselines.fixed, "linear_feedback": baselines.linear}
+    for sid, dr0, vi0, vj0 in BENCHMARK_POINTS:
+        for kind in CONTROLLER_KINDS:
+            scenario = ScenarioConfig(
+                sid, dr0, vi0, vj0, duration=cfg.t_max, controller=kind,
+                gains=gains.get(kind),
+            )
+            _, trajectory = run_scenario(
+                scenario, cfg, tiny_table, fallback_gains=baselines.linear
+            )
+            expected = tmp_path / "expected.csv"
+            write_trajectory_csv(expected, trajectory, cfg.thresholds)
+            written = out_dir / f"{sid}_{kind}.csv"
+            assert written.read_bytes() == expected.read_bytes(), (sid, kind)
     assert sorted(result.lookup_beats_fixed.keys()) == [
         "scenario1", "scenario2", "scenario3", "scenario4",
     ]
     assert result.all_scenarios_beat_fixed == all(
         result.lookup_beats_fixed.values()
     )
+
+    bare_dir = tmp_path / "bare"
+    bare_dir.mkdir()
+    monkeypatch.chdir(bare_dir)
+    monkeypatch.setattr(
+        "caccsim.harness.write_trajectory_csv",
+        lambda *args: pytest.fail("a trajectory was written without out_dir"),
+    )
+    bare = run_suite(tiny_table, cfg)
+    assert list(bare_dir.iterdir()) == []
+    # repr, since min_gap is NaN when the floor never armed.
+    assert repr(bare) == repr(result)
+
+
+def test_run_suite_holds_one_trajectory_at_a_time(tiny_table, tiny_cfg, tmp_path):
+    """run_suite drops each trajectory once it is written: its traced peak
+    stays under three runs' trajectories, and it holds almost nothing once it
+    returns.  Holding all twelve, it peaks above thirteen and holds twelve;
+    holding the last run's while the next one runs, it peaks at about 3.5."""
+    # Long enough that one trajectory outweighs the writer's per-chunk strings.
+    cfg = replace(tiny_cfg, t_max=150.0)
+    sid, dr0, vi0, vj0 = BENCHMARK_POINTS[0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run = run_scenario(ScenarioConfig(sid, dr0, vi0, vj0, cfg.t_max), cfg, tiny_table)
+        one = tracemalloc.get_traced_memory()[0] - base
+        del run
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run_suite(tiny_table, cfg, out_dir=tmp_path)
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(result.reports) == len(list(tmp_path.glob("*.csv"))) == 12
+    assert peak < 3 * one
+    assert held < 0.05 * one
+
+
+def test_int_operating_point_is_looked_up_as_the_float_the_kernel_runs(tiny_cfg):
+    """An int dr0 past 2**53 is stored as the float the kernel starts from:
+    2**60 - 100 rounds to 2**60 - 128, below the first dr value, so lookup
+    misses and the fallback engages (the int itself bisects into the grid)."""
+    table = GainTable(
+        axes=AxisGrid(dr=[2.0**60, 2.0**61], vi=[10.0], vj=[10.0]),
+        candidates=CandidateSets(gammas=[2.0], ks=[0.1]),
+        config=tiny_cfg,
+        k_cells=[0.1, 0.1],
+        gamma_cells=[2.0, 2.0],
+    )
+    scenario = ScenarioConfig("far", 2**60 - 100, 10, 10, duration=1.0)
+    report, _ = run_scenario(scenario, tiny_cfg, table)
+    assert report.fallback_engaged
+    assert report.gains is None
+    assert (scenario.dr0, scenario.vi0, scenario.vj0) == (2.0**60 - 128, 10.0, 10.0)
+    assert all(type(v) is float for v in (scenario.dr0, scenario.vi0, scenario.vj0))
 
 
 def test_trajectory_csv_layout(tiny_cfg, tmp_path):

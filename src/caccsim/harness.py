@@ -35,13 +35,7 @@ from .controllers import (
 )
 from .dynamics import simulate_pair
 from .gaintable import BuildConfig, GainTable, lookup
-from .metrics import (
-    RunMetrics,
-    Trajectory,
-    consensus_flags,
-    evaluate_run,
-    jerk_series,
-)
+from .metrics import RunMetrics, Trajectory, _bands_ok, evaluate_run, jerk_series
 
 __all__ = [
     "ScenarioConfig",
@@ -266,33 +260,42 @@ def _csv_floats(chunk: np.ndarray):
 
 
 def write_trajectory_csv(path, trajectory: Trajectory, thresholds) -> None:
-    """Per-step run record as CSV with LF endings.
+    """Per-step run record as CSV with LF endings, one row per sample.
 
     Columns: t, r_i, v_i, a_i, jerk_i, r_j, v_j, gap, gap_error,
     consensus_flag.  gap is the delayed-leader gap; gap_error subtracts the
-    target spacing; consensus_flag is the per-sample band flag.
+    target spacing; consensus_flag is the per-sample band flag.  The jerk
+    and the target spacing are computed once per run; the band flags of a
+    chunk overwrite that chunk of both once it is formatted.
     """
-    if trajectory.t is None or trajectory.r_follower is None:
-        raise ValueError("trajectory lacks the reporting series")
-    series = (
+    jerk, target = jerk_series(trajectory), trajectory.desired_gaps()
+    gap = trajectory.gap
+    columns = (
         trajectory.t,
         trajectory.r_follower,
         trajectory.v_follower,
         trajectory.a_follower,
-        jerk_series(trajectory),
+        jerk,
         trajectory.r_leader,
         trajectory.v_leader,
-        trajectory.gap,
-        trajectory.gap - trajectory.desired_gaps(),
+        gap,
     )
-    columns = [np.asarray(s, dtype=float) for s in series]
-    flags = consensus_flags(trajectory, thresholds)
+    flags, spare = np.empty(_CSV_CHUNK, dtype=bool), np.empty(_CSV_CHUNK, dtype=bool)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,r_i,v_i,a_i,jerk_i,r_j,v_j,gap,gap_error,consensus_flag\n")
-        for start in range(0, len(flags), _CSV_CHUNK):
-            rows = slice(start, start + _CSV_CHUNK)
+        n = len(trajectory)
+        for start in range(0, n, _CSV_CHUNK):
+            rows, size = slice(start, start + _CSV_CHUNK), min(_CSV_CHUNK, n - start)
             fields = [_csv_floats(column[rows]) for column in columns]
-            fields.append(map(_CSV_FLAG.__getitem__, flags[rows].tolist()))
+            fields.append(_csv_floats(gap[rows] - target[rows]))
+            # _csv_floats reads its chunk when called, so the bands may now
+            # overwrite this chunk of jerk and target.
+            ok = _bands_ok(
+                gap[rows], target[rows], trajectory.v_leader_delayed[rows],
+                trajectory.v_follower[rows], trajectory.a_follower[rows],
+                jerk[rows], thresholds, out=flags[:size], spare=spare[:size],
+            )
+            fields.append(map(_CSV_FLAG.__getitem__, ok.tolist()))
             fh.write("".join(map(",".join, zip(*fields))))
 
 

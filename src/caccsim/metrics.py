@@ -1,5 +1,8 @@
 """Run evaluation: consensus detection, safety, and comfort scoring.
 
+A run's record is a Trajectory, whose eight series are all required and
+checked once, when it is built; every reader takes its arrays as they are.
+
 A run is judged on four simultaneous bands (gap, speed, acceleration, jerk),
 declared converged at the earliest time the bands hold throughout a
 persistence window, and scored for comfort from acceleration and jerk
@@ -30,7 +33,6 @@ __all__ = [
     "Trajectory",
     "RunMetrics",
     "jerk_series",
-    "consensus_flags",
     "omega_score",
     "evaluate_run",
 ]
@@ -90,14 +92,19 @@ class ComfortWeights:
                 raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step series of one car-following run.
+    """Record of one car-following run on a fixed time step.
 
-    gap is the delayed-leader gap: leader position as observed through the
-    communication delay minus follower position.  Optional series (t,
-    positions, raw leader speed) are carried for reporting but not needed
-    for evaluation.
+    t is the sample time; r_ and v_ are the positions and speeds of the
+    follower and the leader, a_follower the follower's acceleration.  gap
+    is the delayed-leader gap: leader position as seen through the
+    communication delay minus follower position; v_leader_delayed is the
+    leader speed seen the same way.  Every field is required: each series
+    is stored as a 1-D float array, all eight of one length of at least two
+    samples, and the scalars are finite with dt positive.  Anything else is
+    refused here with a ValueError that names the field.  The record is
+    frozen, so no field is swapped for one the checks have not seen.
     """
 
     dt: float
@@ -108,20 +115,32 @@ class Trajectory:
     a_follower: np.ndarray
     gap: np.ndarray
     v_leader_delayed: np.ndarray
-    t: np.ndarray | None = None
-    r_follower: np.ndarray | None = None
-    r_leader: np.ndarray | None = None
-    v_leader: np.ndarray | None = None
+    t: np.ndarray
+    r_follower: np.ndarray
+    r_leader: np.ndarray
+    v_leader: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("dt", "leader_length", "time_gap", "comm_delay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         n = len(self.v_follower)
         if n < 2:
             raise ValueError("trajectory needs at least two samples")
-        for name in ("a_follower", "gap", "v_leader_delayed"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"series length mismatch on {name}")
+        for name in (
+            "v_follower", "a_follower", "gap", "v_leader_delayed",
+            "t", "r_follower", "r_leader", "v_leader",
+        ):
+            series = np.asarray(getattr(self, name), dtype=float)
+            if series.shape != (n,):
+                raise ValueError(
+                    f"{name} must be 1-D with the {n} samples of v_follower, "
+                    f"got shape {series.shape}"
+                )
+            object.__setattr__(self, name, series)
 
     def __len__(self) -> int:
         return len(self.v_follower)
@@ -158,7 +177,7 @@ class RunMetrics:
 
 def jerk_series(trajectory: Trajectory) -> np.ndarray:
     """Backward-difference jerk per sample (m/s^3); first sample is zero."""
-    a = np.asarray(trajectory.a_follower, dtype=float)
+    a = trajectory.a_follower
     jerk = np.empty_like(a)
     jerk[0] = 0.0
     jerk[1:] = (a[1:] - a[:-1]) / trajectory.dt
@@ -204,25 +223,6 @@ def _bands_ok(
     np.less_equal(work, thresholds.delta_a, out=spare)
     out &= spare
     return out
-
-
-def consensus_flags(
-    trajectory: Trajectory, thresholds: ConsensusThresholds
-) -> np.ndarray:
-    """Per-sample consensus band flags for a whole run."""
-    n = len(trajectory)
-    # The desired gaps and the jerk are made here, so they serve as buffers.
-    return _bands_ok(
-        trajectory.gap,
-        trajectory.desired_gaps(),
-        trajectory.v_leader_delayed,
-        trajectory.v_follower,
-        trajectory.a_follower,
-        jerk_series(trajectory),
-        thresholds,
-        out=np.empty(n, dtype=bool),
-        spare=np.empty(n, dtype=bool),
-    )
 
 
 def omega_score(metrics: RunMetrics, weights: ComfortWeights) -> float:
@@ -395,13 +395,8 @@ def evaluate_run(
     ONSET_EXCLUDED_SAMPLES samples.
     """
     n = len(trajectory)
-    v, a, gap, v_leader = (
-        np.asarray(series, dtype=float)
-        for series in (
-            trajectory.v_follower, trajectory.a_follower, trajectory.gap,
-            trajectory.v_leader_delayed,
-        )
-    )
+    v, a, gap = trajectory.v_follower, trajectory.a_follower, trajectory.gap
+    v_leader = trajectory.v_leader_delayed
     scorer = _RunScorer(trajectory, v_leader[:, None], n, thresholds, mode, hold_window)
     scorer.score(v[:, None], a[:, None], gap[:, None])
     hold, arm = int(scorer.first_hold[0]), int(scorer.arm_row[0])

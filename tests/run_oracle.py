@@ -9,7 +9,9 @@ mask.
 
 oracle_trajectory_csv is the row-template form of the trajectory CSV, the
 reference that the column-wise writer in caccsim.harness is pinned to byte
-for byte.
+for byte.  Both take the band flags of the whole run from band_flags.
+
+make_trajectory is the one place the tests build a Trajectory by hand.
 """
 
 from __future__ import annotations
@@ -22,10 +24,48 @@ from caccsim.metrics import (
     ONSET_EXCLUDED_SAMPLES,
     RunMetrics,
     SafetyMode,
-    consensus_flags,
+    Trajectory,
+    _bands_ok,
     jerk_series,
     omega_score,
 )
+
+
+def make_trajectory(
+    v_follower, a_follower, gap, v_leader_delayed, *,
+    dt=0.01, leader_length=5.0, time_gap=0.7, comm_delay=0.06, **reporting,
+) -> Trajectory:
+    """A Trajectory of the given series.  Any of t, r_follower, r_leader and
+    v_leader not given is filled in from them: t from dt, the follower's
+    position by explicit Euler from the origin, the leader's as the
+    follower's plus the gap, and the leader speed as the delayed one."""
+    t = np.arange(len(v_follower)) * dt
+    r_follower = dt * np.concatenate(([0.0], np.cumsum(v_follower)[:-1]))
+    series = {
+        "t": t, "r_follower": r_follower, "r_leader": r_follower + gap,
+        "v_leader": v_leader_delayed, **reporting,
+    }
+    return Trajectory(
+        dt=dt, leader_length=leader_length, time_gap=time_gap,
+        comm_delay=comm_delay, v_follower=v_follower, a_follower=a_follower,
+        gap=gap, v_leader_delayed=v_leader_delayed, **series,
+    )
+
+
+def band_flags(trajectory, thresholds) -> np.ndarray:
+    """Per-sample consensus band flags of a whole run, in buffers made here."""
+    n = len(trajectory)
+    return _bands_ok(
+        trajectory.gap,
+        trajectory.desired_gaps(),
+        trajectory.v_leader_delayed,
+        trajectory.v_follower,
+        trajectory.a_follower,
+        jerk_series(trajectory),
+        thresholds,
+        out=np.empty(n, dtype=bool),
+        spare=np.empty(n, dtype=bool),
+    )
 
 
 def first_sustained_index(flags: np.ndarray, window_samples: int) -> int:
@@ -63,14 +103,14 @@ def safety_from_gap(gap, leader_length: float, mode: SafetyMode) -> tuple[bool, 
 
 def oracle_run(trajectory, thresholds, weights, mode, hold_window) -> RunMetrics:
     """evaluate_run's result, from whole arrays."""
-    flags = consensus_flags(trajectory, thresholds)
+    flags = band_flags(trajectory, thresholds)
     idx = first_sustained_index(flags, round(hold_window / trajectory.dt))
     end = idx if idx >= 0 else len(trajectory) - 1
     violated, min_gap = safety_from_gap(
         trajectory.gap[: end + 1], trajectory.leader_length, mode
     )
     lo = ONSET_EXCLUDED_SAMPLES
-    a = np.asarray(trajectory.a_follower, dtype=float)[lo : end + 1]
+    a = trajectory.a_follower[lo : end + 1]
     jerk = jerk_series(trajectory)[lo : end + 1]
     metrics = RunMetrics(
         t_consensus=math.inf if idx < 0 else idx * trajectory.dt,
@@ -103,8 +143,7 @@ def oracle_trajectory_csv(path, trajectory, thresholds) -> None:
         trajectory.gap,
         trajectory.gap - trajectory.desired_gaps(),
     )
-    columns = [np.asarray(s, dtype=float) for s in series]
-    columns.append(consensus_flags(trajectory, thresholds))
+    columns = [*series, band_flags(trajectory, thresholds)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,r_i,v_i,a_i,jerk_i,r_j,v_j,gap,gap_error,consensus_flag\n")
         rows = zip(*(column.tolist() for column in columns))

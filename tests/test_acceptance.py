@@ -35,12 +35,12 @@ from caccsim.metrics import (
     ConsensusThresholds,
     RunMetrics,
     SafetyMode,
-    Trajectory,
     _bands_ok,
     evaluate_run,
     omega_score,
 )
 from caccsim.stability import string_stability_margin, transfer_magnitude
+from run_oracle import make_trajectory
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 REFERENCE_MANIFEST = (
@@ -396,10 +396,8 @@ def test_criterion_10_metric_property_sweeps(acceptance_log):
         post = lj + 0.01 + np.cumsum(rng.uniform(0.0, 0.3, size=n_post))
         gap = np.concatenate([pre, post])
         n = len(gap)
-        run = Trajectory(
-            dt=0.01, leader_length=lj, time_gap=0.7, comm_delay=0.06,
-            v_follower=np.zeros(n), a_follower=np.ones(n), gap=gap,
-            v_leader_delayed=np.zeros(n),
+        run = make_trajectory(
+            np.zeros(n), np.ones(n), gap, np.zeros(n), leader_length=lj
         )
         m = evaluate_run(
             run, ConsensusThresholds(), ComfortWeights(), SafetyMode.PROJECTED, 1.0

@@ -42,12 +42,11 @@ from caccsim.metrics import (
     ConsensusThresholds,
     RunMetrics,
     SafetyMode,
-    Trajectory,
     _first_rows,
     _hold_scan,
     evaluate_run,
 )
-from run_oracle import oracle_run
+from run_oracle import make_trajectory, oracle_run
 from table_oracle import oracle_cells
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -270,10 +269,10 @@ def test_streaming_decision_matches_per_column_evaluation(data):
     v, a, gap = (np.stack(series, axis=1) for series in zip(*columns))
 
     runs = [
-        Trajectory(
-            dt=cfg.dt, leader_length=cfg.leader_length, time_gap=cfg.time_gap,
-            comm_delay=cfg.comm_delay, v_follower=v[:, col], a_follower=a[:, col],
-            gap=gap[:, col], v_leader_delayed=np.full(n, vj[col]),
+        make_trajectory(
+            v[:, col], a[:, col], gap[:, col], np.full(n, vj[col]), dt=cfg.dt,
+            leader_length=cfg.leader_length, time_gap=cfg.time_gap,
+            comm_delay=cfg.comm_delay,
         )
         for col in range(len(vj))
     ]
@@ -351,10 +350,9 @@ def test_scorer_jerk_across_a_block_boundary_is_in_units_of_dt(cut):
     gap[:5] += 3.0  # out of the gap band before row 5
     a = np.where(np.arange(n) >= 6, 0.0004, 0.0)
     metrics = evaluate_run(
-        Trajectory(
-            dt=cfg.dt, leader_length=cfg.leader_length, time_gap=cfg.time_gap,
-            comm_delay=cfg.comm_delay, v_follower=v, a_follower=a, gap=gap,
-            v_leader_delayed=np.full(n, vj),
+        make_trajectory(
+            v, a, gap, np.full(n, vj), dt=cfg.dt, leader_length=cfg.leader_length,
+            time_gap=cfg.time_gap, comm_delay=cfg.comm_delay,
         ),
         cfg.thresholds, cfg.weights, cfg.safety_mode, cfg.hold_window,
     )

@@ -41,9 +41,9 @@ from caccsim.harness import (
     write_comparison_csv,
     write_trajectory_csv,
 )
-from caccsim.metrics import ConsensusThresholds, Trajectory
+from caccsim.metrics import ConsensusThresholds
 
-from run_oracle import oracle_trajectory_csv
+from run_oracle import make_trajectory, oracle_trajectory_csv
 
 
 def test_benchmark_points_are_fixed():
@@ -427,14 +427,7 @@ def test_trajectory_csv_matches_the_row_template_oracle(n, data):
     apart from 0.0."""
     names = ("t", "r_follower", "v_follower", "a_follower", "r_leader", "v_leader", "gap")
     series = {name: data.draw(csv_column(n), label=name) for name in names}
-    trajectory = Trajectory(
-        dt=0.01,
-        leader_length=5.0,
-        time_gap=0.7,
-        comm_delay=0.06,
-        v_leader_delayed=series["v_leader"],
-        **series,
-    )
+    trajectory = make_trajectory(v_leader_delayed=series["v_leader"], **series)
     thresholds = data.draw(st.sampled_from([ConsensusThresholds(), LOOSE_BANDS]))
     with tempfile.TemporaryDirectory() as tmp:
         written, expected = Path(tmp, "run.csv"), Path(tmp, "oracle.csv")

@@ -14,37 +14,37 @@ from caccsim.metrics import (
     ConsensusThresholds,
     RunMetrics,
     SafetyMode,
-    Trajectory,
     _bands_ok,
     evaluate_run,
     jerk_series,
     omega_score,
 )
+from run_oracle import make_trajectory
 
 V_EQ = 20.0
 GAP_EQ = desired_gap(V_EQ, 5.0, 0.7, 0.06)  # 20.2 m
 
 
-def equilibrium_trajectory(n, gap=None):
-    """Constant-speed run; gap defaults to the in-band target spacing."""
-    gap_value = GAP_EQ if gap is None else gap
-    return Trajectory(
-        dt=0.01,
-        leader_length=5.0,
-        time_gap=0.7,
-        comm_delay=0.06,
-        v_follower=np.full(n, V_EQ),
-        a_follower=np.zeros(n),
-        gap=np.full(n, float(gap_value)),
-        v_leader_delayed=np.full(n, V_EQ),
+def equilibrium_trajectory(n, gap=None, **series):
+    """Constant-speed run; gap, a value or a series, defaults to the in-band
+    target spacing.  Every series is a fresh array, so a test may write into
+    it."""
+    series = {
+        "v_follower": np.full(n, V_EQ),
+        "a_follower": np.zeros(n),
+        "v_leader_delayed": np.full(n, V_EQ),
+        **series,
+    }
+    return make_trajectory(
+        gap=np.full(n, GAP_EQ if gap is None else gap, dtype=float), **series
     )
 
 
 def flagged_trajectory(n, true_mask):
     """Equilibrium samples where true_mask holds, out-of-band gap elsewhere."""
-    traj = equilibrium_trajectory(n)
-    traj.gap = np.where(np.asarray(true_mask, dtype=bool), GAP_EQ, 30.0)
-    return traj
+    return equilibrium_trajectory(
+        n, gap=np.where(np.asarray(true_mask, dtype=bool), GAP_EQ, 30.0)
+    )
 
 
 def sample(gap=GAP_EQ, desired=GAP_EQ, v_leader=V_EQ, v_follower=V_EQ,
@@ -146,15 +146,13 @@ def test_consensus_monotone_in_thresholds():
 
 
 def test_jerk_series_constant_accel_is_zero():
-    traj = equilibrium_trajectory(50)
-    traj.a_follower = np.full(50, 0.4)
+    traj = equilibrium_trajectory(50, a_follower=np.full(50, 0.4))
     assert jerk_series(traj).tolist() == [0.0] * 50
 
 
 def test_jerk_series_step_command():
     """A 0 to -1.828 step across one 0.01 s sample is -182.8 m/s^3."""
-    traj = equilibrium_trajectory(2)
-    traj.a_follower = np.array([0.0, -1.828])
+    traj = equilibrium_trajectory(2, a_follower=np.array([0.0, -1.828]))
     jerk = jerk_series(traj)
     assert jerk[0] == 0.0
     assert jerk[1] == -182.8
@@ -164,6 +162,40 @@ def test_jerk_series_rejects_single_sample():
     """A one-sample run has no jerk, so it is refused when it is built."""
     with pytest.raises(ValueError, match="two samples"):
         equilibrium_trajectory(1)
+
+
+SERIES = (
+    "v_follower", "a_follower", "gap", "v_leader_delayed",
+    "t", "r_follower", "r_leader", "v_leader",
+)
+
+
+@pytest.mark.parametrize("name", SERIES)
+def test_trajectory_refuses_a_series_of_another_shape_naming_it(name):
+    """All eight series hold one sample per step, so the CSV writer, which
+    zips them, cannot cut a run short at a short one."""
+    run = equilibrium_trajectory(5)
+    for series in (np.zeros(4), np.zeros(6), np.zeros((5, 1))):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            replace(run, **{name: series})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["dt", "leader_length", "time_gap", "comm_delay"])
+def test_trajectory_refuses_a_non_finite_scalar_naming_it(name, value):
+    """dt = inf with no hold window judged a run converged at nan s, and
+    leader_length = nan judged it never armed and safe."""
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(equilibrium_trajectory(5), **{name: value})
+
+
+def test_trajectory_stores_each_series_as_a_float_array():
+    run = replace(equilibrium_trajectory(2), **{name: [1, 2] for name in SERIES})
+    for name in SERIES:
+        series = getattr(run, name)
+        assert isinstance(series, np.ndarray)
+        assert series.dtype == np.float64
+        assert series.tolist() == [1.0, 2.0]
 
 
 def test_convergence_immediate_at_equilibrium():
@@ -240,24 +272,21 @@ def test_safety_same_lane_dip_below_length():
 def test_safety_projected_arms_after_first_clearance():
     """A projected merge trailing in from behind arms only once clear."""
     gap = np.linspace(-30.0, 20.0, 200)
-    traj = equilibrium_trajectory(200)
-    traj.gap = gap
+    traj = equilibrium_trajectory(200, gap=gap)
     violated, min_gap = gap_floor(traj, SafetyMode.PROJECTED)
     assert not violated
     assert min_gap == float(gap[gap > 5.0][0])
 
 
 def test_safety_projected_recrossing_violates():
-    traj = equilibrium_trajectory(6)
-    traj.gap = np.array([-10.0, 2.0, 8.0, 6.0, 4.5, 9.0])
+    traj = equilibrium_trajectory(6, gap=[-10.0, 2.0, 8.0, 6.0, 4.5, 9.0])
     violated, min_gap = gap_floor(traj, SafetyMode.PROJECTED)
     assert violated
     assert min_gap == 4.5
 
 
 def test_safety_projected_never_armed_reports_nan_gap():
-    traj = equilibrium_trajectory(50)
-    traj.gap = np.linspace(-40.0, 0.0, 50)
+    traj = equilibrium_trajectory(50, gap=np.linspace(-40.0, 0.0, 50))
     violated, min_gap = gap_floor(traj, SafetyMode.PROJECTED)
     assert not violated
     assert math.isnan(min_gap)
@@ -269,8 +298,7 @@ def test_safety_projected_monotone_after_arming_never_violates():
         start = float(rng.uniform(-50.0, 10.0))
         increments = rng.uniform(0.01, 1.5, size=150)
         gap = start + np.concatenate(([0.0], np.cumsum(increments)))
-        traj = equilibrium_trajectory(len(gap))
-        traj.gap = gap
+        traj = equilibrium_trajectory(len(gap), gap=gap)
         violated, _ = gap_floor(traj, SafetyMode.PROJECTED)
         assert not violated
 
@@ -351,7 +379,6 @@ def test_evaluate_run_windows_end_at_consensus():
     traj = flagged_trajectory(n, mask)
     spiked = flagged_trajectory(n, mask)
     spiked.gap[1800] = 1.0
-    spiked.a_follower = spiked.a_follower.copy()
     spiked.a_follower[1900] = 9.0
     args = (ConsensusThresholds(), ComfortWeights(), SafetyMode.SAME_LANE, 1.0)
     base = evaluate_run(traj, *args)
@@ -382,10 +409,8 @@ def test_evaluate_run_skips_the_switch_on_sample():
     args = (ConsensusThresholds(), ComfortWeights(), SafetyMode.SAME_LANE, 1.0)
     spiked = {}
     for sample_index in (1, 2):
-        traj = equilibrium_trajectory(n)
-        traj.a_follower = np.zeros(n)
+        traj = equilibrium_trajectory(n, gap=30.0)
         traj.a_follower[sample_index] = -2.0
-        traj.gap = np.full(n, 30.0)
         spiked[sample_index] = evaluate_run(traj, *args)
     assert spiked[1].max_decel == 0.0
     assert spiked[2].max_decel == 2.0

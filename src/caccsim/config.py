@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import fields, replace
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -127,11 +128,12 @@ def load_candidates(path) -> CandidateSets:
 def load_scenario(path) -> ScenarioConfig:
     """One scenario from [scenario], with its gains from [controller_params].
 
+    The id key defaults to the file's name without its suffix.
     fixed_consensus needs k and gamma; linear_feedback may set any
     LinearFeedbackGains field; lookup takes no [controller_params].
     """
     parser = _read(path)
-    scenario = ScenarioConfig(scenario_id=str(path), dr0=0.0, vi0=0.0, vj0=0.0)
+    scenario = ScenarioConfig(scenario_id=Path(path).stem, dr0=0.0, vi0=0.0, vj0=0.0)
     controller = parser.get("scenario", "controller", fallback=scenario.controller)
     gains = None
     if controller == "fixed_consensus":

@@ -54,7 +54,7 @@ import struct
 import typing
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
 from itertools import chain, repeat
@@ -148,6 +148,20 @@ def _cut(a: float, b: float) -> float:
     return _from_key(lo)
 
 
+def _fields_equal(self, other) -> bool:
+    """Dataclass equality by the compare=True fields, arrays by value with
+    NaN equal to NaN."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for name in (f.name for f in fields(self) if f.compare):
+        a, b = getattr(self, name), getattr(other, name)
+        if not (
+            np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+        ):
+            return False
+    return True
+
+
 def _ascending_floats(values, name: str) -> np.ndarray:
     arr = np.asarray(list(values), dtype=float)
     if arr.ndim != 1 or len(arr) < 1:
@@ -196,14 +210,7 @@ class AxisGrid:
     def shape(self) -> tuple[int, int, int]:
         return len(self.dr), len(self.vi), len(self.vj)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AxisGrid):
-            return NotImplemented
-        return (
-            np.array_equal(self.dr, other.dr)
-            and np.array_equal(self.vi, other.vi)
-            and np.array_equal(self.vj, other.vj)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -227,17 +234,13 @@ class CandidateSets:
         """Candidate (gamma, k) pairs in lexicographic order."""
         return [(float(g), float(k)) for g in self.gammas for k in self.ks]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CandidateSets):
-            return NotImplemented
-        return np.array_equal(self.gammas, other.gammas) and np.array_equal(
-            self.ks, other.ks
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Settings shared by the table build and the run harness."""
+    """Settings shared by the table build and the run harness; t_max,
+    hold_window and comm_delay are whole multiples of dt."""
 
     dt: float = 0.01
     t_max: float = 120.0
@@ -258,11 +261,11 @@ class BuildConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if self.hold_window < 0:
-            raise ValueError("hold_window must be non-negative")
+        for name in ("hold_window", "comm_delay"):
+            self._steps(name)
         if not self.t_max > self.hold_window:
             raise ValueError("t_max must exceed hold_window")
-        if round(self.t_max / self.dt) < 1:
+        if self._steps("t_max") < 1:
             raise ValueError(
                 f"t_max {self.t_max!r} must span at least one step of dt {self.dt!r}"
             )
@@ -270,18 +273,22 @@ class BuildConfig:
             raise ValueError("leader_length must be positive")
         if not self.time_gap > 0:
             raise ValueError("time_gap must be positive")
-        self.delay_steps()  # validates divisibility
 
-    def delay_steps(self) -> int:
-        """Communication delay in whole steps; must divide evenly."""
-        ratio = self.comm_delay / self.dt
+    def _steps(self, name: str) -> int:
+        """The field name in whole steps of dt; it must divide evenly."""
+        value = getattr(self, name)
+        ratio = value / self.dt
         n = round(ratio)
-        if self.comm_delay < 0 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
+        if value < 0 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
             raise ValueError(
-                f"comm_delay {self.comm_delay!r} must be a non-negative integer "
+                f"{name} {value!r} must be a non-negative integer "
                 f"multiple of dt {self.dt!r}"
             )
         return n
+
+    def delay_steps(self) -> int:
+        """Communication delay in whole steps."""
+        return self._steps("comm_delay")
 
     @property
     def headway_time(self) -> float:
@@ -355,16 +362,7 @@ class GainTable:
         }
         return sorted(pairs)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GainTable):
-            return NotImplemented
-        return (
-            self.axes == other.axes
-            and self.candidates == other.candidates
-            and self.config == other.config
-            and np.array_equal(self.k_cells, other.k_cells, equal_nan=True)
-            and np.array_equal(self.gamma_cells, other.gamma_cells, equal_nan=True)
-        )
+    __eq__ = _fields_equal
 
 
 # The header, lines 2 to 4 of a table file, which save_table writes and
@@ -611,11 +609,8 @@ def build_table(
     if workers == 1:
         results = map(_evaluate_cells, tasks)
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate_cells, tasks))
-        finally:
-            pool.shutdown()
     for flat_indices, k_vals, gamma_vals in results:
         k_cells[flat_indices] = k_vals
         gamma_cells[flat_indices] = gamma_vals
@@ -736,8 +731,6 @@ def _parse_kv_tokens(line: str, prefix: str, keys: dict, lineno: int) -> dict[st
 
 
 def _parse_float(text: str, context: str) -> float:
-    if text == "NaN":
-        return math.nan
     try:
         return float(text)
     except ValueError as exc:

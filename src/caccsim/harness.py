@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,6 +69,7 @@ class ScenarioConfig:
 
     fixed_consensus runs a valid GainPair, linear_feedback its
     LinearFeedbackGains or, when gains is None, the run's fallback gains.
+    scenario_id names the run's CSV file, so it holds no path separator.
     """
 
     scenario_id: str
@@ -75,11 +77,12 @@ class ScenarioConfig:
     vi0: float
     vj0: float
     duration: float = 120.0
-    leader_profile: str = "constant"
     controller: str = "lookup"
     gains: GainPair | LinearFeedbackGains | None = None
 
     def __post_init__(self) -> None:
+        if "/" in self.scenario_id or os.sep in self.scenario_id:
+            raise ValueError(f"scenario_id {self.scenario_id!r} holds a path separator")
         # Stored as floats, so lookup sees the point the kernel integrates.
         for name in ("dr0", "vi0", "vj0", "duration"):
             value = getattr(self, name)
@@ -90,10 +93,6 @@ class ScenarioConfig:
             raise ValueError("duration must be positive")
         if self.vi0 < 0 or self.vj0 < 0:
             raise ValueError("initial speeds must be non-negative")
-        if self.leader_profile != "constant":
-            raise ValueError(
-                f"unsupported leader profile {self.leader_profile!r}"
-            )
         if self.controller not in CONTROLLER_KINDS:
             raise ValueError(
                 f"unknown controller {self.controller!r}; expected one of "
@@ -334,42 +333,35 @@ def write_comparison_csv(path, reports: list[RunReport]) -> None:
         fh.write("\n")
 
 
-def _cell_time(value: float) -> str:
-    return "n/r" if math.isinf(value) else f"{value:.2f}"
-
-
 def format_suite_summary(result: SuiteResult) -> str:
     """Deterministic text summary: time and jerk matrices plus verdicts."""
-    by_key = {(r.scenario_id, r.controller): r for r in result.reports}
-    scenario_ids = [sid for sid, _, _, _ in BENCHMARK_POINTS]
+    by_key = {(r.scenario_id, r.controller): r.metrics for r in result.reports}
+
+    def _matrix(title: str, cell) -> list[str]:
+        """title, a controller header and a row of cell(metrics) per scenario."""
+        rows = [("scenario", CONTROLLER_KINDS)] + [
+            (sid, [cell(by_key[sid, kind]) for kind in CONTROLLER_KINDS])
+            for sid, _, _, _ in BENCHMARK_POINTS
+        ]
+        text = (f"{name:<13}" + "".join(f"{c:>18}" for c in cells) for name, cells in rows)
+        return [title, *text, ""]
+
     lines = [
         "benchmark suite summary",
         "gap band: relative error against the target spacing; consensus "
         "requires the bands to persist for the hold window",
         "",
-        "convergence time (s):",
-        "scenario     " + "".join(f"{kind:>18}" for kind in CONTROLLER_KINDS),
+        *_matrix(
+            "convergence time (s):",
+            lambda m: "n/r" if math.isinf(m.t_consensus) else f"{m.t_consensus:.2f}",
+        ),
+        *_matrix(
+            "peak |jerk| (m/s^3):",
+            lambda m: f"{max(abs(m.max_jerk), abs(m.min_jerk)):.3f}",
+        ),
     ]
-    for sid in scenario_ids:
-        row = f"{sid:<13}"
-        for kind in CONTROLLER_KINDS:
-            row += f"{_cell_time(by_key[(sid, kind)].metrics.t_consensus):>18}"
-        lines.append(row)
-    lines.append("")
-    lines.append("peak |jerk| (m/s^3):")
-    lines.append(
-        "scenario     " + "".join(f"{kind:>18}" for kind in CONTROLLER_KINDS)
-    )
-    for sid in scenario_ids:
-        row = f"{sid:<13}"
-        for kind in CONTROLLER_KINDS:
-            m = by_key[(sid, kind)].metrics
-            peak = max(abs(m.max_jerk), abs(m.min_jerk))
-            row += f"{peak:>18.3f}"
-        lines.append(row)
-    lines.append("")
-    for sid in scenario_ids:
-        verdict = "yes" if result.lookup_beats_fixed[sid] else "no"
+    for sid, faster in result.lookup_beats_fixed.items():
+        verdict = "yes" if faster else "no"
         lines.append(f"lookup faster than fixed_consensus on {sid}: {verdict}")
     overall = "yes" if result.all_scenarios_beat_fixed else "no"
     lines.append(f"lookup faster than fixed_consensus on every scenario: {overall}")

@@ -29,7 +29,6 @@ class FrequencySweep:
     omega_min: float = 1e-3
     omega_max: float = 1e2
     points: int = 400
-    spacing: str = "log"
 
     def __post_init__(self) -> None:
         for name in ("omega_min", "omega_max"):
@@ -40,8 +39,6 @@ class FrequencySweep:
             raise ValueError("need 0 < omega_min < omega_max")
         if self.points < 2:
             raise ValueError("need at least 2 sweep points")
-        if self.spacing != "log":
-            raise ValueError(f"unsupported spacing {self.spacing!r}")
 
     def omegas(self) -> np.ndarray:
         return np.logspace(

@@ -1,0 +1,30 @@
+"""The benchmark still runs on the library: perfbench/run.py imports the
+library's modules and calls their functions by name, so a deleted or renamed
+name breaks it.  A tiny pass of each workload must finish with every
+operation correct."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["grid", "closing"])
+def test_tiny_benchmark_pass_is_correct(workload):
+    done = subprocess.run(
+        [
+            sys.executable, "perfbench/run.py",
+            "--workload", workload, "--seconds", "1", "--scale", "tiny",
+        ],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, result
+    assert result["failed"] == 0, result

@@ -237,6 +237,31 @@ def test_run_allow_unsafe_overrides_exit_code(cli_env, capsys):
     assert "safety violated: yes" in captured.out
 
 
+@pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+def test_run_without_id_writes_inside_out_dir(cli_env, tmp_path, monkeypatch, capsys, absolute):
+    """A scenario file without an id key names the run, and its CSV, by the
+    file's stem, so the CSV lands in --out-dir whether the file is given by
+    a relative or an absolute path."""
+    monkeypatch.chdir(tmp_path)
+    scenario = tmp_path / "cfg" / "noid.ini"
+    scenario.parent.mkdir()
+    scenario.write_text(
+        "[scenario]\ndr0 = 20\nvi0 = 14\nvj0 = 14\nduration = 5\n"
+        "controller = linear_feedback\n",
+        encoding="utf-8",
+    )
+    rc = main([
+        "run",
+        "--scenario", str(scenario if absolute else scenario.relative_to(tmp_path)),
+        "--config", cli_env["run_short"],
+        "--out-dir", "runs",
+    ])
+    assert rc == 0
+    assert "scenario noid: controller=linear_feedback" in capsys.readouterr().out
+    written = [p.relative_to(tmp_path) for p in tmp_path.rglob("*.csv")]
+    assert written == [Path("runs", "noid_linear_feedback.csv")]
+
+
 def test_run_lookup_without_table_raises(cli_env, tmp_path):
     with pytest.raises(ValueError, match="table"):
         main([

@@ -223,10 +223,12 @@ UNKNOWN_KEYS = [
     (load_build_config, "thresholds", "[thresholds]\neta = 0.1\n", "eta"),
     (load_build_config, "weights", "[weights]\nomega1 = 3\n", "omega1"),
     (load_sweep, "sweep", "[sweep]\npoint = 5\n", "point"),
+    (load_sweep, "sweep", "[sweep]\nspacing = log\n", "spacing"),
     (load_baselines, "fixed_consensus", "[fixed_consensus]\nvalid = no\n", "valid"),
     (load_baselines, "linear_feedback", "[linear_feedback]\nkv = 0.5\n", "kv"),
     (load_scenario, "scenario", SCENARIO + "durration = 30\n", "durration"),
     (load_scenario, "scenario", SCENARIO + "scenario_id = x\n", "scenario_id"),
+    (load_scenario, "scenario", SCENARIO + "leader_profile = constant\n", "leader_profile"),
     (load_scenario, "controller_params", FIXED + "k = 0.1\ngamma = 4\nkk = 1\n", "kk"),
     (load_axes, "axes", "[axes]\ndr = 0\nvi = 10\nvj = 10\nvk = 10\n", "vk"),
     (load_candidates, "candidates", "[candidates]\ngamma = 1\nk = 0.1\nks = 1\n", "ks"),
@@ -337,9 +339,15 @@ def test_malformed_file_is_a_value_error_naming_the_file(tmp_path, loader, text,
 
 OUT_OF_RANGE = [
     (load_build_config, "build", "[build]\nt_max = 0.5\n", "t_max must exceed hold_window"),
+    (load_build_config, "build", "[build]\nt_max = 120.005\n",
+     "t_max 120.005 must be a non-negative integer multiple of dt 0.01"),
+    (load_build_config, "build", "[build]\ndt = 0.03\n",
+     "hold_window 1.0 must be a non-negative integer multiple of dt 0.03"),
     (load_build_config, "weights", "[weights]\nomega_1 = -1\n", "omega_1 must be non-negative"),
     (load_build_config, "thresholds", "[thresholds]\neta_r = 0\n", "eta_r must be positive"),
     (load_scenario, "scenario", SCENARIO + "duration = 0\n", "duration must be positive"),
+    (load_scenario, "scenario", SCENARIO + "id = runs/x\n",
+     "scenario_id 'runs/x' holds a path separator"),
     (load_scenario, "controller_params", FIXED + "k = -1\ngamma = 4\n", "k must be positive"),
     (load_sweep, "sweep", "[sweep]\npoints = 1\n", "need at least 2 sweep points"),
     (load_axes, "axes", "[axes]\ndr =\nvi = 10\nvj = 10\n", "dr axis must be a non-empty"),
@@ -350,7 +358,8 @@ OUT_OF_RANGE = [
 @pytest.mark.parametrize(
     "loader, section, text, message",
     OUT_OF_RANGE,
-    ids=["t_max", "omega_1", "eta_r", "duration", "k", "points", "empty-dr", "empty-k"],
+    ids=["t_max", "t_max-steps", "hold_window-steps", "omega_1", "eta_r", "duration",
+         "scenario_id", "k", "points", "empty-dr", "empty-k"],
 )
 def test_out_of_range_value_is_refused_naming_file_and_section(
     tmp_path, loader, section, text, message
@@ -384,6 +393,7 @@ def _table_with_meta(tmp_path, old, new):
     [
         ("w1=1.0", "w1=NaN", "omega_1 must be non-negative and finite"),
         ("tmax=120.0", "tmax=0.5", "t_max must exceed hold_window"),
+        ("tmax=120.0", "tmax=120.005", "t_max 120.005 must be a non-negative integer multiple"),
     ],
 )
 def test_table_meta_rejected_by_the_settings_is_a_format_error(
@@ -394,6 +404,8 @@ def test_table_meta_rejected_by_the_settings_is_a_format_error(
 
 
 def test_scenario_id_defaults_to_path(tmp_path):
+    """With no id key the id is the file's stem, which names the run's CSV
+    file, not the path, which may hold separators."""
     path = write(
         tmp_path,
         "unnamed.ini",
@@ -405,7 +417,7 @@ def test_scenario_id_defaults_to_path(tmp_path):
         """,
     )
     scenario = load_scenario(path)
-    assert scenario.scenario_id == str(path)
+    assert scenario.scenario_id == "unnamed"
 
 
 def test_inline_comments_are_stripped(tmp_path):

@@ -1,5 +1,5 @@
-"""Every caccsim module exports only names it defines, and the package
-re-exports only exported names."""
+"""Every caccsim module exports only names it defines, and the package root
+imports nothing: names are imported from their modules."""
 
 from __future__ import annotations
 
@@ -19,10 +19,7 @@ def test_every_name_in_all_exists(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_package_imports_only_exported_names():
+def test_package_root_imports_nothing():
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        exported = importlib.import_module(f"caccsim.{node.module}").__all__
-        assert [a.name for a in node.names if a.name not in exported] == [], node.module
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert imports == []

@@ -113,9 +113,13 @@ def test_build_config_delay_steps():
         ("comm_delay", {"comm_delay": math.nan}),
         ("hold_window", {"hold_window": math.nan}),
         ("t_max", {"t_max": 0.005, "hold_window": 0.0}),
+        ("t_max", {"t_max": 120.005}),
+        ("hold_window", {"dt": 0.03, "hold_window": 1.0}),
+        ("hold_window", {"hold_window": -0.5}),
     ],
     ids=["dt-inf", "t_max-inf", "comm_delay-inf", "comm_delay-nan",
-         "hold_window-nan", "t_max-under-one-step"],
+         "hold_window-nan", "t_max-under-one-step", "t_max-not-whole-steps",
+         "hold_window-not-whole-steps", "hold_window-negative"],
 )
 def test_build_config_rejects_bad_value_naming_the_field(field, kwargs):
     with pytest.raises(ValueError, match=f"^{field} "):

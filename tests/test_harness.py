@@ -57,8 +57,8 @@ def test_benchmark_points_are_fixed():
 def test_scenario_config_validation():
     with pytest.raises(ValueError, match="controller"):
         ScenarioConfig("x", 10.0, 10.0, 10.0, controller="pid")
-    with pytest.raises(ValueError, match="profile"):
-        ScenarioConfig("x", 10.0, 10.0, 10.0, leader_profile="sine")
+    with pytest.raises(ValueError, match="^scenario_id 'a/b' holds a path separator"):
+        ScenarioConfig("a/b", 10.0, 10.0, 10.0)
     with pytest.raises(ValueError, match="duration"):
         ScenarioConfig("x", 10.0, 10.0, 10.0, duration=0.0)
     with pytest.raises(ValueError, match="speeds"):

@@ -28,13 +28,12 @@ scenario = ScenarioConfig(
     dr0=50.0,
     vi0=28.0,
     vj0=14.0,
-    duration=120.0,
     controller="fixed_consensus",
     gains=GainPair(k=0.1, gamma=4.0),
 )
 
-# Default timing and evaluation settings: 10 ms steps, 60 ms communication
-# delay, 0.7 s time gap, projected gap-floor arming.
+# Default timing and evaluation settings: 10 ms steps, 120 s runs, 60 ms
+# communication delay, 0.7 s time gap, projected gap-floor arming.
 cfg = BuildConfig()
 
 report, trajectory = run_scenario(scenario, cfg)
@@ -62,7 +61,7 @@ print("gap error over time (one row per 5 s):")
 desired = trajectory.desired_gaps()
 error = trajectory.gap - desired
 step = round(5.0 / cfg.dt)
-t_stop = scenario.duration
+t_stop = cfg.t_max
 if m.consensus_reached:
     t_stop = min(t_stop, m.t_consensus + 10.0)
 last = round(t_stop / cfg.dt)

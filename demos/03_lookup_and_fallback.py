@@ -42,9 +42,7 @@ for query in [(30.0, 20.0, 20.0), (44.0, 14.9, 25.1), (61.0, 20.0, 20.0), (500.0
 # A run whose starting point sits inside the grid: the table supplies the
 # gains and the consensus law drives the approach.
 print()
-inside = ScenarioConfig(
-    scenario_id="inside", dr0=30.0, vi0=20.0, vj0=20.0, duration=120.0
-)
+inside = ScenarioConfig(scenario_id="inside", dr0=30.0, vi0=20.0, vj0=20.0)
 report, _ = run_scenario(inside, cfg, table)
 print(f"inside the grid:  fallback={report.fallback_engaged}  "
       f"gains gamma={report.gains.gamma:g} k={report.gains.k:g}  "
@@ -52,9 +50,7 @@ print(f"inside the grid:  fallback={report.fallback_engaged}  "
 
 # Start far outside the grid.  The lookup misses, so the harness silently
 # swaps in the linear-feedback fallback and reports it.
-outside = ScenarioConfig(
-    scenario_id="outside", dr0=500.0, vi0=20.0, vj0=20.0, duration=120.0
-)
+outside = ScenarioConfig(scenario_id="outside", dr0=500.0, vi0=20.0, vj0=20.0)
 report, _ = run_scenario(outside, cfg, table)
 t = report.metrics.t_consensus
 settle = f"{t:.2f} s" if math.isfinite(t) else "not reached"

@@ -7,9 +7,9 @@ field's default, and missing optional keys keep the default.  An unknown
 key, a value that does not parse and a missing required key raise a
 ValueError naming the file, the section and the key; a value the settings
 dataclass refuses raises its ValueError, naming the field, prefixed with the
-file and the section.  A file that is not in this shape (no section header,
-a repeated section or key, a [DEFAULT] section) raises a ValueError naming
-the file.
+file and the section.  A file that is not UTF-8 or not in this shape (no
+section header, a repeated section or key, a [DEFAULT] section) raises a
+ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _read(path) -> configparser.ConfigParser:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             parser.read_file(fh)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
     if parser.has_section("DEFAULT"):
         raise ValueError(f"{path}: a [DEFAULT] section is not allowed")

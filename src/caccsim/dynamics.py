@@ -61,7 +61,7 @@ class FollowerRuns:
         self.cfg = cfg
         self.law = law
         self.row = 0
-        self.delay = cfg.delay_steps()
+        self.delay = cfg.steps("comm_delay")
         # Follower (position, speed) at the last row returned.
         self.state = np.concatenate([np.zeros(len(vi0)), np.array(vi0, dtype=float)])
         self.vj = np.array(vj0, dtype=float)
@@ -170,31 +170,20 @@ class FollowerRuns:
         self.law.keep(mask)
 
 
-def simulate_pair(
-    dr0: float,
-    vi0: float,
-    vj0: float,
-    control,
-    cfg,
-    duration: float,
-) -> Trajectory:
-    """One leader-follower run: a one-column batch of the kernel.
+def simulate_pair(dr0: float, vi0: float, vj0: float, control, cfg) -> Trajectory:
+    """One leader-follower run of cfg.t_max: a one-column batch of the kernel.
 
     control is a control law (controllers.ConsensusLaw or LinearFeedbackLaw)
-    and cfg a gaintable.BuildConfig.  The leader starts at dr0 with constant
-    speed vj0, the follower at the origin at vi0 with zero acceleration.
-    The leader is observed through the communication delay, with the
-    initial sample held before any delayed data exists.  Commands computed
-    at step t land on the sample at t + dt.  A non-finite command anywhere
-    in the run raises ValueError.
+    and cfg a gaintable.BuildConfig, whose t_max is a whole number of steps
+    (BuildConfig.steps).  The leader starts at dr0 with constant speed vj0,
+    the follower at the origin at vi0 with zero acceleration.  The leader
+    is observed through the communication delay, with the initial sample
+    held before any delayed data exists.  Commands computed at step t land
+    on the sample at t + dt.  A non-finite command anywhere in the run
+    raises ValueError.
     """
     dt = cfg.dt
-    n_steps = round(duration / dt)
-    if n_steps < 1:
-        raise ValueError(
-            f"duration {duration!r} must span at least one step of dt {dt!r}"
-        )
-    n = n_steps + 1
+    n = cfg.steps("t_max") + 1
     runs = FollowerRuns([dr0], [vi0], [vj0], control, cfg)
     # An overflowing command is reported once, by the check below.
     with np.errstate(over="ignore", invalid="ignore"):

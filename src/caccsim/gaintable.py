@@ -50,7 +50,6 @@ refused block is walked line by line, to name its first faulty line.
 from __future__ import annotations
 
 import math
-import struct
 import typing
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
@@ -99,22 +98,6 @@ _CELL_CHUNK = 48
 _MARKER = GainPair.invalid()
 
 
-_DOUBLE = struct.Struct("<d")
-_BITS = struct.Struct("<Q")
-_SIGN = 1 << 63
-
-
-def _order_key(x: float) -> int:
-    """x's rank among the floats: keys ascend with x, neighbouring floats
-    have neighbouring keys, and both zeros have key 0."""
-    (bits,) = _BITS.unpack(_DOUBLE.pack(x))
-    return bits if bits < _SIGN else _SIGN - bits
-
-
-def _from_key(key: int) -> float:
-    return _DOUBLE.unpack(_BITS.pack(key if key >= 0 else _SIGN - key))[0]
-
-
 def _cut(a: float, b: float) -> float:
     """The largest float that snaps to the grid value a rather than to the
     next one, b.
@@ -122,30 +105,31 @@ def _cut(a: float, b: float) -> float:
     This is the tie rule of lookup: a query q between a and b snaps to the
     nearer of the two by the subtractions q - a and b - q, and a tie goes to
     a.  Both sides are monotone in q, so the rule holds up to the cut and
-    fails above it.  The search bisects the order keys of the floats,
-    keeping lo where the rule holds and hi where it fails, at most 64
-    halvings.  The two roundings keep the cut within an ulp of b - a of the
-    midpoint, so the search first narrows [a, b] to the floats just outside
-    that band, once the rule holds at the lower one and fails at the upper
-    one: most cuts then take two or three halvings.
+    fails above it.  The search bisects float values, keeping lo where the
+    rule holds and hi where it fails, and stops when the halfway float
+    lo / 2 + hi / 2 is one of the two, so they are neighbours.  The two
+    roundings keep the cut within an ulp of b - a of the midpoint, so the
+    search starts from the floats just outside that band, clamped to
+    [a, b], when the rule holds at the lower one and fails at the upper one:
+    most cuts then take one to three halvings.  Otherwise it starts from
+    [a, b].  A start that straddles 0 takes more, as the halvings run down
+    the exponents first: 56 for [-1, 1], 107 for the widest finite grid.
     """
 
-    def to_a(key: int) -> bool:
-        q = _from_key(key)
+    def to_a(q: float) -> bool:
         return q - a <= b - q
 
-    lo, hi = _order_key(a), _order_key(b)
     mid, ulp = a / 2 + b / 2, math.ulp(b - a)
-    near = max(lo, _order_key(mid - ulp) - 1), min(hi, _order_key(mid + ulp) + 1)
-    if to_a(near[0]) and not to_a(near[1]):
-        lo, hi = near
-    while hi - lo > 1:
-        key = (lo + hi) // 2
-        if to_a(key):
-            lo = key
+    lo = max(a, math.nextafter(mid - ulp, -math.inf))
+    hi = min(b, math.nextafter(mid + ulp, math.inf))
+    if not (to_a(lo) and not to_a(hi)):
+        lo, hi = a, b
+    while (q := lo / 2 + hi / 2) != lo and q != hi:
+        if to_a(q):
+            lo = q
         else:
-            hi = key
-    return _from_key(lo)
+            hi = q
+    return lo
 
 
 def _fields_equal(self, other) -> bool:
@@ -262,10 +246,10 @@ class BuildConfig:
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         for name in ("hold_window", "comm_delay"):
-            self._steps(name)
+            self.steps(name)
         if not self.t_max > self.hold_window:
             raise ValueError("t_max must exceed hold_window")
-        if self._steps("t_max") < 1:
+        if self.steps("t_max") < 1:
             raise ValueError(
                 f"t_max {self.t_max!r} must span at least one step of dt {self.dt!r}"
             )
@@ -274,21 +258,10 @@ class BuildConfig:
         if not self.time_gap > 0:
             raise ValueError("time_gap must be positive")
 
-    def _steps(self, name: str) -> int:
-        """The field name in whole steps of dt; it must divide evenly."""
-        value = getattr(self, name)
-        ratio = value / self.dt
-        n = round(ratio)
-        if value < 0 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
-            raise ValueError(
-                f"{name} {value!r} must be a non-negative integer "
-                f"multiple of dt {self.dt!r}"
-            )
-        return n
-
-    def delay_steps(self) -> int:
-        """Communication delay in whole steps."""
-        return self._steps("comm_delay")
+    def steps(self, name: str) -> int:
+        """The field name (t_max, hold_window or comm_delay) in whole steps
+        of dt, by metrics.whole_steps."""
+        return metrics.whole_steps(name, getattr(self, name), self.dt)
 
     @property
     def headway_time(self) -> float:
@@ -305,7 +278,8 @@ class GainTable:
 
     k_cells and gamma_cells have the axes shape; NaN in both marks a cell
     where no candidate passed the gap floor or none converged.  Every other
-    cell holds a valid gain pair, both gains positive and finite.
+    cell holds a valid gain pair, both gains positive and finite and members
+    of the candidate sets, so every table saves a file that loads.
 
     A table's cells are fixed when it is built: __post_init__ builds _cells,
     the shared GainPair of every cell as nested lists [i1 + 1][i2 + 1][i3 + 1]
@@ -331,11 +305,10 @@ class GainTable:
                     f"{name} has {cells.size} values, but the axes have {n_cells} cells"
                 )
             setattr(self, name, cells.reshape(shape))
-        if not np.array_equal(
-            np.isnan(self.k_cells), np.isnan(self.gamma_cells)
-        ):
+        if not np.array_equal(np.isnan(self.k_cells), np.isnan(self.gamma_cells)):
             raise ValueError("k and gamma markers disagree on some cells")
         self._cells = _cell_index(self.k_cells, self.gamma_cells)
+        _validate_members(self.k_cells, self.gamma_cells, self.candidates)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -568,11 +541,11 @@ def _evaluate_cells(args):
     gamma = np.tile([p[0] for p in pairs], len(cells))
     k = np.tile([p[1] for p in pairs], len(cells))
 
-    n_samples = round(cfg.t_max / cfg.dt) + 1
+    n_samples = cfg.steps("t_max") + 1
 
     def rerun(col):
         law = ConsensusLaw(gamma[col : col + 1], k[col : col + 1])
-        return simulate_pair(dr0[col], vi0[col], vj0[col], law, cfg, cfg.t_max)
+        return simulate_pair(dr0[col], vi0[col], vj0[col], law, cfg)
 
     runs = FollowerRuns(dr0, vi0, vj0, ConsensusLaw(gamma, k), cfg)
     scorer = _CellScorer(vj0, pairs, n_samples, cfg, rerun)
@@ -615,7 +588,6 @@ def build_table(
         k_cells[flat_indices] = k_vals
         gamma_cells[flat_indices] = gamma_vals
 
-    _validate_members(k_cells, gamma_cells, candidates)
     return GainTable(
         axes=axes,
         candidates=candidates,
@@ -632,8 +604,8 @@ def _validate_members(
     first_line: int | None = None,
 ) -> None:
     """Every valid cell's gains must come from the candidate sets, checked on
-    the arrays before a table is built from them.  The fault names the line
-    of the first bad cell when first_line, the line of cell 0, is given."""
+    the arrays by GainTable.  The fault names the line of the first bad cell
+    when first_line, the line of cell 0, is given."""
     k = k_cells.ravel()
     gamma = gamma_cells.ravel()
     bad = np.isfinite(k) & ~(np.isin(gamma, cands.gammas) & np.isin(k, cands.ks))
@@ -790,13 +762,18 @@ def load_table(path) -> GainTable:
     is read with universal newlines.  The cell block is read as columns
     (_read_cell_block, about 6 ms for the 6069 cells of the production
     table on a 2-CPU VM).  A fault names its line, a gain outside the
-    candidate sets too: membership is checked on the arrays, before the
-    table is built.  The table's AxisGrid finds the cuts that lookup
-    bisects here, and the table builds its cell index (about 0.8 ms of the
-    load for the production table), so a lookup builds nothing.
+    candidate sets too: the table checks membership when it is built, and
+    only a refused table is checked again, to name the line.  A file that
+    is not UTF-8 raises TableFormatError too.  The table's AxisGrid finds
+    the cuts that lookup bisects here, and the table builds its cell index
+    (about 0.8 ms of the load for the production table), so a lookup
+    builds nothing.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n", 4)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n", 4)
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"not UTF-8 text: {exc}") from exc
     # The four header lines and the cell block, or a shorter file.
     if len(lines) == 5:
         block = lines.pop()
@@ -828,8 +805,12 @@ def load_table(path) -> GainTable:
             f"found {found}"
         )
     k_cells, gamma_cells = _read_cell_block(body, shape)
-    _validate_members(k_cells, gamma_cells, header["candidates"], first_line=5)
-    return GainTable(**header, k_cells=k_cells, gamma_cells=gamma_cells)
+    try:
+        return GainTable(**header, k_cells=k_cells, gamma_cells=gamma_cells)
+    except ValueError:
+        # Shape and markers are sound, so the fault is a gain off the sets.
+        _validate_members(k_cells, gamma_cells, header["candidates"], first_line=5)
+        raise
 
 
 def _read_cell_block(body: str, shape) -> tuple[np.ndarray, np.ndarray]:

@@ -67,6 +67,7 @@ BENCHMARK_POINTS = (
 class ScenarioConfig:
     """One car-following run: initial condition plus controller choice.
 
+    The run lasts the t_max of the BuildConfig it is run with.
     fixed_consensus runs a valid GainPair, linear_feedback its
     LinearFeedbackGains or, when gains is None, the run's fallback gains.
     scenario_id names the run's CSV file, so it holds no path separator.
@@ -76,7 +77,6 @@ class ScenarioConfig:
     dr0: float
     vi0: float
     vj0: float
-    duration: float = 120.0
     controller: str = "lookup"
     gains: GainPair | LinearFeedbackGains | None = None
 
@@ -84,13 +84,11 @@ class ScenarioConfig:
         if "/" in self.scenario_id or os.sep in self.scenario_id:
             raise ValueError(f"scenario_id {self.scenario_id!r} holds a path separator")
         # Stored as floats, so lookup sees the point the kernel integrates.
-        for name in ("dr0", "vi0", "vj0", "duration"):
+        for name in ("dr0", "vi0", "vj0"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             setattr(self, name, float(value))
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
         if self.vi0 < 0 or self.vj0 < 0:
             raise ValueError("initial speeds must be non-negative")
         if self.controller not in CONTROLLER_KINDS:
@@ -169,13 +167,11 @@ def run_scenario(
     table: GainTable | None = None,
     fallback_gains: LinearFeedbackGains = DEFAULT_FALLBACK_GAINS,
 ) -> tuple[RunReport, Trajectory]:
-    """Run one scenario and evaluate it."""
+    """Run one scenario for cfg.t_max and evaluate it."""
     control, gains, fallback_engaged = _resolve_controller(
         scenario, table, fallback_gains
     )
-    trajectory = simulate_pair(
-        scenario.dr0, scenario.vi0, scenario.vj0, control, cfg, scenario.duration
-    )
+    trajectory = simulate_pair(scenario.dr0, scenario.vi0, scenario.vj0, control, cfg)
     metrics = evaluate_run(
         trajectory,
         cfg.thresholds,
@@ -211,13 +207,7 @@ def run_suite(
     for sid, dr0, vi0, vj0 in BENCHMARK_POINTS:
         for kind in CONTROLLER_KINDS:
             scenario = ScenarioConfig(
-                scenario_id=sid,
-                dr0=dr0,
-                vi0=vi0,
-                vj0=vj0,
-                duration=cfg.t_max,
-                controller=kind,
-                gains=gains.get(kind),
+                sid, dr0, vi0, vj0, controller=kind, gains=gains.get(kind)
             )
             report, trajectory = run_scenario(
                 scenario, cfg, table=table, fallback_gains=baselines.linear

@@ -35,12 +35,30 @@ __all__ = [
     "jerk_series",
     "omega_score",
     "evaluate_run",
+    "whole_steps",
 ]
 
 # Comfort extrema start at this sample index.  Sample 1 carries the very
 # first command, whose backward-difference jerk is the controller switch-on
 # transient (an O(1/dt) artifact), so measurement starts one sample later.
 ONSET_EXCLUDED_SAMPLES = 2
+
+
+def whole_steps(name: str, value: float, dt: float) -> int:
+    """value, the duration the field name holds, in whole steps of dt.
+
+    It must be a non-negative whole multiple of dt, to 1e-9 relative, and
+    a ratio that overflows is refused like any other; the ValueError names
+    the field.
+    """
+    ratio = value / dt
+    if value >= 0 and math.isfinite(ratio):
+        n = round(ratio)
+        if abs(ratio - n) <= 1e-9 * max(1.0, ratio):
+            return n
+    raise ValueError(
+        f"{name} {value!r} must be a non-negative integer multiple of dt {dt!r}"
+    )
 
 
 class SafetyMode(str, Enum):
@@ -263,7 +281,7 @@ class _RunScorer:
         self.headway = spacing.time_gap + spacing.comm_delay
         self.thresholds = thresholds
         self.n_samples = n_samples
-        self.window = round(hold_window / self.dt)
+        self.window = whole_steps("hold_window", hold_window, self.dt)
         self.rows = 0
         self.v_leader = v_leader
         self.speed_tol = _speed_tolerance(v_leader, thresholds)
@@ -392,7 +410,8 @@ def evaluate_run(
     Safety, extrema, and min_gap are judged over [t0, t_consensus], or the
     whole run when consensus is not reached; min_gap from the row that arms
     the gap floor.  The comfort extrema skip the first
-    ONSET_EXCLUDED_SAMPLES samples.
+    ONSET_EXCLUDED_SAMPLES samples.  hold_window must be a whole number of
+    steps of the trajectory's dt (whole_steps).
     """
     n = len(trajectory)
     v, a, gap = trajectory.v_follower, trajectory.a_follower, trajectory.gap

@@ -113,7 +113,7 @@ def test_criterion_02_benchmark_lookup_runs_clean(serial_build, acceptance_log):
     cfg = table.config
     times = []
     for sid, dr0, vi0, vj0 in BENCHMARK_POINTS:
-        scenario = ScenarioConfig(sid, dr0, vi0, vj0, duration=cfg.t_max)
+        scenario = ScenarioConfig(sid, dr0, vi0, vj0)
         report, _ = run_scenario(scenario, cfg, table)
         m = report.metrics
         assert not report.fallback_engaged, scenario.scenario_id
@@ -228,7 +228,6 @@ def test_criterion_06_stored_cells_match_reselection(serial_build, acceptance_lo
                 dr0=dr0,
                 vi0=vi0,
                 vj0=vj0,
-                duration=cfg.t_max,
                 controller="fixed_consensus",
                 gains=GainPair(k=k, gamma=gamma),
             )

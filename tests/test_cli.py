@@ -80,6 +80,7 @@ def cli_env(tmp_path_factory):
             "same_lane.ini",
             """
             [build]
+            t_max = 10
             safety_mode = same_lane
             """,
         ),
@@ -105,7 +106,6 @@ def cli_env(tmp_path_factory):
             dr0 = 20
             vi0 = 14
             vj0 = 14
-            duration = 60
             controller = lookup
             """,
         ),
@@ -117,7 +117,6 @@ def cli_env(tmp_path_factory):
             dr0 = -30
             vi0 = 18
             vj0 = 10
-            duration = 10
             controller = fixed_consensus
 
             [controller_params]
@@ -246,7 +245,7 @@ def test_run_without_id_writes_inside_out_dir(cli_env, tmp_path, monkeypatch, ca
     scenario = tmp_path / "cfg" / "noid.ini"
     scenario.parent.mkdir()
     scenario.write_text(
-        "[scenario]\ndr0 = 20\nvi0 = 14\nvj0 = 14\nduration = 5\n"
+        "[scenario]\ndr0 = 20\nvi0 = 14\nvj0 = 14\n"
         "controller = linear_feedback\n",
         encoding="utf-8",
     )

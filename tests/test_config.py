@@ -77,7 +77,6 @@ def test_shipped_scenarios():
         scenario = load_scenario(CONFIG_DIR / f"{sid}.ini")
         assert scenario.scenario_id == sid
         assert (scenario.dr0, scenario.vi0, scenario.vj0) == (dr0, vi0, vj0)
-        assert scenario.duration == 120.0
         assert scenario.controller == "lookup"
 
 
@@ -180,7 +179,6 @@ def test_scenario_with_controller_params(tmp_path):
         dr0 = 12
         vi0 = 10
         vj0 = 11
-        duration = 30
         controller = fixed_consensus
 
         [controller_params]
@@ -229,6 +227,8 @@ UNKNOWN_KEYS = [
     (load_scenario, "scenario", SCENARIO + "durration = 30\n", "durration"),
     (load_scenario, "scenario", SCENARIO + "scenario_id = x\n", "scenario_id"),
     (load_scenario, "scenario", SCENARIO + "leader_profile = constant\n", "leader_profile"),
+    # A run lasts the build's t_max; a scenario sets no horizon of its own.
+    (load_scenario, "scenario", SCENARIO + "duration = 120\n", "duration"),
     (load_scenario, "controller_params", FIXED + "k = 0.1\ngamma = 4\nkk = 1\n", "kk"),
     (load_axes, "axes", "[axes]\ndr = 0\nvi = 10\nvj = 10\nvk = 10\n", "vk"),
     (load_candidates, "candidates", "[candidates]\ngamma = 1\nk = 0.1\nks = 1\n", "ks"),
@@ -240,7 +240,7 @@ BAD_NUMBERS = [
     (load_sweep, "sweep", "[sweep]\npoints = 4.5\n", "points"),
     (load_axes, "axes", "[axes]\ndr = 0,x\nvi = 10\nvj = 10\n", "dr"),
     (load_candidates, "candidates", "[candidates]\ngamma = 1\nk = low\n", "k"),
-    (load_scenario, "scenario", SCENARIO + "duration = long\n", "duration"),
+    (load_scenario, "scenario", "[scenario]\ndr0 = far\nvi0 = 10\nvj0 = 11\n", "dr0"),
 ]
 
 
@@ -337,15 +337,28 @@ def test_malformed_file_is_a_value_error_naming_the_file(tmp_path, loader, text,
     assert str(info.value).startswith(f"{path}: ")
 
 
+def test_file_that_is_not_utf8_is_a_value_error_naming_the_file(tmp_path):
+    """A Latin-1 byte in a comment fails as a plain ValueError naming the
+    file, not as a bare UnicodeDecodeError."""
+    path = tmp_path / "latin1.ini"
+    path.write_bytes("[build]\n# d\xe9lai\ndt = 0.02\n".encode("latin-1"))
+    with pytest.raises(ValueError, match="can't decode byte 0xe9") as info:
+        load_build_config(path)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{path}: ")
+
+
 OUT_OF_RANGE = [
     (load_build_config, "build", "[build]\nt_max = 0.5\n", "t_max must exceed hold_window"),
     (load_build_config, "build", "[build]\nt_max = 120.005\n",
      "t_max 120.005 must be a non-negative integer multiple of dt 0.01"),
     (load_build_config, "build", "[build]\ndt = 0.03\n",
      "hold_window 1.0 must be a non-negative integer multiple of dt 0.03"),
+    # 1.0 / 1e-320 overflows: refused by name, not raised as OverflowError.
+    (load_build_config, "build", "[build]\ndt = 1e-320\n",
+     "hold_window 1.0 must be a non-negative integer multiple of dt 1e-320"),
     (load_build_config, "weights", "[weights]\nomega_1 = -1\n", "omega_1 must be non-negative"),
     (load_build_config, "thresholds", "[thresholds]\neta_r = 0\n", "eta_r must be positive"),
-    (load_scenario, "scenario", SCENARIO + "duration = 0\n", "duration must be positive"),
     (load_scenario, "scenario", SCENARIO + "id = runs/x\n",
      "scenario_id 'runs/x' holds a path separator"),
     (load_scenario, "controller_params", FIXED + "k = -1\ngamma = 4\n", "k must be positive"),
@@ -358,7 +371,7 @@ OUT_OF_RANGE = [
 @pytest.mark.parametrize(
     "loader, section, text, message",
     OUT_OF_RANGE,
-    ids=["t_max", "t_max-steps", "hold_window-steps", "omega_1", "eta_r", "duration",
+    ids=["t_max", "t_max-steps", "hold_window-steps", "dt-tiny", "omega_1", "eta_r",
          "scenario_id", "k", "points", "empty-dr", "empty-k"],
 )
 def test_out_of_range_value_is_refused_naming_file_and_section(

@@ -73,10 +73,11 @@ def test_step_records_command_as_new_accel():
 def test_step_rejects_nonfinite_command():
     """A gain that overflows the command fails the run, not the numbers,
     and the one error is all that is reported: no numpy warning."""
+    cfg = BuildConfig(t_max=2.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="accel_cmd"):
-            simulate_pair(30.0, 24.0, 18.0, ConsensusLaw([3.0], [1e308]), CFG, 1.0)
+            simulate_pair(30.0, 24.0, 18.0, ConsensusLaw([3.0], [1e308]), cfg)
     assert caught == []
 
 
@@ -114,15 +115,15 @@ def test_position_strictly_increases_while_speed_positive():
 
 def test_simclock_time_is_step_times_dt():
     """Sample times are index * dt, never a running sum of dt."""
-    traj = simulate_pair(30.0, 24.0, 18.0, ZERO, CFG, 2.5)
+    traj = simulate_pair(30.0, 24.0, 18.0, ZERO, BuildConfig(t_max=2.5))
     assert len(traj) == 251
     assert traj.t[250] == 250 * 0.01
     assert np.array_equal(traj.t, np.arange(251) * 0.01)
 
 
 def test_simclock_delay_steps():
-    assert BuildConfig(comm_delay=0.06).delay_steps() == 6
-    assert BuildConfig(comm_delay=0.0).delay_steps() == 0
+    assert BuildConfig(comm_delay=0.06).steps("comm_delay") == 6
+    assert BuildConfig(comm_delay=0.0).steps("comm_delay") == 0
     with pytest.raises(ValueError, match="multiple"):
         BuildConfig(comm_delay=0.005)
     with pytest.raises(ValueError, match="non-negative"):
@@ -134,7 +135,7 @@ def test_delayed_state_returns_exact_stored_sample():
 
     A follower at standstill stays at the origin, so its gap is the
     observed leader position itself."""
-    n, delay = 300, CFG.delay_steps()
+    n, delay = 300, CFG.steps("comm_delay")
     _, _, _, gap = run(40.0, 0.0, 14.0, ZERO, n)
     leader = leader_positions(40.0, 14.0, n, CFG.dt)
     assert np.array_equal(gap[delay:], leader[: n - delay])
@@ -148,7 +149,7 @@ def test_delayed_state_zero_delay_is_current_sample():
 
 def test_delayed_state_holds_initial_sample_before_start():
     """Rows before any delayed sample exists see the initial leader."""
-    delay = CFG.delay_steps()
+    delay = CFG.steps("comm_delay")
     _, _, _, gap = run(50.0, 0.0, 14.0, ZERO, 20)
     assert np.all(gap[: delay + 1] == 50.0)
     assert gap[delay + 1] == 50.0 + 14.0 * CFG.dt
@@ -174,7 +175,7 @@ def test_bit_identical_resimulation():
 
 def linear_scalar_loop(dr0, vi0, vj0, gains, n, cfg):
     """Rows 0 .. n of a hand-written scalar run over linear_feedback_accel."""
-    delay = cfg.delay_steps()
+    delay = cfg.steps("comm_delay")
     ri, vi, accel, rj = 0.0, vi0, 0.0, dr0
     leader = [rj]
     rows = []
@@ -210,7 +211,7 @@ def test_linear_law_matches_manual_scalar_loop(dr0, vi0, vj0, gains):
     hand-written scalar loop over linear_feedback_accel bit for bit.  The
     fallback only runs one column, on the kernel's float loop."""
     cfg = BuildConfig(t_max=10.0)
-    delay = cfg.delay_steps()
+    delay = cfg.steps("comm_delay")
     n = round(cfg.t_max / cfg.dt)
     runs = FollowerRuns([dr0], [vi0], [vj0], LinearFeedbackLaw(gains), cfg)
     scalar = linear_scalar_loop(dr0, vi0, vj0, gains, n, cfg)

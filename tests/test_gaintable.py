@@ -95,8 +95,8 @@ def test_candidate_sets_validation_and_pair_order():
 
 
 def test_build_config_delay_steps():
-    assert BuildConfig().delay_steps() == 6
-    assert BuildConfig(comm_delay=0.0).delay_steps() == 0
+    assert BuildConfig().steps("comm_delay") == 6
+    assert BuildConfig(comm_delay=0.0).steps("comm_delay") == 0
     assert BuildConfig().headway_time == 0.76
     with pytest.raises(ValueError, match="multiple"):
         BuildConfig(comm_delay=0.005)
@@ -116,10 +116,14 @@ def test_build_config_delay_steps():
         ("t_max", {"t_max": 120.005}),
         ("hold_window", {"dt": 0.03, "hold_window": 1.0}),
         ("hold_window", {"hold_window": -0.5}),
+        # The step ratio overflows to inf: refused, not rounded.
+        ("hold_window", {"dt": 1e-320}),
+        ("hold_window", {"dt": 5e-324}),
     ],
     ids=["dt-inf", "t_max-inf", "comm_delay-inf", "comm_delay-nan",
          "hold_window-nan", "t_max-under-one-step", "t_max-not-whole-steps",
-         "hold_window-not-whole-steps", "hold_window-negative"],
+         "hold_window-not-whole-steps", "hold_window-negative",
+         "dt-tiny", "dt-smallest"],
 )
 def test_build_config_rejects_bad_value_naming_the_field(field, kwargs):
     with pytest.raises(ValueError, match=f"^{field} "):
@@ -179,7 +183,7 @@ def test_batch_simulation_matches_manual_scalar_loop():
     middle column of three (its array loop)."""
     cfg = BuildConfig(t_max=10.0)
     dr0, vi0, vj0, gamma, k = 30.0, 24.0, 18.0, 3.0, 0.1
-    delay = cfg.delay_steps()
+    delay = cfg.steps("comm_delay")
     n = round(cfg.t_max / cfg.dt)
     alone = FollowerRuns([dr0], [vi0], [vj0], ConsensusLaw([gamma], [k]), cfg)
     law = ConsensusLaw([7.0, gamma, 1.0], [0.4, k, 0.05])
@@ -388,7 +392,7 @@ def per_cell_oracle(axes, candidates, cfg):
         for gamma, k in candidates.pairs():
             scenario = ScenarioConfig(
                 "cell", float(axes.dr[i1]), float(axes.vi[i2]), float(axes.vj[i3]),
-                duration=cfg.t_max, controller="fixed_consensus",
+                controller="fixed_consensus",
                 gains=GainPair(k=k, gamma=gamma),
             )
             report, traj = run_scenario(scenario, cfg)
@@ -539,7 +543,7 @@ def test_time_tie_comfort_comes_from_re_simulated_runs(monkeypatch):
     expected = {}
     for gamma, k in candidates.pairs():
         scenario = ScenarioConfig(
-            "tie", 80.0, 34.0, 6.0, duration=cfg.t_max, controller="fixed_consensus",
+            "tie", 80.0, 34.0, 6.0, controller="fixed_consensus",
             gains=GainPair(k=k, gamma=gamma),
         )
         expected[(gamma, k)] = run_scenario(scenario, cfg)[0].metrics.omega
@@ -661,7 +665,8 @@ def test_axis_grid_arrays_are_read_only():
 
 def index_table(axes, markers=()):
     """A table whose cell at flat index i holds k = i + 1, so a hit names its
-    cell, except the flat indices in markers, which hold the NaN marker."""
+    cell, except the flat indices in markers, which hold the NaN marker.  Its
+    candidates are gamma 1 and k 1 .. n, so it holds only members."""
     n = int(np.prod(axes.shape))
     k_cells = np.arange(1.0, n + 1.0)
     gamma_cells = np.ones(n)
@@ -669,7 +674,7 @@ def index_table(axes, markers=()):
     k_cells[at] = gamma_cells[at] = math.nan
     return GainTable(
         axes=axes,
-        candidates=CandidateSets(gammas=[1.0], ks=[1.0]),
+        candidates=CandidateSets(gammas=[1.0], ks=np.arange(1.0, n + 1.0)),
         config=BuildConfig(),
         k_cells=k_cells,
         gamma_cells=gamma_cells,
@@ -746,6 +751,25 @@ symmetric_grids = any_scale_grids.map(
 )
 
 
+def float_run(start, length):
+    """length neighbouring floats upward from start."""
+    run = [start]
+    for _ in range(length - 1):
+        run.append(math.nextafter(run[-1], math.inf))
+    return run
+
+
+# Neighbouring floats, whose cuts stop the bisection at once: through 0 and
+# among the subnormals, or from a start of any scale.
+neighbour_runs = st.builds(
+    float_run,
+    st.one_of(st.integers(-8, 2).map(lambda i: i * 5e-324), any_scale),
+    st.integers(2, 8),
+).filter(lambda run: math.isfinite(run[-1]))
+# The widest grid: b - a overflows, so the start band is clamped to [a, b].
+widest_grid = st.just([-sys.float_info.max, sys.float_info.max])
+
+
 SHIPPED_AXES = load_axes(ROOT / "configs" / "axes_default.ini")
 SHIPPED_TABLE = index_table(
     SHIPPED_AXES, markers=range(0, int(np.prod(SHIPPED_AXES.shape)), 5)
@@ -790,7 +814,7 @@ def test_lookup_matches_a_full_scan(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(any_scale_grids, symmetric_grids))
+@given(st.one_of(any_scale_grids, symmetric_grids, neighbour_runs, widest_grid))
 def test_cuts_snap_down_and_the_next_float_snaps_up(grid):
     """The tuple runs from the float below the first value to the last
     value.  Each cut between lies in [grid[j], grid[j+1]); the scan oracle
@@ -1317,14 +1341,37 @@ def test_load_reports_the_first_fault_by_line(tiny_table, tmp_path, mutate, mess
 
 def test_build_reports_nonmember_gains_as_plain_floats(tiny_table):
     shape = tiny_table.shape
-    bad = replace(
-        tiny_table, k_cells=np.full(shape, 0.1), gamma_cells=np.full(shape, 5.5)
-    )
     with pytest.raises(TableFormatError) as caught:
-        gaintable._validate_members(bad.k_cells, bad.gamma_cells, bad.candidates)
+        gaintable._validate_members(
+            np.full(shape, 0.1), np.full(shape, 5.5), tiny_table.candidates
+        )
     assert str(caught.value) == (
         "stored gains (gamma=5.5, k=0.1) are not candidate members"
     )
+
+
+def test_gain_table_refuses_gains_outside_its_candidates():
+    """A table built directly holds only candidate gains, so every table
+    saves a file that load_table takes back."""
+    with pytest.raises(TableFormatError) as caught:
+        GainTable(
+            AxisGrid(dr=[0.0], vi=[1.0], vj=[1.0]),
+            CandidateSets(gammas=[2.0], ks=[0.1]),
+            BuildConfig(),
+            k_cells=[0.3],
+            gamma_cells=[7.0],
+        )
+    assert str(caught.value) == (
+        "stored gains (gamma=7.0, k=0.3) are not candidate members"
+    )
+
+
+def test_load_refuses_a_file_that_is_not_utf8(tiny_table, tmp_path):
+    path = tmp_path / "table.txt"
+    save_table(tiny_table, path)
+    path.write_bytes(path.read_bytes().replace(b"cell 0 0 0 ", b"cell 0 0 0 \xff", 1))
+    with pytest.raises(TableFormatError, match="^not UTF-8 text: .* byte 0xff"):
+        load_table(path)
 
 
 @st.composite

@@ -59,8 +59,6 @@ def test_scenario_config_validation():
         ScenarioConfig("x", 10.0, 10.0, 10.0, controller="pid")
     with pytest.raises(ValueError, match="^scenario_id 'a/b' holds a path separator"):
         ScenarioConfig("a/b", 10.0, 10.0, 10.0)
-    with pytest.raises(ValueError, match="duration"):
-        ScenarioConfig("x", 10.0, 10.0, 10.0, duration=0.0)
     with pytest.raises(ValueError, match="speeds"):
         ScenarioConfig("x", 10.0, -1.0, 10.0)
 
@@ -122,26 +120,18 @@ def test_scenario_config_rejects_gains_that_do_not_fit_the_controller(
 
 
 @pytest.mark.parametrize(
-    "field, value", [("duration", math.inf), ("dr0", math.nan), ("vi0", math.nan)]
+    "field, value", [("dr0", math.nan), ("vi0", math.nan)]
 )
 def test_scenario_config_rejects_non_finite_value_naming_the_field(field, value):
-    fields = {"dr0": 10.0, "vi0": 10.0, "vj0": 10.0, "duration": 30.0, field: value}
+    fields = {"dr0": 10.0, "vi0": 10.0, "vj0": 10.0, field: value}
     with pytest.raises(ValueError, match=field):
         ScenarioConfig("x", **fields)
-
-
-def test_run_scenario_rejects_duration_under_one_step(tiny_cfg):
-    scenario = ScenarioConfig(
-        "short", 15.0, 12.0, 11.0, duration=0.001, controller="linear_feedback"
-    )
-    with pytest.raises(ValueError, match="duration"):
-        run_scenario(scenario, tiny_cfg)
 
 
 def test_simulate_pair_initial_sample_and_leader_motion():
     cfg = BuildConfig(t_max=5.0)
     traj = simulate_pair(
-        30.0, 24.0, 18.0, ConsensusLaw.of(GainPair(k=0.1, gamma=3.0)), cfg, 5.0
+        30.0, 24.0, 18.0, ConsensusLaw.of(GainPair(k=0.1, gamma=3.0)), cfg
     )
     assert len(traj) == 501
     assert traj.t[0] == 0.0
@@ -159,10 +149,10 @@ def test_simulate_pair_delayed_observation_holds_initial_sample():
     with the start-of-run hold before that."""
     cfg = BuildConfig(t_max=5.0)
     traj = simulate_pair(
-        30.0, 24.0, 18.0, ConsensusLaw.of(GainPair(k=0.1, gamma=3.0)), cfg, 5.0
+        30.0, 24.0, 18.0, ConsensusLaw.of(GainPair(k=0.1, gamma=3.0)), cfg
     )
     observed = traj.gap + traj.r_follower
-    delay = cfg.delay_steps()
+    delay = cfg.steps("comm_delay")
     shifted = traj.r_leader[np.maximum(0, np.arange(len(traj)) - delay)]
     assert np.array_equal(observed, shifted)
     assert np.all(observed[: delay + 1] == 30.0)
@@ -170,9 +160,9 @@ def test_simulate_pair_delayed_observation_holds_initial_sample():
 
 def test_simulate_pair_command_lands_on_next_sample():
     """The first nonzero command shows up as the acceleration at t1."""
-    cfg = BuildConfig(t_max=5.0)
+    cfg = BuildConfig(t_max=2.0)
     gains = GainPair(k=0.1, gamma=3.0)
-    traj = simulate_pair(30.0, 24.0, 18.0, ConsensusLaw.of(gains), cfg, 1.0)
+    traj = simulate_pair(30.0, 24.0, 18.0, ConsensusLaw.of(gains), cfg)
     first_cmd = consensus_command(
         0.0, 30.0, 24.0, 18.0, cfg.leader_length, cfg.headway_time, 0.1, 3.0
     )
@@ -185,9 +175,7 @@ def test_simulate_pair_matches_batched_builder_bit_for_bit():
     advanced in blocks of the builder's length) exactly."""
     cfg = BuildConfig(t_max=20.0)
     dr0, vi0, vj0, gamma, k = -30.0, 18.0, 10.0, 5.0, 0.1
-    traj = simulate_pair(
-        dr0, vi0, vj0, ConsensusLaw.of(GainPair(k=k, gamma=gamma)), cfg, cfg.t_max
-    )
+    traj = simulate_pair(dr0, vi0, vj0, ConsensusLaw.of(GainPair(k=k, gamma=gamma)), cfg)
     law = ConsensusLaw([1.0, gamma, 9.0], [k, k, k])
     runs = FollowerRuns([50.0, dr0, dr0], [28.0, vi0, vi0], [14.0, vj0, vj0], law, cfg)
     blocks = []
@@ -202,15 +190,16 @@ def test_simulate_pair_matches_batched_builder_bit_for_bit():
 
 
 def test_run_scenario_is_deterministic(tiny_table, tiny_cfg):
-    scenario = ScenarioConfig("rep", 15.0, 12.0, 11.0, duration=20.0)
-    _, t1 = run_scenario(scenario, tiny_cfg, table=tiny_table)
-    _, t2 = run_scenario(scenario, tiny_cfg, table=tiny_table)
+    scenario = ScenarioConfig("rep", 15.0, 12.0, 11.0)
+    cfg = replace(tiny_cfg, t_max=20.0)
+    _, t1 = run_scenario(scenario, cfg, table=tiny_table)
+    _, t2 = run_scenario(scenario, cfg, table=tiny_table)
     assert np.array_equal(t1.v_follower, t2.v_follower)
     assert np.array_equal(t1.gap, t2.gap)
 
 
 def test_run_scenario_lookup_hit(tiny_table, tiny_cfg):
-    scenario = ScenarioConfig("hit", 20.0, 14.0, 14.0, duration=60.0)
+    scenario = ScenarioConfig("hit", 20.0, 14.0, 14.0)
     report, _ = run_scenario(scenario, tiny_cfg, table=tiny_table)
     assert not report.fallback_engaged
     assert report.gains == tiny_table.cell(1, 1, 1)
@@ -219,7 +208,7 @@ def test_run_scenario_lookup_hit(tiny_table, tiny_cfg):
 
 
 def test_run_scenario_lookup_miss_engages_fallback(tiny_table, tiny_cfg):
-    scenario = ScenarioConfig("miss", 50.0, 28.0, 14.0, duration=60.0)
+    scenario = ScenarioConfig("miss", 50.0, 28.0, 14.0)
     report, _ = run_scenario(scenario, tiny_cfg, table=tiny_table)
     assert report.fallback_engaged
     assert report.gains is None
@@ -234,7 +223,7 @@ def test_run_scenario_lookup_without_table_is_an_error(tiny_cfg):
 
 def test_run_scenario_fixed_consensus(tiny_cfg):
     scenario = ScenarioConfig(
-        "fixed", 15.0, 12.0, 11.0, duration=60.0,
+        "fixed", 15.0, 12.0, 11.0,
         controller="fixed_consensus", gains=GainPair(k=0.1, gamma=5.0),
     )
     report, _ = run_scenario(scenario, tiny_cfg)
@@ -243,9 +232,7 @@ def test_run_scenario_fixed_consensus(tiny_cfg):
 
 
 def test_run_scenario_linear_feedback(tiny_cfg):
-    scenario = ScenarioConfig(
-        "lf", 15.0, 12.0, 11.0, duration=60.0, controller="linear_feedback",
-    )
+    scenario = ScenarioConfig("lf", 15.0, 12.0, 11.0, controller="linear_feedback")
     report, _ = run_scenario(scenario, tiny_cfg)
     assert report.gains is None
     assert not report.fallback_engaged
@@ -255,15 +242,14 @@ def test_run_scenario_linear_feedback(tiny_cfg):
 def test_linear_feedback_scenario_runs_its_own_gains(tiny_cfg):
     """A scenario's gains drive the run; without them, the run's fallback
     gains do."""
-    gains = LinearFeedbackGains(k_v=0.3)
+    gains, cfg = LinearFeedbackGains(k_v=0.3), replace(tiny_cfg, t_max=20.0)
     own = ScenarioConfig(
-        "lf", 15.0, 12.0, 11.0, duration=20.0, controller="linear_feedback",
-        gains=gains,
+        "lf", 15.0, 12.0, 11.0, controller="linear_feedback", gains=gains
     )
-    _, with_gains = run_scenario(own, tiny_cfg)
+    _, with_gains = run_scenario(own, cfg)
     bare = replace(own, gains=None)
-    _, with_fallback = run_scenario(bare, tiny_cfg, fallback_gains=gains)
-    _, with_default = run_scenario(bare, tiny_cfg)
+    _, with_fallback = run_scenario(bare, cfg, fallback_gains=gains)
+    _, with_default = run_scenario(bare, cfg)
     assert np.array_equal(with_gains.v_follower, with_fallback.v_follower)
     assert not np.array_equal(with_gains.v_follower, with_default.v_follower)
 
@@ -291,7 +277,7 @@ def test_run_suite_structure(tiny_table, tiny_cfg, tmp_path, monkeypatch):
     for sid, dr0, vi0, vj0 in BENCHMARK_POINTS:
         for kind in CONTROLLER_KINDS:
             scenario = ScenarioConfig(
-                sid, dr0, vi0, vj0, duration=cfg.t_max, controller=kind,
+                sid, dr0, vi0, vj0, controller=kind,
                 gains=gains.get(kind),
             )
             _, trajectory = run_scenario(
@@ -332,7 +318,7 @@ def test_run_suite_holds_one_trajectory_at_a_time(tiny_table, tiny_cfg, tmp_path
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        run = run_scenario(ScenarioConfig(sid, dr0, vi0, vj0, cfg.t_max), cfg, tiny_table)
+        run = run_scenario(ScenarioConfig(sid, dr0, vi0, vj0), cfg, tiny_table)
         one = tracemalloc.get_traced_memory()[0] - base
         del run
         base = tracemalloc.get_traced_memory()[0]
@@ -357,8 +343,8 @@ def test_int_operating_point_is_looked_up_as_the_float_the_kernel_runs(tiny_cfg)
         k_cells=[0.1, 0.1],
         gamma_cells=[2.0, 2.0],
     )
-    scenario = ScenarioConfig("far", 2**60 - 100, 10, 10, duration=1.0)
-    report, _ = run_scenario(scenario, tiny_cfg, table)
+    scenario = ScenarioConfig("far", 2**60 - 100, 10, 10)
+    report, _ = run_scenario(scenario, replace(tiny_cfg, t_max=2.0), table)
     assert report.fallback_engaged
     assert report.gains is None
     assert (scenario.dr0, scenario.vi0, scenario.vj0) == (2.0**60 - 128, 10.0, 10.0)
@@ -368,7 +354,7 @@ def test_int_operating_point_is_looked_up_as_the_float_the_kernel_runs(tiny_cfg)
 def test_trajectory_csv_layout(tiny_cfg, tmp_path):
     traj = simulate_pair(
         30.0, 24.0, 18.0, ConsensusLaw.of(GainPair(k=0.1, gamma=3.0)),
-        tiny_cfg, 2.0,
+        replace(tiny_cfg, t_max=2.0),
     )
     path = tmp_path / "run.csv"
     write_trajectory_csv(path, traj, ConsensusThresholds())

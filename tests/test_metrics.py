@@ -85,6 +85,16 @@ def gap_floor(trajectory, mode):
     return metrics.safety_violated, metrics.min_gap
 
 
+def test_hold_window_must_be_whole_steps_of_the_run():
+    """At dt 0.03 a 1.0 s hold is 33.3 steps: refused, naming the field,
+    not judged over 33 steps (0.99 s)."""
+    run = equilibrium_trajectory(400)
+    run = replace(run, dt=0.03, t=np.arange(400) * 0.03)
+    with pytest.raises(ValueError, match="^hold_window 1.0 must be .* of dt 0.03"):
+        consensus_time(run, ConsensusThresholds(), hold_window=1.0)
+    assert consensus_time(run, ConsensusThresholds(), hold_window=0.99) == 0.0
+
+
 def test_thresholds_validation():
     with pytest.raises(ValueError):
         ConsensusThresholds(eta_r=0.0)

@@ -180,9 +180,9 @@ def simulate_pair(dr0: float, vi0: float, vj0: float, control, cfg) -> Trajector
     is observed through the communication delay, with the initial sample
     held before any delayed data exists.  Commands computed at step t land
     on the sample at t + dt.  A non-finite command anywhere in the run
-    raises ValueError.
+    raises ValueError.  The Trajectory holds cfg itself, so the run is
+    judged by the settings it ran with.
     """
-    dt = cfg.dt
     n = cfg.steps("t_max") + 1
     runs = FollowerRuns([dr0], [vi0], [vj0], control, cfg)
     # An overflowing command is reported once, by the check below.
@@ -193,18 +193,14 @@ def simulate_pair(dr0: float, vi0: float, vj0: float, control, cfg) -> Trajector
     if not np.isfinite(a_follower).all():
         raise ValueError("non-finite value for accel_cmd in the run")
     # The kernel's running sum for the leader, undelayed.
-    leader = np.full(n, vj0 * dt)
+    leader = np.full(n, vj0 * cfg.dt)
     leader[0] = dr0
     return Trajectory(
-        dt=dt,
-        leader_length=cfg.leader_length,
-        time_gap=cfg.time_gap,
-        comm_delay=cfg.comm_delay,
+        cfg=cfg,
         v_follower=v_follower,
         a_follower=a_follower,
         gap=gap,
         v_leader_delayed=np.full(n, float(vj0)),
-        t=np.arange(n) * dt,
         r_follower=r_follower,
         r_leader=np.add.accumulate(leader),
         v_leader=np.full(n, float(vj0)),

@@ -260,8 +260,18 @@ class BuildConfig:
 
     def steps(self, name: str) -> int:
         """The field name (t_max, hold_window or comm_delay) in whole steps
-        of dt, by metrics.whole_steps."""
-        return metrics.whole_steps(name, getattr(self, name), self.dt)
+        of dt, the one seconds-to-steps rule: a non-negative whole multiple,
+        to 1e-9 relative, or a ValueError naming the field (also when the
+        ratio overflows)."""
+        value = getattr(self, name)
+        ratio = value / self.dt
+        if value >= 0 and math.isfinite(ratio):
+            n = round(ratio)
+            if abs(ratio - n) <= 1e-9 * max(1.0, ratio):
+                return n
+        raise ValueError(
+            f"{name} {value!r} must be a non-negative integer multiple of dt {self.dt!r}"
+        )
 
     @property
     def headway_time(self) -> float:
@@ -423,10 +433,7 @@ class _CellScorer:
         # Open cells and columns, by their index in the batch.
         self.cells = np.arange(n_cells)
         self.cols = np.arange(len(vj))
-        self.runs = _RunScorer(
-            cfg, np.asarray(vj, dtype=float)[None, :], n_samples, cfg.thresholds,
-            cfg.safety_mode, cfg.hold_window,
-        )
+        self.runs = _RunScorer(cfg, np.asarray(vj, dtype=float)[None, :], n_samples)
 
     def decide(self) -> np.ndarray:
         """Settle the cells whose gains are final; returns the kept-column mask.
@@ -476,13 +483,9 @@ class _CellScorer:
 
     def _comfort(self, column: int) -> float:
         """Comfort score of the batch's column, from its re-simulated run."""
-        cfg = self.cfg
         # Called as metrics.evaluate_run: perfbench counts a gaintable
         # evaluate_run as one per candidate, which a tie's re-run is not.
-        return metrics.evaluate_run(
-            self.rerun(column), cfg.thresholds, cfg.weights, cfg.safety_mode,
-            cfg.hold_window,
-        ).omega
+        return metrics.evaluate_run(self.rerun(column)).omega
 
 
 def _select_cell(t_consensus, violated, comfort, pairs) -> tuple[float, float]:

@@ -172,13 +172,7 @@ def run_scenario(
         scenario, table, fallback_gains
     )
     trajectory = simulate_pair(scenario.dr0, scenario.vi0, scenario.vj0, control, cfg)
-    metrics = evaluate_run(
-        trajectory,
-        cfg.thresholds,
-        cfg.weights,
-        cfg.safety_mode,
-        cfg.hold_window,
-    )
+    metrics = evaluate_run(trajectory)
     report = RunReport(
         scenario_id=scenario.scenario_id,
         controller=scenario.controller,

@@ -1,6 +1,7 @@
 """Run evaluation: consensus detection, safety, and comfort scoring.
 
-A run's record is a Trajectory, whose eight series are all required and
+A run's record is a Trajectory: the gaintable.BuildConfig it ran with, by
+whose settings alone it is judged, and seven series, all required and
 checked once, when it is built; every reader takes its arrays as they are.
 
 A run is judged on four simultaneous bands (gap, speed, acceleration, jerk),
@@ -21,10 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .controllers import desired_gap
+
+if TYPE_CHECKING:
+    from .gaintable import BuildConfig
 
 __all__ = [
     "SafetyMode",
@@ -35,30 +40,12 @@ __all__ = [
     "jerk_series",
     "omega_score",
     "evaluate_run",
-    "whole_steps",
 ]
 
 # Comfort extrema start at this sample index.  Sample 1 carries the very
 # first command, whose backward-difference jerk is the controller switch-on
 # transient (an O(1/dt) artifact), so measurement starts one sample later.
 ONSET_EXCLUDED_SAMPLES = 2
-
-
-def whole_steps(name: str, value: float, dt: float) -> int:
-    """value, the duration the field name holds, in whole steps of dt.
-
-    It must be a non-negative whole multiple of dt, to 1e-9 relative, and
-    a ratio that overflows is refused like any other; the ValueError names
-    the field.
-    """
-    ratio = value / dt
-    if value >= 0 and math.isfinite(ratio):
-        n = round(ratio)
-        if abs(ratio - n) <= 1e-9 * max(1.0, ratio):
-            return n
-    raise ValueError(
-        f"{name} {value!r} must be a non-negative integer multiple of dt {dt!r}"
-    )
 
 
 class SafetyMode(str, Enum):
@@ -114,43 +101,34 @@ class ComfortWeights:
 class Trajectory:
     """Record of one car-following run on a fixed time step.
 
-    t is the sample time; r_ and v_ are the positions and speeds of the
-    follower and the leader, a_follower the follower's acceleration.  gap
-    is the delayed-leader gap: leader position as seen through the
-    communication delay minus follower position; v_leader_delayed is the
-    leader speed seen the same way.  Every field is required: each series
-    is stored as a 1-D float array, all eight of one length of at least two
-    samples, and the scalars are finite with dt positive.  Anything else is
-    refused here with a ValueError that names the field.  The record is
-    frozen, so no field is swapped for one the checks have not seen.
+    cfg is the gaintable.BuildConfig the run was simulated with; the
+    sample time t is derived from its dt.  r_ and v_ are the positions and
+    speeds of the follower and the leader, a_follower the follower's
+    acceleration.  gap is the delayed-leader gap: leader position as seen
+    through the communication delay minus follower position;
+    v_leader_delayed is the leader speed seen the same way.  Every field is
+    required: each series is stored as a 1-D float array, all seven of one
+    length of at least two samples.  Anything else is refused here with a
+    ValueError that names the field.  The record is frozen, so no field is
+    swapped for one the checks have not seen.
     """
 
-    dt: float
-    leader_length: float
-    time_gap: float
-    comm_delay: float
+    cfg: BuildConfig
     v_follower: np.ndarray
     a_follower: np.ndarray
     gap: np.ndarray
     v_leader_delayed: np.ndarray
-    t: np.ndarray
     r_follower: np.ndarray
     r_leader: np.ndarray
     v_leader: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("dt", "leader_length", "time_gap", "comm_delay"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
         n = len(self.v_follower)
         if n < 2:
             raise ValueError("trajectory needs at least two samples")
         for name in (
             "v_follower", "a_follower", "gap", "v_leader_delayed",
-            "t", "r_follower", "r_leader", "v_leader",
+            "r_follower", "r_leader", "v_leader",
         ):
             series = np.asarray(getattr(self, name), dtype=float)
             if series.shape != (n,):
@@ -163,10 +141,13 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.v_follower)
 
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(len(self)) * self.cfg.dt
+
     def desired_gaps(self) -> np.ndarray:
-        return desired_gap(
-            self.v_follower, self.leader_length, self.time_gap, self.comm_delay
-        )
+        lj, tg, tau = self.cfg.leader_length, self.cfg.time_gap, self.cfg.comm_delay
+        return desired_gap(self.v_follower, lj, tg, tau)
 
 
 @dataclass
@@ -198,7 +179,7 @@ def jerk_series(trajectory: Trajectory) -> np.ndarray:
     a = trajectory.a_follower
     jerk = np.empty_like(a)
     jerk[0] = 0.0
-    jerk[1:] = (a[1:] - a[:-1]) / trajectory.dt
+    jerk[1:] = (a[1:] - a[:-1]) / trajectory.cfg.dt
     return jerk
 
 
@@ -262,10 +243,10 @@ class _RunScorer:
     columns.  evaluate_run scores one run as one column in one block; the
     table build scores every candidate of a chunk of cells, block by block.
 
-    spacing gives dt, leader_length, time_gap and comm_delay (a Trajectory
-    or a BuildConfig).  v_leader is the delayed leader speed, broadcast
-    against each block: a row of one per column, or, when the run is scored
-    in one block, one per row.
+    Every setting is read from cfg, the gaintable.BuildConfig the runs ran
+    with.  v_leader is the delayed leader speed, broadcast against each
+    block: a row of one per column, or, when the run is scored in one
+    block, one per row.
 
     A block is scored in scratch buffers made for the largest block seen
     and viewed as (rows, columns): jerk and the desired gap in two float
@@ -274,21 +255,22 @@ class _RunScorer:
     of them, and every per-column search is an argmax or argmin.
     """
 
-    def __init__(self, spacing, v_leader, n_samples, thresholds, mode, hold_window):
+    def __init__(self, cfg: BuildConfig, v_leader, n_samples):
         m = v_leader.shape[1]
-        self.dt = spacing.dt
-        self.leader_length = spacing.leader_length
-        self.headway = spacing.time_gap + spacing.comm_delay
-        self.thresholds = thresholds
+        self.dt = cfg.dt
+        self.leader_length = cfg.leader_length
+        self.headway = cfg.headway_time
+        self.thresholds = cfg.thresholds
         self.n_samples = n_samples
-        self.window = whole_steps("hold_window", hold_window, self.dt)
+        self.window = cfg.steps("hold_window")
         self.rows = 0
         self.v_leader = v_leader
-        self.speed_tol = _speed_tolerance(v_leader, thresholds)
+        self.speed_tol = _speed_tolerance(v_leader, cfg.thresholds)
         self.prev_accel = np.zeros(m)
         self.last_break = np.full(m, -1)
         self.first_hold = np.full(m, -1)
-        self.arm_row = np.full(m, 0 if mode is SafetyMode.SAME_LANE else n_samples)
+        unarmed = cfg.safety_mode is not SafetyMode.SAME_LANE
+        self.arm_row = np.full(m, n_samples if unarmed else 0)
         self.first_violation = np.full(m, n_samples)
         self._jerk = self._desired = np.empty(0)
         self._bands = self._spare = np.empty(0, dtype=bool)
@@ -398,25 +380,18 @@ def _hold_scan(window: np.ndarray, w: int, lo: int, last_break: np.ndarray):
     return window[:n], new_break
 
 
-def evaluate_run(
-    trajectory: Trajectory,
-    thresholds: ConsensusThresholds,
-    weights: ComfortWeights,
-    mode: SafetyMode,
-    hold_window: float,
-) -> RunMetrics:
-    """Full evaluation of one run, scored as one column in one block.
+def evaluate_run(trajectory: Trajectory) -> RunMetrics:
+    """Full evaluation of one run under its cfg, as one column in one block.
 
     Safety, extrema, and min_gap are judged over [t0, t_consensus], or the
     whole run when consensus is not reached; min_gap from the row that arms
     the gap floor.  The comfort extrema skip the first
-    ONSET_EXCLUDED_SAMPLES samples.  hold_window must be a whole number of
-    steps of the trajectory's dt (whole_steps).
+    ONSET_EXCLUDED_SAMPLES samples.
     """
     n = len(trajectory)
     v, a, gap = trajectory.v_follower, trajectory.a_follower, trajectory.gap
-    v_leader = trajectory.v_leader_delayed
-    scorer = _RunScorer(trajectory, v_leader[:, None], n, thresholds, mode, hold_window)
+    cfg = trajectory.cfg
+    scorer = _RunScorer(cfg, trajectory.v_leader_delayed[:, None], n)
     scorer.score(v[:, None], a[:, None], gap[:, None])
     hold, arm = int(scorer.first_hold[0]), int(scorer.arm_row[0])
     end = hold if hold >= 0 else n - 1
@@ -434,11 +409,11 @@ def evaluate_run(
             float(np.min(jerk_win)),
         )
     metrics = RunMetrics(
-        math.inf if hold < 0 else hold * trajectory.dt,
+        math.inf if hold < 0 else hold * cfg.dt,
         *extrema,
         omega=0.0,
         min_gap=float(np.min(gap[arm : end + 1])) if arm <= end else math.nan,
         safety_violated=bool(scorer.first_violation[0] <= end),
     )
-    metrics.omega = omega_score(metrics, weights)
+    metrics.omega = omega_score(metrics, cfg.weights)
     return metrics

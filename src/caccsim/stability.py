@@ -8,6 +8,7 @@ gain pair is string stable when the magnitude never exceeds one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ class FrequencySweep:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not (0 < self.omega_min < self.omega_max):
             raise ValueError("need 0 < omega_min < omega_max")
+        if not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 2:
             raise ValueError("need at least 2 sweep points")
 

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from caccsim.gaintable import BuildConfig
 from caccsim.metrics import (
     ONSET_EXCLUDED_SAMPLES,
     RunMetrics,
@@ -33,22 +34,22 @@ from caccsim.metrics import (
 
 def make_trajectory(
     v_follower, a_follower, gap, v_leader_delayed, *,
-    dt=0.01, leader_length=5.0, time_gap=0.7, comm_delay=0.06, **reporting,
+    r_follower=None, r_leader=None, v_leader=None, **settings,
 ) -> Trajectory:
-    """A Trajectory of the given series.  Any of t, r_follower, r_leader and
-    v_leader not given is filled in from them: t from dt, the follower's
+    """A Trajectory of the given series, run under BuildConfig(**settings):
+    dt, leader_length, time_gap, comm_delay or any other of its fields, each
+    at BuildConfig's default when not given.  Any of r_follower, r_leader
+    and v_leader not given is filled in from the series: the follower's
     position by explicit Euler from the origin, the leader's as the
     follower's plus the gap, and the leader speed as the delayed one."""
-    t = np.arange(len(v_follower)) * dt
-    r_follower = dt * np.concatenate(([0.0], np.cumsum(v_follower)[:-1]))
-    series = {
-        "t": t, "r_follower": r_follower, "r_leader": r_follower + gap,
-        "v_leader": v_leader_delayed, **reporting,
-    }
+    cfg = BuildConfig(**settings)
+    if r_follower is None:
+        r_follower = cfg.dt * np.concatenate(([0.0], np.cumsum(v_follower)[:-1]))
     return Trajectory(
-        dt=dt, leader_length=leader_length, time_gap=time_gap,
-        comm_delay=comm_delay, v_follower=v_follower, a_follower=a_follower,
-        gap=gap, v_leader_delayed=v_leader_delayed, **series,
+        cfg=cfg, v_follower=v_follower, a_follower=a_follower, gap=gap,
+        v_leader_delayed=v_leader_delayed, r_follower=r_follower,
+        r_leader=r_follower + gap if r_leader is None else r_leader,
+        v_leader=v_leader_delayed if v_leader is None else v_leader,
     )
 
 
@@ -102,18 +103,21 @@ def safety_from_gap(gap, leader_length: float, mode: SafetyMode) -> tuple[bool, 
 
 
 def oracle_run(trajectory, thresholds, weights, mode, hold_window) -> RunMetrics:
-    """evaluate_run's result, from whole arrays."""
+    """evaluate_run's result, from whole arrays, for a run judged under the
+    given settings; only the step and the spacing (dt, leader_length,
+    time_gap, comm_delay) are read from the trajectory's cfg."""
     flags = band_flags(trajectory, thresholds)
-    idx = first_sustained_index(flags, round(hold_window / trajectory.dt))
+    dt, leader_length = trajectory.cfg.dt, trajectory.cfg.leader_length
+    idx = first_sustained_index(flags, round(hold_window / dt))
     end = idx if idx >= 0 else len(trajectory) - 1
     violated, min_gap = safety_from_gap(
-        trajectory.gap[: end + 1], trajectory.leader_length, mode
+        trajectory.gap[: end + 1], leader_length, mode
     )
     lo = ONSET_EXCLUDED_SAMPLES
     a = trajectory.a_follower[lo : end + 1]
     jerk = jerk_series(trajectory)[lo : end + 1]
     metrics = RunMetrics(
-        t_consensus=math.inf if idx < 0 else idx * trajectory.dt,
+        t_consensus=math.inf if idx < 0 else idx * dt,
         max_accel=max(0.0, float(a.max())) if len(a) else 0.0,
         max_decel=max(0.0, -float(a.min())) if len(a) else 0.0,
         max_jerk=float(jerk.max()) if len(a) else 0.0,

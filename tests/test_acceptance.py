@@ -396,11 +396,11 @@ def test_criterion_10_metric_property_sweeps(acceptance_log):
         gap = np.concatenate([pre, post])
         n = len(gap)
         run = make_trajectory(
-            np.zeros(n), np.ones(n), gap, np.zeros(n), leader_length=lj
+            np.zeros(n), np.ones(n), gap, np.zeros(n), leader_length=lj,
+            thresholds=ConsensusThresholds(), weights=ComfortWeights(),
+            safety_mode=SafetyMode.PROJECTED, hold_window=1.0,
         )
-        m = evaluate_run(
-            run, ConsensusThresholds(), ComfortWeights(), SafetyMode.PROJECTED, 1.0
-        )
+        m = evaluate_run(run)
         assert not m.consensus_reached
         assert not m.safety_violated
         assert m.min_gap > lj

@@ -108,8 +108,11 @@ def test_build_config_delay_steps():
     "field, kwargs",
     [
         ("dt", {"dt": math.inf}),
+        ("dt", {"dt": -math.inf}),
+        ("dt", {"dt": math.nan}),
         ("t_max", {"t_max": math.inf}),
         ("comm_delay", {"comm_delay": math.inf}),
+        ("comm_delay", {"comm_delay": -math.inf}),
         ("comm_delay", {"comm_delay": math.nan}),
         ("hold_window", {"hold_window": math.nan}),
         ("t_max", {"t_max": 0.005, "hold_window": 0.0}),
@@ -119,11 +122,20 @@ def test_build_config_delay_steps():
         # The step ratio overflows to inf: refused, not rounded.
         ("hold_window", {"dt": 1e-320}),
         ("hold_window", {"dt": 5e-324}),
+        ("leader_length", {"leader_length": math.nan}),
+        ("leader_length", {"leader_length": math.inf}),
+        ("leader_length", {"leader_length": -math.inf}),
+        ("time_gap", {"time_gap": math.nan}),
+        ("time_gap", {"time_gap": math.inf}),
+        ("time_gap", {"time_gap": -math.inf}),
     ],
-    ids=["dt-inf", "t_max-inf", "comm_delay-inf", "comm_delay-nan",
+    ids=["dt-inf", "dt-neg-inf", "dt-nan", "t_max-inf", "comm_delay-inf",
+         "comm_delay-neg-inf", "comm_delay-nan",
          "hold_window-nan", "t_max-under-one-step", "t_max-not-whole-steps",
          "hold_window-not-whole-steps", "hold_window-negative",
-         "dt-tiny", "dt-smallest"],
+         "dt-tiny", "dt-smallest", "leader_length-nan", "leader_length-inf",
+         "leader_length-neg-inf", "time_gap-nan", "time_gap-inf",
+         "time_gap-neg-inf"],
 )
 def test_build_config_rejects_bad_value_naming_the_field(field, kwargs):
     with pytest.raises(ValueError, match=f"^{field} "):
@@ -280,14 +292,15 @@ def test_streaming_decision_matches_per_column_evaluation(data):
         make_trajectory(
             v[:, col], a[:, col], gap[:, col], np.full(n, vj[col]), dt=cfg.dt,
             leader_length=cfg.leader_length, time_gap=cfg.time_gap,
-            comm_delay=cfg.comm_delay,
+            comm_delay=cfg.comm_delay, hold_window=cfg.hold_window,
+            safety_mode=cfg.safety_mode,
         )
         for col in range(len(vj))
     ]
     args = (cfg.thresholds, cfg.weights, cfg.safety_mode, cfg.hold_window)
     metrics = [oracle_run(run, *args) for run in runs]
     for run, want in zip(runs, metrics):
-        assert same_metrics(evaluate_run(run, *args), want)
+        assert same_metrics(evaluate_run(run), want)
     expected = [
         select(metrics[cell * n_cand : (cell + 1) * n_cand], pairs)
         for cell in range(n_cells)
@@ -361,8 +374,8 @@ def test_scorer_jerk_across_a_block_boundary_is_in_units_of_dt(cut):
         make_trajectory(
             v, a, gap, np.full(n, vj), dt=cfg.dt, leader_length=cfg.leader_length,
             time_gap=cfg.time_gap, comm_delay=cfg.comm_delay,
-        ),
-        cfg.thresholds, cfg.weights, cfg.safety_mode, cfg.hold_window,
+            hold_window=cfg.hold_window,
+        )
     )
     assert metrics.t_consensus == 7 * cfg.dt
     scorer = _CellScorer(np.array([vj]), [(1.0, 0.1)], n, cfg, None)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +41,9 @@ from caccsim.harness import (
     write_comparison_csv,
     write_trajectory_csv,
 )
-from caccsim.metrics import ConsensusThresholds
+from caccsim.metrics import ConsensusThresholds, SafetyMode, evaluate_run
 
-from run_oracle import make_trajectory, oracle_trajectory_csv
+from run_oracle import make_trajectory, oracle_run, oracle_trajectory_csv
 
 
 def test_benchmark_points_are_fixed():
@@ -187,6 +187,43 @@ def test_simulate_pair_matches_batched_builder_bit_for_bit():
     assert np.array_equal(traj.v_follower, v_b)
     assert np.array_equal(traj.a_follower, a_b)
     assert np.array_equal(traj.gap, gap_b)
+
+
+def fixed_law():
+    """The fixed consensus baseline's law, k 0.1 and gamma 5."""
+    return ConsensusLaw.of(GainPair(k=0.1, gamma=5.0))
+
+
+def test_a_run_carries_the_build_config_it_ran_with():
+    """The record holds the very BuildConfig the run was simulated with, and
+    its sample times are the steps of that config's dt."""
+    cfg = BuildConfig(t_max=20.0)
+    traj = simulate_pair(50.0, 28.0, 14.0, fixed_law(), cfg)
+    assert traj.cfg is cfg
+    assert np.array_equal(traj.t, np.arange(len(traj)) * cfg.dt)
+
+
+def test_a_run_is_judged_by_the_settings_it_ran_with():
+    """evaluate_run reads the hold window and the safety mode of the run's
+    own config: it agrees with the oracle under those settings.  Scenario 3
+    starts 30 m behind the leader, so the same lane flags it at once, while
+    the default projected mode does not."""
+    default = BuildConfig(t_max=60.0)
+    cfg = replace(default, hold_window=0.5, safety_mode=SafetyMode.SAME_LANE)
+    traj = simulate_pair(-30.0, 18.0, 10.0, fixed_law(), cfg)
+    got = evaluate_run(traj)
+    want = oracle_run(traj, cfg.thresholds, cfg.weights, cfg.safety_mode, cfg.hold_window)
+    assert np.array_equal(astuple(got), astuple(want), equal_nan=True)
+    assert got.safety_violated
+    assert not evaluate_run(replace(traj, cfg=default)).safety_violated
+
+
+def test_a_trajectory_cannot_carry_a_leader_length_build_config_refuses():
+    """A negative leader length, which a run record once accepted and
+    judged safe, is refused by the record's BuildConfig, naming the field."""
+    traj = simulate_pair(50.0, 28.0, 14.0, fixed_law(), BuildConfig(t_max=5.0))
+    with pytest.raises(ValueError, match="^leader_length "):
+        replace(traj, cfg=replace(traj.cfg, leader_length=-5.0))
 
 
 def test_run_scenario_is_deterministic(tiny_table, tiny_cfg):
@@ -411,7 +448,7 @@ def test_trajectory_csv_matches_the_row_template_oracle(n, data):
     """The column-wise writer gives the row template's bytes at and around
     the chunk length: a constant chunk is formatted once, but -0.0 stays
     apart from 0.0."""
-    names = ("t", "r_follower", "v_follower", "a_follower", "r_leader", "v_leader", "gap")
+    names = ("r_follower", "v_follower", "a_follower", "r_leader", "v_leader", "gap")
     series = {name: data.draw(csv_column(n), label=name) for name in names}
     trajectory = make_trajectory(v_leader_delayed=series["v_leader"], **series)
     thresholds = data.draw(st.sampled_from([ConsensusThresholds(), LOOSE_BANDS]))

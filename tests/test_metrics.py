@@ -25,18 +25,19 @@ V_EQ = 20.0
 GAP_EQ = desired_gap(V_EQ, 5.0, 0.7, 0.06)  # 20.2 m
 
 
-def equilibrium_trajectory(n, gap=None, **series):
+def equilibrium_trajectory(n, gap=None, **given):
     """Constant-speed run; gap, a value or a series, defaults to the in-band
     target spacing.  Every series is a fresh array, so a test may write into
-    it."""
-    series = {
+    it.  given holds other series or settings, as make_trajectory takes
+    them."""
+    given = {
         "v_follower": np.full(n, V_EQ),
         "a_follower": np.zeros(n),
         "v_leader_delayed": np.full(n, V_EQ),
-        **series,
+        **given,
     }
     return make_trajectory(
-        gap=np.full(n, GAP_EQ if gap is None else gap, dtype=float), **series
+        gap=np.full(n, GAP_EQ if gap is None else gap, dtype=float), **given
     )
 
 
@@ -65,10 +66,17 @@ def in_bands(s, thresholds):
     return bool(out[0])
 
 
+def judge(trajectory, **settings):
+    """evaluate_run of the run with the given settings of its BuildConfig
+    replaced."""
+    return evaluate_run(replace(trajectory, cfg=replace(trajectory.cfg, **settings)))
+
+
 def consensus_time(trajectory, thresholds, hold_window):
     """evaluate_run's consensus time of a whole run."""
-    return evaluate_run(
-        trajectory, thresholds, ComfortWeights(), SafetyMode.SAME_LANE, hold_window
+    return judge(
+        trajectory, thresholds=thresholds, weights=ComfortWeights(),
+        safety_mode=SafetyMode.SAME_LANE, hold_window=hold_window,
     ).t_consensus
 
 
@@ -78,20 +86,20 @@ def gap_floor(trajectory, mode):
     The acceleration is held out of its band, so the bands never hold and
     the whole run is judged."""
     run = replace(trajectory, a_follower=np.ones(len(trajectory)))
-    metrics = evaluate_run(
-        run, ConsensusThresholds(), ComfortWeights(), mode, hold_window=1.0
+    metrics = judge(
+        run, thresholds=ConsensusThresholds(), weights=ComfortWeights(),
+        safety_mode=mode, hold_window=1.0,
     )
     assert not metrics.consensus_reached
     return metrics.safety_violated, metrics.min_gap
 
 
 def test_hold_window_must_be_whole_steps_of_the_run():
-    """At dt 0.03 a 1.0 s hold is 33.3 steps: refused, naming the field,
-    not judged over 33 steps (0.99 s)."""
-    run = equilibrium_trajectory(400)
-    run = replace(run, dt=0.03, t=np.arange(400) * 0.03)
+    """At dt 0.03 a 1.0 s hold is 33.3 steps: the run's BuildConfig refuses
+    it, naming the field, so no run is judged over 33 steps (0.99 s) for it."""
+    run = equilibrium_trajectory(400, dt=0.03, hold_window=0.99)
     with pytest.raises(ValueError, match="^hold_window 1.0 must be .* of dt 0.03"):
-        consensus_time(run, ConsensusThresholds(), hold_window=1.0)
+        replace(run.cfg, hold_window=1.0)
     assert consensus_time(run, ConsensusThresholds(), hold_window=0.99) == 0.0
 
 
@@ -176,13 +184,13 @@ def test_jerk_series_rejects_single_sample():
 
 SERIES = (
     "v_follower", "a_follower", "gap", "v_leader_delayed",
-    "t", "r_follower", "r_leader", "v_leader",
+    "r_follower", "r_leader", "v_leader",
 )
 
 
 @pytest.mark.parametrize("name", SERIES)
 def test_trajectory_refuses_a_series_of_another_shape_naming_it(name):
-    """All eight series hold one sample per step, so the CSV writer, which
+    """All seven series hold one sample per step, so the CSV writer, which
     zips them, cannot cut a run short at a short one."""
     run = equilibrium_trajectory(5)
     for series in (np.zeros(4), np.zeros(6), np.zeros((5, 1))):
@@ -193,10 +201,13 @@ def test_trajectory_refuses_a_series_of_another_shape_naming_it(name):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["dt", "leader_length", "time_gap", "comm_delay"])
 def test_trajectory_refuses_a_non_finite_scalar_naming_it(name, value):
-    """dt = inf with no hold window judged a run converged at nan s, and
-    leader_length = nan judged it never armed and safe."""
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        replace(equilibrium_trajectory(5), **{name: value})
+    """A run's step and spacing are those of its BuildConfig, which refuses
+    a non-finite value naming it.  dt = inf with no hold window once judged
+    a run converged at nan s, and leader_length = nan judged it never armed
+    and safe."""
+    run = equilibrium_trajectory(5)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        replace(run, cfg=replace(run.cfg, **{name: value}))
 
 
 def test_trajectory_stores_each_series_as_a_float_array():
@@ -219,7 +230,7 @@ def test_convergence_first_sustained_time():
     mask = np.arange(n) >= 2490
     traj = flagged_trajectory(n, mask)
     t = consensus_time(traj, ConsensusThresholds(), 1.0)
-    assert t == 2490 * traj.dt
+    assert t == 2490 * traj.cfg.dt
     assert t == pytest.approx(24.90, abs=1e-9)
 
 
@@ -230,7 +241,7 @@ def test_convergence_short_hold_does_not_count():
     mask[100:131] = True
     traj = flagged_trajectory(n, mask)
     assert math.isinf(consensus_time(traj, ConsensusThresholds(), 1.0))
-    assert consensus_time(traj, ConsensusThresholds(), 0.3) == 100 * traj.dt
+    assert consensus_time(traj, ConsensusThresholds(), 0.3) == 100 * traj.cfg.dt
 
 
 def test_convergence_zero_window_is_single_step_rule():
@@ -238,7 +249,7 @@ def test_convergence_zero_window_is_single_step_rule():
     mask = np.zeros(n, dtype=bool)
     mask[420] = True
     traj = flagged_trajectory(n, mask)
-    assert consensus_time(traj, ConsensusThresholds(), 0.0) == 420 * traj.dt
+    assert consensus_time(traj, ConsensusThresholds(), 0.0) == 420 * traj.cfg.dt
 
 
 def test_convergence_window_must_fit_inside_run():
@@ -371,10 +382,8 @@ def test_omega_score_depends_only_on_jerk_magnitudes():
 
 
 def test_evaluate_run_immediate_equilibrium():
-    traj = equilibrium_trajectory(500)
-    metrics = evaluate_run(
-        traj, ConsensusThresholds(), ComfortWeights(), SafetyMode.SAME_LANE, 1.0
-    )
+    traj = equilibrium_trajectory(500, safety_mode=SafetyMode.SAME_LANE)
+    metrics = evaluate_run(traj)
     assert metrics.t_consensus == 0.0
     assert metrics.consensus_reached
     assert metrics.omega == 0.0
@@ -390,10 +399,9 @@ def test_evaluate_run_windows_end_at_consensus():
     spiked = flagged_trajectory(n, mask)
     spiked.gap[1800] = 1.0
     spiked.a_follower[1900] = 9.0
-    args = (ConsensusThresholds(), ComfortWeights(), SafetyMode.SAME_LANE, 1.0)
-    base = evaluate_run(traj, *args)
-    spike = evaluate_run(spiked, *args)
-    assert base.t_consensus == 500 * traj.dt
+    base = judge(traj, safety_mode=SafetyMode.SAME_LANE)
+    spike = judge(spiked, safety_mode=SafetyMode.SAME_LANE)
+    assert base.t_consensus == 500 * traj.cfg.dt
     assert spike.t_consensus == base.t_consensus
     assert not spike.safety_violated
     assert spike.max_accel == base.max_accel
@@ -404,9 +412,7 @@ def test_evaluate_run_whole_run_when_not_converged():
     n = 800
     traj = flagged_trajectory(n, np.zeros(n, dtype=bool))
     traj.gap[700] = 2.0
-    metrics = evaluate_run(
-        traj, ConsensusThresholds(), ComfortWeights(), SafetyMode.SAME_LANE, 1.0
-    )
+    metrics = judge(traj, safety_mode=SafetyMode.SAME_LANE)
     assert not metrics.consensus_reached
     assert metrics.safety_violated
     assert metrics.min_gap == 2.0
@@ -416,12 +422,11 @@ def test_evaluate_run_skips_the_switch_on_sample():
     """A spike at sample 1, the switch-on transient, is left out of the
     comfort extrema; the same spike at sample 2 counts."""
     n = 400
-    args = (ConsensusThresholds(), ComfortWeights(), SafetyMode.SAME_LANE, 1.0)
     spiked = {}
     for sample_index in (1, 2):
-        traj = equilibrium_trajectory(n, gap=30.0)
+        traj = equilibrium_trajectory(n, gap=30.0, safety_mode=SafetyMode.SAME_LANE)
         traj.a_follower[sample_index] = -2.0
-        spiked[sample_index] = evaluate_run(traj, *args)
+        spiked[sample_index] = evaluate_run(traj)
     assert spiked[1].max_decel == 0.0
     assert spiked[2].max_decel == 2.0
     assert spiked[2].min_jerk == -200.0

@@ -31,6 +31,15 @@ def test_frequency_sweep_validation_and_spacing():
     assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
 
+@pytest.mark.parametrize("points", [2.5, 400.0, "400"])
+def test_frequency_sweep_refuses_non_integral_points_naming_it(points):
+    """points = 2.5 used to construct and then fail inside np.logspace with a
+    TypeError; a numpy integer is still accepted."""
+    with pytest.raises(ValueError, match="^points "):
+        FrequencySweep(points=points)
+    assert len(FrequencySweep(points=np.int64(400)).omegas()) == 400
+
+
 @pytest.mark.parametrize("field", ["omega_min", "omega_max"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_frequency_sweep_rejects_non_finite_bound_naming_the_field(

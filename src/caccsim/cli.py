@@ -217,8 +217,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a ValueError from bad input is reported as
+    "caccsim: error: <message>" on stderr with exit status 2."""
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"caccsim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,13 +11,14 @@ The builder runs every candidate of a chunk of cells as columns of one
 batch of the simulation kernel (dynamics.FollowerRuns with the consensus
 law).  The runs are judged as they go by the one run evaluator,
 metrics._RunScorer, the same that evaluate_run applies to a whole run;
-after each block of steps this module only selects: it settles every cell
-whose stored gains can no longer change, so most cells stop long before the
-horizon.  No rows outlive their block: the rare time tie, which compares
-comfort scores over whole runs, re-simulates each tied run through
-dynamics.simulate_pair and judges it with evaluate_run.  The harness runs a
-scenario through the same simulate_pair, so a single re-run of a cell's
-operating point reproduces any stored decision exactly.
+after each block of steps this module only selects: it drops every run that
+can no longer win and settles every cell whose stored gains can no longer
+change, so most runs stop long before the horizon.  No rows outlive their
+block: the rare time tie, which compares comfort scores over whole runs,
+re-simulates each tied run through dynamics.simulate_pair and judges it
+with evaluate_run.  The harness runs a scenario through the same
+simulate_pair, so a single re-run of a cell's operating point reproduces
+any stored decision exactly.
 
 A block is built in place: the kernel hands out views of block buffers it
 reuses, and the scorer judges them in scratch buffers of its own, with no
@@ -412,73 +413,59 @@ def _cell_index(k_cells: np.ndarray, gamma_cells: np.ndarray) -> list:
 
 
 class _CellScorer:
-    """Staged selection for a batch of cells.
+    """Cell selection for a batch of cells, column by column.
 
-    Columns come in cell order, one per candidate pair, and are judged by
-    runs, a metrics._RunScorer over the batch.  decide() settles every cell
-    whose stored gains can no longer change and drops its columns.  No rows
-    are kept: the comfort tie-break, which needs a column's whole run and is
-    rare, judges rerun(column) with evaluate_run, rerun giving the column's
-    run re-simulated alone by simulate_pair (column being its index in the
-    batch).
+    Columns come in cell order, one per candidate pair, so column c belongs
+    to cell c // len(pairs) and runs pair c % len(pairs); runs, a
+    metrics._RunScorer over the batch, judges them.  decide() drops every
+    column that can no longer win and settles every cell whose stored gains
+    are final; cols holds the open columns by their index in the batch.  No
+    rows are kept: the comfort tie-break, which needs a column's whole run
+    and is rare, judges rerun(column) with evaluate_run, rerun giving the
+    column's run re-simulated alone by simulate_pair.
     """
 
     def __init__(self, vj, pairs, n_samples: int, cfg: BuildConfig, rerun):
         self.pairs = pairs
         self.rerun = rerun
-        self.cfg = cfg
         n_cells = len(vj) // len(pairs)
         self.k = np.full(n_cells, math.nan)
         self.gamma = np.full(n_cells, math.nan)
-        # Open cells and columns, by their index in the batch.
-        self.cells = np.arange(n_cells)
         self.cols = np.arange(len(vj))
         self.runs = _RunScorer(cfg, np.asarray(vj, dtype=float)[None, :], n_samples)
 
     def decide(self) -> np.ndarray:
-        """Settle the cells whose gains are final; returns the kept-column mask.
+        """Drop lost columns, settle final cells; return the kept-column mask.
 
-        Exact after L scored rows with a hold window of w rows.  A safe
-        converged column (first sustained index i with i + w < L, first
-        violation after i) settles its cell: a column not converged yet has
-        index >= L - w > i, so it can neither win nor tie.  A cell is also
-        settled, as a marker, when every column is excluded: converged but
-        unsafe, or not converged with its first armed violation at or before
-        the start of its current band run.  At the horizon every cell is
-        settled.
+        Exact after L scored rows with a hold window of w rows.  A column is
+        lost when it converged unsafe (first armed violation at or before its
+        first sustained index) or, not converged, its first armed violation
+        is at or before the start of its current band run, since any later
+        hold starts after that run.  A safe converged column (first sustained
+        index i, i + w < L) settles its cell: a column not converged yet has
+        index >= L - w > i, so it can neither win nor tie.  The winner is the
+        safe column of least index, then least comfort score, then smallest
+        (gamma, k).  At the horizon every column leaves; a cell with no safe
+        column keeps its NaN marker.
         """
-        runs, n_cand = self.runs, len(self.pairs)
-        converged = runs.first_hold >= 0
-        safe = converged & (runs.first_violation > runs.first_hold)
-        excluded = np.where(
-            converged, ~safe, runs.first_violation <= runs.last_break + 1
-        )
-        done = safe.reshape(-1, n_cand).any(axis=1)
-        done |= excluded.reshape(-1, n_cand).all(axis=1)
-        if runs.rows == runs.n_samples:
-            done[:] = True
-        keep = np.repeat(~done, n_cand)
-        if done.any():
-            # Columns not converged yet go in as unconverged; see above.
-            t_consensus = np.where(converged, runs.first_hold * self.cfg.dt, math.inf)
-            end = np.where(converged, runs.first_hold, runs.rows - 1)
-            violated = runs.first_violation <= end
-            for pos in np.flatnonzero(done):
-                lo = pos * n_cand
-
-                def comfort(i, lo=lo):
-                    return self._comfort(int(self.cols[lo + i]))
-
-                cell = self.cells[pos]
-                self.k[cell], self.gamma[cell] = _select_cell(
-                    t_consensus[lo : lo + n_cand],
-                    violated[lo : lo + n_cand],
-                    comfort,
-                    self.pairs,
-                )
-            self.cells = self.cells[~done]
-            self.cols = self.cols[keep]
-            runs.keep(keep)
+        runs, cols, n_cand = self.runs, self.cols, len(self.pairs)
+        hold, violation = runs.first_hold, runs.first_violation
+        safe = (hold >= 0) & (violation > hold)
+        cells = cols // n_cand
+        won = np.zeros(len(self.k), dtype=bool)
+        won[cells[safe]] = True
+        for cell in np.flatnonzero(won).tolist():
+            mine = safe & (cells == cell)
+            fastest = cols[mine & (hold == hold[mine].min())].tolist()
+            if len(fastest) > 1:
+                omega = [self._comfort(col) for col in fastest]
+                fastest = [c for c, o in zip(fastest, omega) if o == min(omega)]
+            gamma, k = min(self.pairs[col % n_cand] for col in fastest)
+            self.k[cell], self.gamma[cell] = k, gamma
+        keep = (hold < 0) & (violation > runs.last_break + 1) & ~won[cells]
+        keep &= runs.rows < runs.n_samples
+        self.cols = cols[keep]
+        runs.keep(keep)
         return keep
 
     def _comfort(self, column: int) -> float:
@@ -488,46 +475,16 @@ class _CellScorer:
         return metrics.evaluate_run(self.rerun(column)).omega
 
 
-def _select_cell(t_consensus, violated, comfort, pairs) -> tuple[float, float]:
-    """Stored gains for one cell from its candidates' run outcomes.
-
-    t_consensus[i] is candidate i's consensus time (inf when not reached),
-    violated[i] whether it broke the gap floor up to then (or over the whole
-    run), and comfort(i) its comfort score, asked for only to break a time
-    tie.  Stage 1 keeps candidates that pass the gap floor; none left means
-    a marker cell.  Stage 2 keeps the converged ones with minimum
-    convergence time; none converged also means a marker cell.  A unique
-    minimizer wins outright; otherwise minimum comfort score, then smallest
-    (gamma, k).
-    """
-    safe = [i for i in range(len(pairs)) if not violated[i]]
-    if not safe:
-        return math.nan, math.nan
-    converged = [i for i in safe if math.isfinite(t_consensus[i])]
-    if not converged:
-        return math.nan, math.nan
-    t_best = min(t_consensus[i] for i in converged)
-    fastest = [i for i in converged if t_consensus[i] == t_best]
-    if len(fastest) > 1:
-        omega = {i: comfort(i) for i in fastest}
-        omega_best = min(omega.values())
-        tied = [i for i in fastest if omega[i] == omega_best]
-        winner = min(tied, key=lambda i: pairs[i])
-    else:
-        winner = fastest[0]
-    gamma, k = pairs[winner]
-    return k, gamma
-
-
 def _evaluate_cells(args):
     """Worker: stored gains of a list of flat cell indices.
 
     Simulates every candidate of the cells as one batch, _BLOCK_STEPS rows
-    at a time.  After each block the rows are scored, every cell whose
-    stored gains are final is settled and its columns leave the batch
-    (_CellScorer.decide); the batch stops when no column is left.  Cells
-    where a safe candidate converged early stop early; a marker cell stops
-    once every candidate has broken the gap floor, else at the horizon.
+    at a time.  After each block the rows are scored, and every column that
+    can no longer win or whose cell is settled leaves the batch
+    (_CellScorer.decide); the batch stops when no column is left.  A cell
+    where a safe candidate converged stops there; a column that broke the
+    gap floor where it can no longer converge safely stops at once, so a
+    marker cell stops once all its columns have, else at the horizon.
     A time tie re-simulates each tied run alone through simulate_pair for
     its comfort score; the arithmetic is per column, so it comes out the
     same.

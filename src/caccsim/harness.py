@@ -247,10 +247,17 @@ def write_trajectory_csv(path, trajectory: Trajectory, thresholds) -> None:
 
     Columns: t, r_i, v_i, a_i, jerk_i, r_j, v_j, gap, gap_error,
     consensus_flag.  gap is the delayed-leader gap; gap_error subtracts the
-    target spacing; consensus_flag is the per-sample band flag.  The jerk
-    and the target spacing are computed once per run; the band flags of a
-    chunk overwrite that chunk of both once it is formatted.
+    target spacing; consensus_flag is the per-sample band flag.  thresholds
+    must be the bands the run is judged with, trajectory.cfg.thresholds;
+    other bands are refused with a ValueError.  The jerk and the target
+    spacing are computed once per run; the band flags of a chunk overwrite
+    that chunk of both once it is formatted.
     """
+    if thresholds != trajectory.cfg.thresholds:
+        raise ValueError(
+            f"thresholds {thresholds!r} are not the bands the run is judged "
+            f"with, {trajectory.cfg.thresholds!r}"
+        )
     jerk, target = jerk_series(trajectory), trajectory.desired_gaps()
     gap = trajectory.gap
     columns = (

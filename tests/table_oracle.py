@@ -1,12 +1,17 @@
-"""Line-by-line reference reading of a table file's cell block.
+"""Reference cell selection and line-by-line reading of a table file.
 
-The oracle that property tests pin caccsim.gaintable.load_table's column
-reader to: it counts the cell lines, then checks them one at a time in
-row-major order, then checks candidate membership, and raises the fault of
-the first faulty line with load_table's text.  It reads the layout
-save_table writes and nothing else: tokens joined by single spaces, indices
-as str(i) writes them, gains as float() reads them or "NaN".  It shares
-only TableFormatError with caccsim.
+_select_cell is the staged selection that the table build's column-wise
+_CellScorer.decide is pinned to: it picks one cell's stored gains from its
+candidates' whole-run outcomes.
+
+oracle_cells is the oracle that property tests pin
+caccsim.gaintable.load_table's column reader to: it counts the cell lines,
+then checks them one at a time in row-major order, then checks candidate
+membership, and raises the fault of the first faulty line with
+load_table's text.  It reads the layout save_table writes and nothing else:
+tokens joined by single spaces, indices as str(i) writes them, gains as
+float() reads them or "NaN".  The module shares only TableFormatError with
+caccsim.
 """
 
 from __future__ import annotations
@@ -80,3 +85,34 @@ def oracle_cells(path, table) -> tuple[np.ndarray, np.ndarray]:
                 "are not candidate members"
             )
     return np.array(ks), np.array(gammas)
+
+
+def _select_cell(t_consensus, violated, comfort, pairs) -> tuple[float, float]:
+    """Stored gains for one cell from its candidates' run outcomes.
+
+    t_consensus[i] is candidate i's consensus time (inf when not reached),
+    violated[i] whether it broke the gap floor up to then (or over the whole
+    run), and comfort(i) its comfort score, asked for only to break a time
+    tie.  Stage 1 keeps candidates that pass the gap floor; none left means
+    a marker cell.  Stage 2 keeps the converged ones with minimum
+    convergence time; none converged also means a marker cell.  A unique
+    minimizer wins outright; otherwise minimum comfort score, then smallest
+    (gamma, k).
+    """
+    safe = [i for i in range(len(pairs)) if not violated[i]]
+    if not safe:
+        return math.nan, math.nan
+    converged = [i for i in safe if math.isfinite(t_consensus[i])]
+    if not converged:
+        return math.nan, math.nan
+    t_best = min(t_consensus[i] for i in converged)
+    fastest = [i for i in converged if t_consensus[i] == t_best]
+    if len(fastest) > 1:
+        omega = {i: comfort(i) for i in fastest}
+        omega_best = min(omega.values())
+        tied = [i for i in fastest if omega[i] == omega_best]
+        winner = min(tied, key=lambda i: pairs[i])
+    else:
+        winner = fastest[0]
+    gamma, k = pairs[winner]
+    return k, gamma

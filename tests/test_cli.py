@@ -261,14 +261,42 @@ def test_run_without_id_writes_inside_out_dir(cli_env, tmp_path, monkeypatch, ca
     assert written == [Path("runs", "noid_linear_feedback.csv")]
 
 
-def test_run_lookup_without_table_raises(cli_env, tmp_path):
-    with pytest.raises(ValueError, match="table"):
-        main([
-            "run",
-            "--scenario", cli_env["scenario_hit"],
-            "--config", cli_env["build"],
-            "--out-dir", str(tmp_path / "x"),
-        ])
+def test_run_lookup_without_table_raises(cli_env, tmp_path, capsys):
+    rc = main([
+        "run",
+        "--scenario", cli_env["scenario_hit"],
+        "--config", cli_env["build"],
+        "--out-dir", str(tmp_path / "x"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("caccsim: error: ") and "table" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stability", "--gamma", "0", "--k", "0.1"], "gamma must be positive"),
+        (["build-table", "--axes", "{axes}", "--candidates", "{candidates}",
+          "--config", "{build}", "--out", "{root}/w0.txt", "--workers", "0"],
+         "workers must be at least 1"),
+        (["build-table", "--axes", "{axes}", "--candidates", "{candidates}",
+          "--config", "{bad}", "--out", "{root}/bad.txt"], "t_max must exceed"),
+        (["inspect-table", "{axes}"], "table format version"),
+    ],
+    ids=["stability-gamma-0", "workers-0", "bad-config", "bad-table"],
+)
+def test_bad_input_is_an_error_line_not_a_traceback(
+    cli_env, tmp_path, capsys, argv, message
+):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[build]\nt_max = 0\n", encoding="utf-8")
+    rc = main([arg.format(bad=bad, **cli_env) for arg in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("caccsim: error: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_suite_writes_reports(cli_env, capsys):

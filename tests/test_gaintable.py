@@ -30,7 +30,6 @@ from caccsim.gaintable import (
     GainTable,
     TableFormatError,
     _CellScorer,
-    _select_cell,
     build_table,
     load_table,
     lookup,
@@ -47,7 +46,7 @@ from caccsim.metrics import (
     evaluate_run,
 )
 from run_oracle import make_trajectory, oracle_run
-from table_oracle import oracle_cells
+from table_oracle import _select_cell, oracle_cells
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -187,6 +186,85 @@ def test_select_cell_full_tie_takes_smallest_gains():
     pairs = [(1.0, 0.1), (1.0, 0.2), (2.0, 0.1)]
     metrics = [metrics_stub(20.0), metrics_stub(20.0), metrics_stub(20.0)]
     assert select(metrics, pairs) == (0.1, 1.0)
+
+
+def synthetic_column(n, vj, cfg, hold=None, violated=False, spike=0.0):
+    """(v, a, gap) of a run whose bands first hold at row hold (never when
+    None), that breaks the armed gap floor at row 1 when violated, and
+    whose comfort score grows with the acceleration spike at row 3."""
+    v = np.full(n, vj)
+    a = np.zeros(n)
+    a[3] = spike
+    gap = desired_gap(v, cfg.leader_length, cfg.time_gap, cfg.comm_delay)
+    gap[: n if hold is None else hold] += 3.0
+    if violated:
+        gap[1] = cfg.leader_length - 1.0
+    return v, a, gap
+
+
+# The six staged-selection cases above as synthetic runs, each column given
+# as (hold row, violated, spike), with the pairs out of (gamma, k) order.
+SCORER_CASES = {
+    "no-safe-candidate": (
+        [(8, True, 0.0), (5, True, 0.0)], [(2.0, 0.1), (1.0, 0.1)], None
+    ),
+    "no-converged-candidate": (
+        [(None, False, 0.0), (None, False, 0.0)], [(2.0, 0.1), (1.0, 0.1)], None
+    ),
+    "unique-fastest-despite-comfort": (
+        [(9, False, 0.1), (6, False, 99.0), (7, False, 0.1)],
+        [(3.0, 0.1), (2.0, 0.1), (1.0, 0.1)],
+        (0.1, 2.0),
+    ),
+    "violating-excluded": (
+        [(5, True, 0.0), (10, False, 0.0)], [(2.0, 0.1), (1.0, 0.1)], (0.1, 1.0)
+    ),
+    "time-tie-comfort": (
+        [(7, False, 5.0), (7, False, 2.0), (7, False, 3.0)],
+        [(3.0, 0.1), (1.0, 0.1), (2.0, 0.1)],
+        (0.1, 1.0),
+    ),
+    "full-tie-smallest-gains": (
+        [(7, False, 1.0), (7, False, 1.0), (7, False, 1.0)],
+        [(2.0, 0.1), (1.0, 0.2), (1.0, 0.1)],
+        (0.1, 1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SCORER_CASES))
+def test_cell_scorer_selects_as_the_staged_rule(case):
+    """Each staged-selection case, run through the build's own scorer in two
+    blocks: the stored gains match, and after each decide every open column
+    can still win: it has not converged, and its first armed violation, if
+    any, is after the start of its current band run."""
+    specs, pairs, want = SCORER_CASES[case]
+    cfg = BuildConfig(dt=0.5, t_max=100.0, comm_delay=0.5, hold_window=0.0)
+    n, vj = 12, 10.0
+    columns = [synthetic_column(n, vj, cfg, *spec) for spec in specs]
+    v, a, gap = (np.stack(series, axis=1) for series in zip(*columns))
+    runs = [
+        make_trajectory(*column, np.full(n, vj), dt=cfg.dt, comm_delay=cfg.comm_delay,
+                        hold_window=cfg.hold_window)
+        for column in columns
+    ]
+    scorer = _CellScorer(np.full(len(specs), vj), pairs, n, cfg, runs.__getitem__)
+    for lo, hi in ((0, 6), (6, n)):
+        cols = scorer.cols
+        scorer.runs.score(v[lo:hi, cols], a[lo:hi, cols], gap[lo:hi, cols])
+        scorer.decide()
+        assert (scorer.runs.first_hold < 0).all()
+        assert (scorer.runs.first_violation > scorer.runs.last_break + 1).all()
+    assert len(scorer.cols) == 0
+    got = (scorer.k[0], scorer.gamma[0])
+    want = (math.nan, math.nan) if want is None else want
+    assert np.array_equal(got, want, equal_nan=True)
+    metrics = [evaluate_run(run) for run in runs]
+    assert [(m.t_consensus, m.safety_violated) for m in metrics] == [
+        (math.inf if hold is None else hold * cfg.dt, violated)
+        for hold, violated, _ in specs
+    ]
+    assert np.array_equal(got, select(metrics, pairs), equal_nan=True)
 
 
 def test_batch_simulation_matches_manual_scalar_loop():
@@ -331,32 +409,46 @@ def test_streaming_decision_matches_per_column_evaluation(data):
     for lo, hi in blocks:
         cols = scorer.cols
         scorer.runs.score(v[lo:hi, cols], a[lo:hi, cols], gap[lo:hi, cols])
-        open_cells = scorer.cells
+        open_cells = np.unique(cols // n_cand)
         scorer.decide()
-        for cell in np.setdiff1d(open_cells, scorer.cells):
+        for cell in np.setdiff1d(open_cells, scorer.cols // n_cand):
             got = (scorer.k[cell], scorer.gamma[cell])
             assert np.array_equal(got, expected[cell], equal_nan=True), (cell, hi)
-    assert len(scorer.cells) == 0
     assert len(scorer.cols) == 0
 
 
-def test_scorer_keeps_a_cell_open_past_a_run_unsafe_at_its_consensus_row():
-    """A run whose first violation is its consensus row is unsafe, so a
-    slower safe run can still win the cell."""
+def unsafe_at_consensus_cell():
+    """One cell of two columns, scored over its first two rows and decided:
+    column 0 arms at row 0 and converges on the gap floor at row 1; column 1
+    never arms and converges at row 2.  Returns the scorer and the gaps."""
     cfg = BuildConfig(dt=0.5, t_max=100.0, comm_delay=0.5, hold_window=0.0)
     floor = cfg.leader_length  # the desired gap at standstill
-    # Column 0 arms at row 0 and converges on the floor at row 1; column 1
-    # never arms and converges at row 2.
     gap = np.array([[floor + 0.5, floor - 1.0], [floor, floor - 1.0], [floor, floor]])
     gap = np.vstack([gap, np.full((3, 2), floor)])
     scorer = _CellScorer(np.zeros(2), [(1.0, 0.1), (2.0, 0.1)], len(gap), cfg, None)
     scorer.runs.score(np.zeros((2, 2)), np.zeros((2, 2)), gap[:2])
     scorer.decide()
-    assert list(scorer.cells) == [0]
-    scorer.runs.score(np.zeros((4, 2)), np.zeros((4, 2)), gap[2:])
+    return scorer, gap
+
+
+def test_scorer_keeps_a_cell_open_past_a_run_unsafe_at_its_consensus_row():
+    """A run whose first violation is its consensus row is unsafe, so a
+    slower safe run can still win the cell."""
+    scorer, gap = unsafe_at_consensus_cell()
+    assert np.unique(scorer.cols // 2).tolist() == [0]
+    scorer.runs.score(np.zeros((4, 1)), np.zeros((4, 1)), gap[2:, scorer.cols])
     scorer.decide()
-    assert len(scorer.cells) == 0
+    assert len(scorer.cols) == 0
     assert (scorer.k[0], scorer.gamma[0]) == (0.1, 2.0)
+
+
+def test_scorer_drops_a_run_unsafe_at_its_consensus_row_while_its_cell_is_open():
+    """The unsafe run leaves the batch at the first decide, before its cell
+    settles, and the cell's other run steps on alone."""
+    scorer, _ = unsafe_at_consensus_cell()
+    assert scorer.cols.tolist() == [1]
+    assert scorer.runs.first_hold.tolist() == [-1]
+    assert math.isnan(scorer.k[0]) and math.isnan(scorer.gamma[0])
 
 
 @pytest.mark.parametrize("cut", [6, 7, None])
@@ -542,16 +634,14 @@ def test_time_tie_comfort_comes_from_re_simulated_runs(monkeypatch):
     candidates = CandidateSets(gammas=[5.0, 6.0], ks=[0.1])
     cfg = BuildConfig()
     asked = {}
-    real_select = gaintable._select_cell
+    real_comfort = _CellScorer._comfort
 
-    def recording_select(t_consensus, violated, comfort, pairs):
-        def recorded(i):
-            asked[pairs[i]] = comfort(i)
-            return asked[pairs[i]]
+    def recording_comfort(scorer, column):
+        pair = scorer.pairs[column % len(scorer.pairs)]
+        asked[pair] = real_comfort(scorer, column)
+        return asked[pair]
 
-        return real_select(t_consensus, violated, recorded, pairs)
-
-    monkeypatch.setattr(gaintable, "_select_cell", recording_select)
+    monkeypatch.setattr(_CellScorer, "_comfort", recording_comfort)
     table = build_table(axes, candidates, cfg)
     expected = {}
     for gamma, k in candidates.pairs():

@@ -450,13 +450,23 @@ def test_trajectory_csv_matches_the_row_template_oracle(n, data):
     apart from 0.0."""
     names = ("r_follower", "v_follower", "a_follower", "r_leader", "v_leader", "gap")
     series = {name: data.draw(csv_column(n), label=name) for name in names}
-    trajectory = make_trajectory(v_leader_delayed=series["v_leader"], **series)
     thresholds = data.draw(st.sampled_from([ConsensusThresholds(), LOOSE_BANDS]))
+    trajectory = make_trajectory(
+        v_leader_delayed=series["v_leader"], thresholds=thresholds, **series
+    )
     with tempfile.TemporaryDirectory() as tmp:
         written, expected = Path(tmp, "run.csv"), Path(tmp, "oracle.csv")
         write_trajectory_csv(written, trajectory, thresholds)
         oracle_trajectory_csv(expected, trajectory, thresholds)
         assert written.read_bytes() == expected.read_bytes()
+
+
+def test_trajectory_csv_refuses_bands_the_run_was_not_judged_with(tmp_path):
+    trajectory = make_trajectory(np.zeros(3), np.zeros(3), np.full(3, 6.0), np.zeros(3))
+    path = tmp_path / "run.csv"
+    with pytest.raises(ValueError, match="^thresholds .* not the bands"):
+        write_trajectory_csv(path, trajectory, LOOSE_BANDS)
+    assert not path.exists()
 
 
 def test_comparison_csv_layout(tiny_table, tiny_cfg, tmp_path):

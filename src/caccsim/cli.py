@@ -217,12 +217,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a ValueError from bad input is reported as
+    """Run one subcommand; a ValueError from bad input, or an OSError from a
+    path that cannot be read or written, is reported as
     "caccsim: error: <message>" on stderr with exit status 2."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"caccsim: error: {exc}", file=sys.stderr)
         return 2
 

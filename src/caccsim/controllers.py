@@ -32,7 +32,21 @@ __all__ = [
     "desired_gap",
     "consensus_command",
     "linear_feedback_accel",
+    "require",
 ]
+
+
+def require(settings, rule, holds, *names) -> None:
+    """Raise ValueError(f"{name} must be {rule}, got {value!r}") for the
+    first named field of settings whose value fails holds.
+
+    The one single-field check of every settings record; a rule that
+    relates two fields is written out where it applies.
+    """
+    for name in names:
+        value = getattr(settings, name)
+        if not holds(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 class InvalidGainsError(ValueError):
@@ -57,12 +71,7 @@ class GainPair:
 
     def __post_init__(self) -> None:
         if self.valid:
-            if not (math.isfinite(self.k) and self.k > 0):
-                raise ValueError(f"k must be positive and finite, got {self.k!r}")
-            if not (math.isfinite(self.gamma) and self.gamma > 0):
-                raise ValueError(
-                    f"gamma must be positive and finite, got {self.gamma!r}"
-                )
+            require(self, "positive and finite", lambda v: 0 < v < math.inf, "k", "gamma")
 
     @classmethod
     def invalid(cls) -> "GainPair":
@@ -83,14 +92,7 @@ class LinearFeedbackGains:
     standstill_gap: float = 1.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-
-
-# Conservative defaults for the fallback path when a lookup misses.
-DEFAULT_FALLBACK_GAINS = LinearFeedbackGains()
+        require(self, "finite", math.isfinite, *(f.name for f in fields(self)))
 
 
 def desired_gap(follower_speed, leader_length, time_gap, comm_delay):

@@ -63,7 +63,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import metrics
-from .controllers import ConsensusLaw, GainPair
+from .controllers import ConsensusLaw, GainPair, require
 from .dynamics import FollowerRuns, simulate_pair
 from .metrics import ComfortWeights, ConsensusThresholds, SafetyMode, _RunScorer
 
@@ -238,14 +238,9 @@ class BuildConfig:
     hold_window: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "dt", "t_max", "comm_delay", "leader_length", "time_gap", "hold_window"
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        require(self, "finite", math.isfinite, "dt", "t_max", "comm_delay",
+                "leader_length", "time_gap", "hold_window")
+        require(self, "positive", lambda v: v > 0, "dt", "leader_length", "time_gap")
         for name in ("hold_window", "comm_delay"):
             self.steps(name)
         if not self.t_max > self.hold_window:
@@ -254,10 +249,6 @@ class BuildConfig:
             raise ValueError(
                 f"t_max {self.t_max!r} must span at least one step of dt {self.dt!r}"
             )
-        if not self.leader_length > 0:
-            raise ValueError("leader_length must be positive")
-        if not self.time_gap > 0:
-            raise ValueError("time_gap must be positive")
 
     def steps(self, name: str) -> int:
         """The field name (t_max, hold_window or comm_delay) in whole steps
@@ -318,8 +309,8 @@ class GainTable:
             setattr(self, name, cells.reshape(shape))
         if not np.array_equal(np.isnan(self.k_cells), np.isnan(self.gamma_cells)):
             raise ValueError("k and gamma markers disagree on some cells")
-        self._cells = _cell_index(self.k_cells, self.gamma_cells)
         _validate_members(self.k_cells, self.gamma_cells, self.candidates)
+        self._cells = _cell_index(self.k_cells, self.gamma_cells)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -381,22 +372,12 @@ def _cell_index(k_cells: np.ndarray, gamma_cells: np.ndarray) -> list:
     [i3 + 1], padded with a face of None on every side: _MARKER on each
     marker cell and one pair per distinct stored (k, gamma).
 
-    The cells are checked on the arrays first: a cell that is not a marker
-    must hold a valid pair, and the fault names its indices and field.  Each
-    array is coded by np.unique (NaN taking one code), the two codes are
-    combined into one per cell and coded again, so each distinct pair is
-    built once and no Python loop runs over the cells.
+    The cells are checked before (_validate_members), so every pair built
+    here is valid.  Each array is coded by np.unique (NaN taking one code),
+    the two codes are combined into one per cell and coded again, so each
+    distinct pair is built once and no Python loop runs over the cells.
     """
     k, gamma = k_cells.ravel(), gamma_cells.ravel()
-    k_ok, gamma_ok = (k > 0) & (k < math.inf), (gamma > 0) & (gamma < math.inf)
-    bad = ~np.isnan(k) & ~(k_ok & gamma_ok)
-    if bad.any():
-        i = int(bad.argmax())
-        name, value = ("k", k[i]) if not k_ok[i] else ("gamma", gamma[i])
-        index = tuple(map(int, np.unravel_index(i, k_cells.shape)))
-        raise ValueError(
-            f"cell {index}: {name} must be positive and finite, got {value.item()!r}"
-        )
     k_values, k_code = np.unique(k, return_inverse=True)
     gamma_values, gamma_code = np.unique(gamma, return_inverse=True)
     n_gamma = len(gamma_values)
@@ -563,15 +544,20 @@ def _validate_members(
     cands: CandidateSets,
     first_line: int | None = None,
 ) -> None:
-    """Every valid cell's gains must come from the candidate sets, checked on
-    the arrays by GainTable.  The fault names the line of the first bad cell
-    when first_line, the line of cell 0, is given."""
+    """Every cell that is not a marker must hold gains from the candidate
+    sets, checked on the arrays by GainTable.  The sets hold only positive,
+    finite values, so this is also the check that a cell's gains are valid.
+    The fault names the first bad cell: its line when first_line, the line
+    of cell 0, is given, else its indices."""
     k = k_cells.ravel()
     gamma = gamma_cells.ravel()
-    bad = np.isfinite(k) & ~(np.isin(gamma, cands.gammas) & np.isin(k, cands.ks))
+    bad = ~np.isnan(k) & ~(np.isin(gamma, cands.gammas) & np.isin(k, cands.ks))
     if bad.any():
         i = int(bad.argmax())
-        where = "" if first_line is None else f"line {first_line + i}: "
+        if first_line is None:
+            where = f"cell {tuple(map(int, np.unravel_index(i, k_cells.shape)))}: "
+        else:
+            where = f"line {first_line + i}: "
         raise TableFormatError(
             f"{where}stored gains (gamma={gamma[i].item()!r}, k={k[i].item()!r}) "
             "are not candidate members"

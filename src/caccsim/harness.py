@@ -28,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .controllers import (
-    DEFAULT_FALLBACK_GAINS,
     ConsensusLaw,
     GainPair,
     LinearFeedbackGains,
     LinearFeedbackLaw,
+    require,
 )
 from .dynamics import simulate_pair
 from .gaintable import BuildConfig, GainTable, lookup
@@ -83,19 +83,13 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if "/" in self.scenario_id or os.sep in self.scenario_id:
             raise ValueError(f"scenario_id {self.scenario_id!r} holds a path separator")
+        require(self, "finite", math.isfinite, "dr0", "vi0", "vj0")
+        require(self, "non-negative", lambda v: v >= 0, "vi0", "vj0")
         # Stored as floats, so lookup sees the point the kernel integrates.
         for name in ("dr0", "vi0", "vj0"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            setattr(self, name, float(value))
-        if self.vi0 < 0 or self.vj0 < 0:
-            raise ValueError("initial speeds must be non-negative")
-        if self.controller not in CONTROLLER_KINDS:
-            raise ValueError(
-                f"unknown controller {self.controller!r}; expected one of "
-                f"{CONTROLLER_KINDS}"
-            )
+            setattr(self, name, float(getattr(self, name)))
+        require(self, f"one of {CONTROLLER_KINDS}", CONTROLLER_KINDS.__contains__,
+                "controller")
         if self.controller == "fixed_consensus":
             fits = isinstance(self.gains, GainPair) and self.gains.valid
         elif self.controller == "linear_feedback":
@@ -165,7 +159,7 @@ def run_scenario(
     scenario: ScenarioConfig,
     cfg: BuildConfig,
     table: GainTable | None = None,
-    fallback_gains: LinearFeedbackGains = DEFAULT_FALLBACK_GAINS,
+    fallback_gains: LinearFeedbackGains = LinearFeedbackGains(),
 ) -> tuple[RunReport, Trajectory]:
     """Run one scenario for cfg.t_max and evaluate it."""
     control, gains, fallback_engaged = _resolve_controller(

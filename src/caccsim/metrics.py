@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .controllers import desired_gap
+from .controllers import desired_gap, require
 
 if TYPE_CHECKING:
     from .gaintable import BuildConfig
@@ -77,10 +77,8 @@ class ConsensusThresholds:
     delta_jerk: float = 0.005
 
     def __post_init__(self) -> None:
-        for name in ("eta_r", "eta_v", "delta_a", "delta_jerk"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        require(self, "positive and finite", lambda v: 0 < v < math.inf,
+                "eta_r", "eta_v", "delta_a", "delta_jerk")
 
 
 @dataclass(frozen=True)
@@ -91,10 +89,8 @@ class ComfortWeights:
     omega_2: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("omega_1", "omega_2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+        require(self, "non-negative and finite", lambda v: 0 <= v < math.inf,
+                "omega_1", "omega_2")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import GainPair
+from .controllers import GainPair, require
 
 __all__ = [
     "FrequencySweep",
@@ -32,16 +32,12 @@ class FrequencySweep:
     points: int = 400
 
     def __post_init__(self) -> None:
-        for name in ("omega_min", "omega_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not (0 < self.omega_min < self.omega_max):
-            raise ValueError("need 0 < omega_min < omega_max")
-        if not isinstance(self.points, numbers.Integral):
-            raise ValueError(f"points must be an integer, got {self.points!r}")
-        if self.points < 2:
-            raise ValueError("need at least 2 sweep points")
+        require(self, "finite", math.isfinite, "omega_min", "omega_max")
+        require(self, "positive", lambda v: v > 0, "omega_min")
+        if not self.omega_min < self.omega_max:
+            raise ValueError("omega_max must exceed omega_min")
+        require(self, "an integer of at least 2",
+                lambda v: isinstance(v, numbers.Integral) and v >= 2, "points")
 
     def omegas(self) -> np.ndarray:
         return np.logspace(

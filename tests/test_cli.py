@@ -284,8 +284,12 @@ def test_run_lookup_without_table_raises(cli_env, tmp_path, capsys):
         (["build-table", "--axes", "{axes}", "--candidates", "{candidates}",
           "--config", "{bad}", "--out", "{root}/bad.txt"], "t_max must exceed"),
         (["inspect-table", "{axes}"], "table format version"),
+        (["inspect-table", "{root}/missing.txt"], "No such file or directory"),
+        (["run", "--scenario", "{scenario_unsafe}", "--config", "{run_short}",
+          "--out-dir", "{axes}"], "File exists"),
     ],
-    ids=["stability-gamma-0", "workers-0", "bad-config", "bad-table"],
+    ids=["stability-gamma-0", "workers-0", "bad-config", "bad-table", "missing-table",
+         "out-dir-is-a-file"],
 )
 def test_bad_input_is_an_error_line_not_a_traceback(
     cli_env, tmp_path, capsys, argv, message

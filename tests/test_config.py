@@ -27,6 +27,7 @@ from caccsim.gaintable import (
     load_table,
     save_table,
 )
+from caccsim.harness import BENCHMARK_POINTS
 from caccsim.metrics import ComfortWeights, SafetyMode
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -67,13 +68,11 @@ def test_shipped_candidates():
 
 
 def test_shipped_scenarios():
-    expected = {
-        "scenario1": (50.0, 28.0, 14.0),
-        "scenario2": (20.0, 16.0, 22.0),
-        "scenario3": (-30.0, 18.0, 10.0),
-        "scenario4": (-80.0, 4.0, 21.0),
-    }
-    for sid, (dr0, vi0, vj0) in expected.items():
+    """configs/scenario1..4.ini hold harness.BENCHMARK_POINTS, the one source
+    of the benchmark points, so drift on either side fails here."""
+    shipped = sorted(path.stem for path in CONFIG_DIR.glob("scenario*.ini"))
+    assert shipped == [sid for sid, *_ in BENCHMARK_POINTS]
+    for sid, dr0, vi0, vj0 in BENCHMARK_POINTS:
         scenario = load_scenario(CONFIG_DIR / f"{sid}.ini")
         assert scenario.scenario_id == sid
         assert (scenario.dr0, scenario.vi0, scenario.vj0) == (dr0, vi0, vj0)
@@ -134,8 +133,9 @@ def test_comfort_weights_reject_non_finite_value_naming_the_field(
 ):
     """The dataclass, a build config file and a table's meta line all
     refuse a weight that is not finite, and the error names the field."""
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError) as caught:
         ComfortWeights(**{field: value})
+    assert str(caught.value) == f"{field} must be non-negative and finite, got {value!r}"
     path = write(tmp_path, "weights.ini", f"[weights]\n{field} = {text}\n")
     with pytest.raises(ValueError, match=field):
         load_build_config(path)
@@ -362,7 +362,8 @@ OUT_OF_RANGE = [
     (load_scenario, "scenario", SCENARIO + "id = runs/x\n",
      "scenario_id 'runs/x' holds a path separator"),
     (load_scenario, "controller_params", FIXED + "k = -1\ngamma = 4\n", "k must be positive"),
-    (load_sweep, "sweep", "[sweep]\npoints = 1\n", "need at least 2 sweep points"),
+    (load_sweep, "sweep", "[sweep]\npoints = 1\n",
+     "points must be an integer of at least 2, got 1"),
     (load_axes, "axes", "[axes]\ndr =\nvi = 10\nvj = 10\n", "dr axis must be a non-empty"),
     (load_candidates, "candidates", "[candidates]\ngamma = 1\nk =\n", "k candidates must be a non-empty"),
 ]

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from caccsim.controllers import (
-    DEFAULT_FALLBACK_GAINS,
     ConsensusLaw,
     GainPair,
     InvalidGainsError,
@@ -18,6 +18,9 @@ from caccsim.controllers import (
     linear_feedback_accel,
 )
 from caccsim.gaintable import BuildConfig
+from caccsim.harness import ScenarioConfig
+from caccsim.metrics import ComfortWeights, ConsensusThresholds
+from caccsim.stability import FrequencySweep
 
 
 def test_desired_gap_hand_values():
@@ -153,14 +156,62 @@ def test_linear_feedback_equilibrium():
 
 
 @pytest.mark.parametrize("field", ["k_a", "k_v", "k_d", "standstill_gap"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_linear_feedback_gains_reject_non_finite_value_naming_the_field(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError) as caught:
         LinearFeedbackGains(**{field: value})
+    assert str(caught.value) == f"{field} must be finite, got {value!r}"
 
 
 def test_default_fallback_gains_are_fixed():
-    assert DEFAULT_FALLBACK_GAINS.k_a == 1.0
-    assert DEFAULT_FALLBACK_GAINS.k_v == 0.58
-    assert DEFAULT_FALLBACK_GAINS.k_d == 0.1
-    assert DEFAULT_FALLBACK_GAINS.standstill_gap == 1.0
+    """run_scenario falls back to LinearFeedbackGains() on a lookup miss."""
+    gains = LinearFeedbackGains()
+    assert gains.k_a == 1.0
+    assert gains.k_v == 0.58
+    assert gains.k_d == 0.1
+    assert gains.standstill_gap == 1.0
+
+
+def _bad_fields(record, rule, names, *values):
+    return [
+        pytest.param(
+            record, name, value, rule, id=f"{type(record).__name__}-{name}-{value!r}"
+        )
+        for name in names
+        for value in values
+    ]
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+# Every single-field rule of a settings record, each field with NaN, +-inf
+# and one value out of its range.  The non-finite values of
+# LinearFeedbackGains, ComfortWeights, BuildConfig and FrequencySweep are
+# cases of the tests that already take those records (above, test_config,
+# test_metrics, test_stability).
+BAD_FIELDS = [
+    *_bad_fields(GainPair(k=0.1, gamma=1.0), "positive and finite", ("k", "gamma"),
+                 *NON_FINITE, 0.0),
+    *_bad_fields(ConsensusThresholds(), "positive and finite",
+                 ("eta_r", "eta_v", "delta_a", "delta_jerk"), *NON_FINITE, 0.0),
+    *_bad_fields(ComfortWeights(), "non-negative and finite", ("omega_1", "omega_2"), -1.0),
+    *_bad_fields(BuildConfig(), "positive", ("dt", "leader_length", "time_gap"), 0.0),
+    *_bad_fields(FrequencySweep(), "positive", ("omega_min",), 0.0),
+    *_bad_fields(FrequencySweep(), "an integer of at least 2", ("points",), 1, 2.5),
+    *_bad_fields(ScenarioConfig("x", 10.0, 10.0, 10.0), "finite", ("dr0", "vi0", "vj0"),
+                 *NON_FINITE),
+    *_bad_fields(ScenarioConfig("x", 10.0, 10.0, 10.0), "non-negative", ("vi0", "vj0"),
+                 -1.0),
+    *_bad_fields(ScenarioConfig("x", 10.0, 10.0, 10.0),
+                 "one of ('lookup', 'fixed_consensus', 'linear_feedback')",
+                 ("controller",), "pid"),
+]
+
+
+@pytest.mark.parametrize("record, name, value, rule", BAD_FIELDS)
+def test_a_bad_field_is_refused_in_the_one_message_shape(record, name, value, rule):
+    """Every settings record refuses a field that breaks its own rule with
+    "<field> must be <rule>, got <value!r>"."""
+    with pytest.raises(ValueError) as caught:
+        replace(record, **{name: value})
+    assert str(caught.value) == f"{name} must be {rule}, got {value!r}"

@@ -59,7 +59,7 @@ def test_scenario_config_validation():
         ScenarioConfig("x", 10.0, 10.0, 10.0, controller="pid")
     with pytest.raises(ValueError, match="^scenario_id 'a/b' holds a path separator"):
         ScenarioConfig("a/b", 10.0, 10.0, 10.0)
-    with pytest.raises(ValueError, match="speeds"):
+    with pytest.raises(ValueError, match="^vi0 must be non-negative, got -1.0$"):
         ScenarioConfig("x", 10.0, -1.0, 10.0)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -41,19 +40,21 @@ def test_frequency_sweep_refuses_non_integral_points_naming_it(points):
 
 
 @pytest.mark.parametrize("field", ["omega_min", "omega_max"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_frequency_sweep_rejects_non_finite_bound_naming_the_field(
     tmp_path, field, value
 ):
     """A sweep bound that is not finite fails at the dataclass, also when
     read from a sweep file, and the error names that bound."""
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    message = f"{field} must be finite, got {value!r}"
+    with pytest.raises(ValueError) as caught:
         FrequencySweep(**{field: value})
+    assert str(caught.value) == message
     path = tmp_path / "sweep.ini"
     path.write_text(f"[sweep]\n{field} = {value}\n", encoding="utf-8")
-    prefix = re.escape(f"{path}: [sweep]: ")
-    with pytest.raises(ValueError, match=f"^{prefix}{field} must be finite"):
+    with pytest.raises(ValueError) as caught:
         load_sweep(path)
+    assert str(caught.value) == f"{path}: [sweep]: {message}"
 
 
 def test_transfer_magnitude_low_frequency_limit():

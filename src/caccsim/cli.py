@@ -36,6 +36,9 @@ __all__ = ["main"]
 
 
 def _cmd_build_table(args) -> int:
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise ValueError(f"--out {args.out}: {out_dir} is not a directory")
     axes = load_axes(args.axes)
     candidates = load_candidates(args.candidates)
     cfg = load_build_config(args.config)
@@ -125,9 +128,7 @@ def _cmd_stability(args) -> int:
               f"{'all stable' if all_stable else 'instability found'}")
         return 0 if all_stable else 1
     if args.gamma is None or args.k is None:
-        print("stability needs either --table or both --gamma and --k",
-              file=sys.stderr)
-        return 2
+        raise ValueError("stability needs either --table or both --gamma and --k")
     cfg = BuildConfig()
     stable = _stability_report_pair(
         GainPair(k=args.k, gamma=args.gamma), cfg.time_gap, cfg.comm_delay, sweep
@@ -156,8 +157,7 @@ def _cmd_inspect_table(args) -> int:
         try:
             pair = table.cell(i1, i2, i3)
         except IndexError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+            raise ValueError(f"--cell: {exc}") from exc
         coords = (f"dr={table.axes.dr[i1]:g} m, vi={table.axes.vi[i2]:g} m/s, "
                   f"vj={table.axes.vj[i3]:g} m/s")
         if pair.valid:

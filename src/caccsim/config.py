@@ -1,28 +1,27 @@
 """Parsing of the line-oriented configuration files.
 
 All files share one shape: `key = value` lines under `[section]` headers,
-with `#` comments.  A section is read into a settings dataclass by one
-reader, _section: each key names a field and is parsed as the type of that
-field's default, and missing optional keys keep the default.  An unknown
-key, a value that does not parse and a missing required key raise a
-ValueError naming the file, the section and the key; a value the settings
-dataclass refuses raises its ValueError, naming the field, prefixed with the
-file and the section.  A file that is not UTF-8 or not in this shape (no
-section header, a repeated section or key, a [DEFAULT] section) raises a
-ValueError naming the file.
+with `#` comments.  Each section is read into a settings dataclass by
+gaintable._read_settings, the reader of a table's header lines too: each
+key names a field, or the field its loader maps it to (a scenario's id),
+and is parsed as the type of that field's default; missing optional keys
+keep the default.  A fault in a section is prefixed with
+"<file>: [<section>]: ": an unknown key, a value that does not parse and a
+missing required key name the key; a value the settings dataclass refuses
+raises its ValueError, naming the field.  A file that is not UTF-8 or not
+in this shape (no section header, a repeated section or key, a [DEFAULT]
+section) raises a ValueError naming the file.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import fields, replace
-from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
 from .controllers import GainPair, LinearFeedbackGains
-from .gaintable import AxisGrid, BuildConfig, CandidateSets
+from .gaintable import (
+    _AXES, _CANDIDATES, AxisGrid, BuildConfig, CandidateSets, _read_settings
+)
 from .harness import BaselineConfig, ScenarioConfig
 from .stability import FrequencySweep
 
@@ -53,48 +52,13 @@ def _read(path) -> configparser.ConfigParser:
     return parser
 
 
-def _float_list(text: str) -> list[float]:
-    # An empty value is an empty list, which the settings refuse by name; an
-    # empty entry, trailing comma included, fails float() as a bad value.
-    return [float(part) for part in text.split(",")] if text.strip() else []
-
-
-# How a key is parsed, by its field's type; an array is comma-separated floats.
-_PARSERS = {float: float, int: int, str: str, np.ndarray: _float_list}
-
-
-def _section(parser, section: str, defaults, path, required=(), keys=None, **given):
-    """defaults, a dataclass instance, with its fields read from [section].
-
-    A field is read from the key of its name, or the one keys maps it to,
-    and parsed by the type of its default (_PARSERS, or an Enum).  Other
-    fields, such as nested settings, and those given sets are not read.
-    The section may hold only keys that are read, and all of required.
-    """
-    read = {}
-    for f in fields(defaults):
-        kind = type(getattr(defaults, f.name))
-        if f.name not in given and (kind in _PARSERS or issubclass(kind, Enum)):
-            read[(keys or {}).get(f.name, f.name)] = f.name, _PARSERS.get(kind, kind)
-    values = {}
-    for key, text in parser.items(section) if parser.has_section(section) else ():
-        if key not in read:
-            raise ValueError(
-                f"{path}: unknown key {key!r} in [{section}]; "
-                f"expected one of {sorted(read)}"
-            )
-        name, parse = read[key]
-        try:
-            values[name] = parse(text)
-        except ValueError as exc:
-            raise ValueError(
-                f"{path}: bad value {text!r} for key {key!r} in [{section}]"
-            ) from exc
-    for key in required:
-        if not parser.has_option(section, key):
-            raise ValueError(f"{path}: missing required key {key!r} in [{section}]")
+def _section(parser, section: str, defaults, path, keys=None, required=(), **given):
+    """defaults, a settings dataclass, with its fields read from [section]
+    by gaintable._read_settings (keys maps a key to the field it fills); a
+    fault is prefixed with the file and the section."""
+    texts = dict(parser.items(section)) if parser.has_section(section) else {}
     try:
-        return replace(defaults, **values, **given)
+        return _read_settings(defaults, texts, keys or {}, required, **given)
     except ValueError as exc:
         raise ValueError(f"{path}: [{section}]: {exc}") from exc
 
@@ -112,16 +76,14 @@ def load_build_config(path) -> BuildConfig:
 
 def load_axes(path) -> AxisGrid:
     """Axis grids from [axes] keys dr, vi, vj (comma-separated values)."""
-    # Every key is required, so no placeholder value is left.
-    placeholder = AxisGrid(dr=[0.0], vi=[0.0], vj=[0.0])
-    return _section(_read(path), "axes", placeholder, path, required=("dr", "vi", "vj"))
+    return _section(_read(path), "axes", _AXES, path, required=("dr", "vi", "vj"))
 
 
 def load_candidates(path) -> CandidateSets:
     """Candidate gain values from [candidates] keys gamma, k."""
     return _section(
-        _read(path), "candidates", CandidateSets(gammas=[1.0], ks=[1.0]), path,
-        required=("gamma", "k"), keys={"gammas": "gamma", "ks": "k"},
+        _read(path), "candidates", _CANDIDATES, path,
+        keys={"gamma": "gammas", "k": "ks"}, required=("gamma", "k"),
     )
 
 
@@ -150,7 +112,7 @@ def load_scenario(path) -> ScenarioConfig:
         )
     return _section(
         parser, "scenario", scenario, path,
-        required=("dr0", "vi0", "vj0"), keys={"scenario_id": "id"}, gains=gains,
+        keys={"id": "scenario_id"}, required=("dr0", "vi0", "vj0"), gains=gains,
     )
 
 

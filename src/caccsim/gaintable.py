@@ -39,7 +39,9 @@ outside the grid or NaN lands on the None face.  A query takes about
 0.6 us on a 2-CPU VM (perfbench's medians: 0.62 on grid, 0.47 on closing).
 
 Save writes the header lines from _HEADER, which names each line's keys
-and the fields they hold, and load reads them back through it.  Save
+and the fields they hold, and load reads them back through it with
+_read_settings, the one reader of settings text, which config's sections
+go through too; a header fault is prefixed with "line <n>: ".  Save
 formats the cell block from flat tolist() columns, its index tokens from
 _index_tokens.  Load accepts exactly what save writes, with any line
 ends.  It reads the block as columns: whole-block string operations
@@ -54,9 +56,8 @@ import math
 import typing
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import cache
 from itertools import chain, repeat
 from operator import attrgetter
 
@@ -342,13 +343,16 @@ class GainTable:
 
 # The header, lines 2 to 4 of a table file, which save_table writes and
 # load_table reads from this alone.  Per line: its prefix, the GainTable
-# field it holds, the context that names a bad value, and its keys in file
-# order, each with the field it fills (dotted into nested settings).  A
-# value is parsed by its field's type: a float list, a float or an Enum.
+# field it holds, the record _read_settings fills for it, and its keys in
+# file order, each with the field it fills (dotted into nested settings).
+# Every key of the axes and candidates is required, here and in config's
+# sections, so no value of their placeholder records is left.
+_AXES = AxisGrid(dr=[0.0], vi=[0.0], vj=[0.0])
+_CANDIDATES = CandidateSets(gammas=[1.0], ks=[1.0])
 _HEADER = (
-    ("axes", "axes", "line 2 {} axis", {"dr": "dr", "vi": "vi", "vj": "vj"}),
-    ("candidates", "candidates", "line 3 {} candidates", {"gamma": "gammas", "k": "ks"}),
-    ("meta", "config", "line 4: meta {}", {
+    ("axes", "axes", _AXES, {"dr": "dr", "vi": "vi", "vj": "vj"}),
+    ("candidates", "candidates", _CANDIDATES, {"gamma": "gammas", "k": "ks"}),
+    ("meta", "config", BuildConfig(), {
         "dt": "dt", "tmax": "t_max", "tau": "comm_delay",
         "lj": "leader_length", "tg": "time_gap",
         "eta_r": "thresholds.eta_r", "eta_v": "thresholds.eta_v",
@@ -359,12 +363,58 @@ _HEADER = (
 )
 
 
-@cache
-def _field_type(cls, path: str):
-    """The type of the dataclass field at path, dotted into nested fields."""
-    for name in path.split("."):
-        cls = typing.get_type_hints(cls)[name]
-    return cls
+def _read_settings(defaults, texts: dict, keys: dict, required=(), **given):
+    """defaults, a settings dataclass, with fields read from texts, a dict
+    of key to text: the one reader of config sections and table header
+    lines, which add the location to its faults.
+
+    keys maps a key to the field it fills, dotted into nested settings
+    (thresholds.eta_r); a field that neither keys nor given names is read
+    from the key of its name when its default is a float, int, str, Enum or
+    array.  A text is parsed as the type of its default, an array as
+    comma-separated floats (an empty text is an empty list, which the
+    settings refuse by name).  An unknown key, a text that does not parse
+    and a missing required key raise a ValueError naming the key; a value
+    the settings refuse raises their ValueError, naming the field.
+    """
+    read = {
+        f.name: f.name
+        for f in fields(defaults)
+        if f.name not in {*given, *keys.values()}
+        and (type(value := getattr(defaults, f.name)) in (float, int, str, np.ndarray)
+             or isinstance(value, Enum))
+    } | keys
+    values = {}
+    for key, text in texts.items():
+        if key not in read:
+            raise ValueError(f"unknown key {key!r}; expected one of {sorted(read)}")
+        path = read[key]
+        kind = type(attrgetter(path)(defaults))
+        try:
+            if kind is not np.ndarray:
+                values[path] = kind(text)
+            elif text.strip():
+                values[path] = [float(part) for part in text.split(",")]
+            else:
+                values[path] = []
+        except ValueError as exc:
+            raise ValueError(f"bad value {text!r} for key {key!r}") from exc
+    for key in required:
+        if key not in texts:
+            raise ValueError(f"missing required key {key!r}")
+    return _replace(defaults, values | given)
+
+
+def _replace(settings, values: dict):
+    """settings with the fields at the dotted paths of values replaced."""
+    by_name = {}  # a field's own value is keyed by the empty path
+    for path, value in values.items():
+        name, _, rest = path.partition(".")
+        by_name.setdefault(name, {})[rest] = value
+    return replace(settings, **{
+        name: inner[""] if "" in inner else _replace(getattr(settings, name), inner)
+        for name, inner in by_name.items()
+    })
 
 
 def _cell_index(k_cells: np.ndarray, gamma_cells: np.ndarray) -> list:
@@ -520,6 +570,9 @@ def build_table(
         (list(range(lo, min(lo + _CELL_CHUNK, n_cells))), axes, candidates, cfg)
         for lo in range(0, n_cells, _CELL_CHUNK)
     ]
+    # A fork pool starts all its workers at once, so it gets no more
+    # workers than tasks.
+    workers = min(workers, len(tasks))
     if workers == 1:
         results = map(_evaluate_cells, tasks)
     else:
@@ -655,47 +708,14 @@ def _parse_float(text: str, context: str) -> float:
         raise TableFormatError(f"{context}: bad number {text!r}") from exc
 
 
-def _parse_float_list(text: str, context: str) -> list[float]:
-    if not text:
-        return []
-    parts = text.split(",")
-    if "" in parts:
-        raise TableFormatError(f"{context}: empty entry in {text!r}")
-    return [_parse_float(part, context) for part in parts]
-
-
-def _build(cls, values: dict):
-    """The dataclass cls from values keyed by field path; a nested field is
-    built from the paths under its name."""
-    by_name = {}  # a field's own value is keyed by the empty path
-    for path, value in values.items():
-        name, _, rest = path.partition(".")
-        by_name.setdefault(name, {})[rest] = value
-    return cls(**{
-        name: inner[""] if "" in inner else _build(_field_type(cls, name), inner)
-        for name, inner in by_name.items()
-    })
-
-
 def _read_header(lines: list[str]) -> dict:
     """The GainTable fields the header lines hold, read by _HEADER; a fault
     names its line."""
     header = {}
-    for lineno, (prefix, name, context, keys) in enumerate(_HEADER, start=2):
+    for lineno, (prefix, name, defaults, keys) in enumerate(_HEADER, start=2):
         texts = _parse_kv_tokens(lines[lineno - 1], prefix, keys, lineno)
-        values = {}
-        for key, path in keys.items():
-            kind, text = _field_type(GainTable, f"{name}.{path}"), texts[key]
-            if kind is np.ndarray:
-                values[path] = _parse_float_list(text, context.format(key))
-            elif kind is float:
-                values[path] = _parse_float(text, context.format(key))
-            elif text in {member.value for member in kind}:
-                values[path] = kind(text)
-            else:
-                raise TableFormatError(f"line {lineno}: unknown {key} {text!r}")
         try:
-            header[name] = _build(_field_type(GainTable, name), values)
+            header[name] = _read_settings(defaults, texts, keys)
         except ValueError as exc:
             raise TableFormatError(f"line {lineno}: {exc}") from exc
     return header

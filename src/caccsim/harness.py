@@ -22,7 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -284,35 +285,20 @@ def write_trajectory_csv(path, trajectory: Trajectory, thresholds) -> None:
 
 
 def write_comparison_csv(path, reports: list[RunReport]) -> None:
-    """One row per (scenario, controller) with every run metric."""
-    header = (
-        "scenario,controller,gamma,k,fallback_engaged,t_consensus,max_accel,"
-        "max_decel,max_jerk,min_jerk,omega,min_gap,safety_violated"
-    )
-    lines = [header]
+    """One row per (scenario, controller) with every run metric: a flag as 0
+    or 1, the gains empty when the run had none."""
+    names = [f.name for f in fields(RunMetrics)]
+    columns = ("scenario", "controller", "gamma", "k", "fallback_engaged", *names)
+    lines = [",".join(columns)]
     for report in reports:
-        m = report.metrics
-        gamma = "" if report.gains is None else _csv_num(report.gains.gamma)
-        k = "" if report.gains is None else _csv_num(report.gains.k)
-        lines.append(
-            ",".join(
-                (
-                    report.scenario_id,
-                    report.controller,
-                    gamma,
-                    k,
-                    str(int(report.fallback_engaged)),
-                    _csv_num(m.t_consensus),
-                    _csv_num(m.max_accel),
-                    _csv_num(m.max_decel),
-                    _csv_num(m.max_jerk),
-                    _csv_num(m.min_jerk),
-                    _csv_num(m.omega),
-                    _csv_num(m.min_gap),
-                    str(int(m.safety_violated)),
-                )
-            )
-        )
+        gains = report.gains
+        values = (report.fallback_engaged, *attrgetter(*names)(report.metrics))
+        lines.append(",".join((
+            report.scenario_id,
+            report.controller,
+            *(("", "") if gains is None else map(_csv_num, (gains.gamma, gains.k))),
+            *(str(int(v)) if isinstance(v, bool) else _csv_num(v) for v in values),
+        )))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")

@@ -10,6 +10,7 @@ from textwrap import dedent
 
 import pytest
 
+from caccsim import cli
 from caccsim.cli import main
 from caccsim.gaintable import load_table
 
@@ -287,9 +288,12 @@ def test_run_lookup_without_table_raises(cli_env, tmp_path, capsys):
         (["inspect-table", "{root}/missing.txt"], "No such file or directory"),
         (["run", "--scenario", "{scenario_unsafe}", "--config", "{run_short}",
           "--out-dir", "{axes}"], "File exists"),
+        (["stability", "--gamma", "2"], "needs either --table or both --gamma and --k"),
+        (["inspect-table", "{table}", "--cell", "0", "0", "2"],
+         "--cell: cell index (0, 0, 2) outside 2x2x2"),
     ],
     ids=["stability-gamma-0", "workers-0", "bad-config", "bad-table", "missing-table",
-         "out-dir-is-a-file"],
+         "out-dir-is-a-file", "stability-without-gains", "cell-outside"],
 )
 def test_bad_input_is_an_error_line_not_a_traceback(
     cli_env, tmp_path, capsys, argv, message
@@ -301,6 +305,26 @@ def test_bad_input_is_an_error_line_not_a_traceback(
     err = capsys.readouterr().err
     assert err.startswith("caccsim: error: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["missing/table.txt", "axes.ini/table.txt"],
+                         ids=["missing-dir", "file"])
+def test_build_table_refuses_out_outside_a_directory_before_building(
+    cli_env, monkeypatch, capsys, out
+):
+    """An --out whose parent is not a directory fails at once, not after
+    the build."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_table was called")
+
+    monkeypatch.setattr(cli, "build_table", no_build)
+    rc = main(["build-table", "--axes", cli_env["axes"], "--candidates",
+               cli_env["candidates"], "--config", cli_env["build"],
+               "--out", str(cli_env["root"] / out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"caccsim: error: --out {cli_env['root'] / out}: ")
+    assert err.endswith(" is not a directory\n") and err.count("\n") == 1
 
 
 def test_suite_writes_reports(cli_env, capsys):

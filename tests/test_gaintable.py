@@ -537,7 +537,7 @@ def test_mixed_grid_has_every_kind_of_cell(mixed_grid_oracle):
 
 @pytest.mark.parametrize(
     "cell_chunk, workers",
-    [(1, 1), (3, 1), (gaintable._CELL_CHUNK, 1), (gaintable._CELL_CHUNK, 2)],
+    [(1, 1), (3, 1), (gaintable._CELL_CHUNK, 1), (3, 2)],
     ids=["chunk-1", "chunk-3", "default", "workers-2"],
 )
 def test_build_with_markers_matches_per_cell_oracle(
@@ -671,10 +671,40 @@ def test_build_is_deterministic_across_chunking(
 
 
 def test_build_is_deterministic_across_workers(
-    tiny_table, tiny_axes, tiny_candidates, tiny_cfg
+    tiny_table, tiny_axes, tiny_candidates, tiny_cfg, monkeypatch
 ):
+    monkeypatch.setattr(gaintable, "_CELL_CHUNK", 3)  # three tasks for the pool
     rebuilt = build_table(tiny_axes, tiny_candidates, tiny_cfg, workers=2)
     assert rebuilt == tiny_table
+
+
+def test_build_pool_has_no_more_workers_than_tasks(
+    tiny_table, tiny_axes, tiny_candidates, tiny_cfg, monkeypatch
+):
+    """A fork pool starts every worker at its first task, so 300 workers
+    asked for three chunks start three, and one chunk runs in this
+    process; the table is the same.  The pool is a stand-in that records
+    its size and maps in this process, starting no worker."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(gaintable, "ProcessPoolExecutor", RecordingPool)
+    for chunk in (3, 8):  # three chunks of the 8 cells, then one
+        monkeypatch.setattr(gaintable, "_CELL_CHUNK", chunk)
+        assert build_table(tiny_axes, tiny_candidates, tiny_cfg, workers=300) == tiny_table
+    assert sizes == [3]
 
 
 def test_build_rejects_bad_worker_count(tiny_axes, tiny_candidates, tiny_cfg):
@@ -1404,11 +1434,11 @@ def drop_lines(n):
         ),
         (
             set_lines(line2="axes dr=10.0,,20.0 vi=10.0,14.0 vj=10.0,14.0"),
-            "line 2 dr axis: empty entry in '10.0,,20.0'",
+            "line 2: bad value '10.0,,20.0' for key 'dr'",
         ),
         (
             set_lines(line2="axes dr=10.0,x vi=10.0,14.0 vj=10.0,14.0"),
-            "line 2 dr axis: bad number 'x'",
+            "line 2: bad value '10.0,x' for key 'dr'",
         ),
         (
             set_lines(line3="candidates gamma=2.0,5.0 k=-1,0.1"),
@@ -1418,10 +1448,10 @@ def drop_lines(n):
             set_lines(line3="candidates gamma=inf,5.0 k=0.1"),
             "line 3: gamma candidates must be finite",
         ),
-        (edit_line(4, " dt=0.01 ", " dt=x "), "line 4: meta dt: bad number 'x'"),
+        (edit_line(4, " dt=0.01 ", " dt=x "), "line 4: bad value 'x' for key 'dt'"),
         (
             edit_line(4, " mode=projected ", " mode=sideways "),
-            "line 4: unknown mode 'sideways'",
+            "line 4: bad value 'sideways' for key 'mode'",
         ),
         (edit_line(4, " dt=0.01 ", "  dt=0.01 "), "line 4: expected 13 'meta' entries"),
         (edit_line(2, "axes dr=", "axes\tdr="), "line 2: expected a 'axes' line"),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -36,9 +37,15 @@ __all__ = ["main"]
 
 
 def _cmd_build_table(args) -> int:
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise ValueError(f"--out {args.out}: {out_dir} is not a directory")
+    # The build takes seconds to minutes, so a table it could not save is
+    # refused before it starts.
+    out = Path(args.out)
+    if out.is_dir():
+        raise ValueError(f"--out {args.out}: is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"--out {args.out}: {out.parent} is not a directory")
+    if not os.access(out.parent, os.W_OK | os.X_OK):
+        raise ValueError(f"--out {args.out}: {out.parent} is not writable")
     axes = load_axes(args.axes)
     candidates = load_candidates(args.candidates)
     cfg = load_build_config(args.config)

@@ -10,18 +10,24 @@ acceleration of the next sample.  A delay is a whole number of steps and
 is never interpolated; before any delayed sample exists the initial one is
 held.
 
-The step loop has two forms with the same arithmetic.  A step's cost is the
-number of numpy calls it makes, about a microsecond each whatever their
-length, so a batch steps with a few in-place array operations shared by all
-its columns, while a single column (a scheduled scenario run) steps on
-Python floats, which make no such calls.
+The step loop has two forms with the same arithmetic, chosen by the
+batch's width.  An array step costs the numpy calls it makes, about a
+microsecond each whatever their length, and a float step about half a
+microsecond per column.  So a batch wider than float_columns steps with a
+few in-place array operations shared by all its columns, and a narrower
+one steps each column on Python floats through the law's column_step.  A
+single column (a scheduled scenario run) always steps on floats; the
+table build sets its own crossover (gaintable._FLOAT_STEP_COLUMNS).
 
 The rows advance() returns are views of block buffers that the kernel
 keeps and reuses, so they are valid until the next advance(): a caller
-that needs them longer copies them.  A batch writes its delayed leader
-straight into the step's [leader | vj] operand, whose vj half is filled
-again only after keep() or for a block longer than any before; a
-one-column run never makes that operand.
+that needs them longer copies them.  Columns that start from the same
+leader (dr0 and vj0 of the same bits), as all candidates of a table cell
+do, share one running sum of its delayed position per block, gathered
+into each column's rows, which then become the column's gap.  A batch
+stepped on arrays copies them into the step's [leader | vj] operand, whose
+vj half is filled again only after keep() or for a block longer than any
+before; a batch stepped on floats never makes that operand.
 
 simulate_pair runs one scenario as a one-column batch and builds the run's
 Trajectory; a scheduled scenario and the table build's tie re-run both go
@@ -41,35 +47,46 @@ class FollowerRuns:
     """Batched car-following runs, one column per run.
 
     law is a control law of caccsim.controllers with one entry per column
-    (only ConsensusLaw steps more than one); cfg supplies dt, the delay and
-    the spacing policy.  advance() returns the next rows of follower
-    position, speed, acceleration and delayed gap, as views valid until the
-    next advance(); keep() drops columns.
+    (only ConsensusLaw steps on arrays); cfg supplies dt, the delay and the
+    spacing policy.  A batch no wider than float_columns steps on floats.
+    advance() returns the next rows of follower position, speed,
+    acceleration and delayed gap, as views valid until the next advance();
+    keep() drops columns.
 
     Only the step loop cannot be vectorized over rows, and its cost is
     the number of array operations per step, not their length, so it does
     as few as it can, writing into buffers of the block, with operand pairs
-    laid side by side so that one call serves both.  With one column those
-    calls would cost ten times the arithmetic, so that loop runs on Python
-    floats through the law's column_step instead and writes its rows into
-    the block once.  Leader positions and gaps are computed for the whole
-    block outside the loop; the running sum adds the leader's step in the
-    same order as a step-by-step update.
+    laid side by side so that one call serves both.  For a narrow batch
+    those calls would cost more than the arithmetic, so its loop runs on
+    Python floats, column by column, through the law's column_step, and
+    writes each column's rows into the block once.  Leader positions and
+    gaps are computed for the whole block outside the loop, once per
+    distinct leader; the running sum adds the leader's step in the same
+    order as a step-by-step update.
     """
 
-    def __init__(self, dr0, vi0, vj0, law, cfg):
+    def __init__(self, dr0, vi0, vj0, law, cfg, float_columns=1):
         self.cfg = cfg
         self.law = law
+        self.float_columns = float_columns
         self.row = 0
         self.delay = cfg.steps("comm_delay")
         # Follower (position, speed) at the last row returned.
         self.state = np.concatenate([np.zeros(len(vi0)), np.array(vi0, dtype=float)])
         self.vj = np.array(vj0, dtype=float)
-        self.leader_step = self.vj * cfg.dt
-        # Leader position at row max(row - 1 - delay, 0).
-        self.leader = np.array(dr0, dtype=float)
+        # Columns whose (dr0, vj0) have the same bits share one leader;
+        # leader_of[c] is column c's, leaders numbered as they first appear.
+        starts = np.stack([np.array(dr0, dtype=float), self.vj], axis=1)
+        leaders = {}
+        self.leader_of = np.array(
+            [leaders.setdefault(bytes(s), len(leaders)) for s in starts], dtype=np.intp
+        )
+        leader_dr0, leader_vj0 = np.frombuffer(b"".join(leaders)).reshape(-1, 2).T
+        self.leader_step = leader_vj0 * cfg.dt
+        # Each leader's position at row max(row - 1 - delay, 0).
+        self.leader = leader_dr0.copy()
         # Flat block buffers, reused by every advance() that fits in them.
-        self._rows = self._gap = self._aim = np.empty(0)
+        self._rows = self._lead = self._column_lead = self._aim = np.empty(0)
         self._aim_vj_rows = 0  # leading rows of _aim whose vj half is current
 
     def advance(self, n_rows: int):
@@ -78,24 +95,22 @@ class FollowerRuns:
         The arrays are views of the kernel's block buffers, valid until the
         next advance() overwrites them; copy what must outlive it.
         """
-        lo, m = self.row, len(self.vj)
+        lo, m, n_leaders = self.row, len(self.vj), len(self.leader)
         d = self.delay
-        # lead[i]: leader position at row max(lo - 1 - d + i, 0), which is the
-        # delayed leader the command of row lo + i sees.  A batch writes it
-        # straight into the left half of the step's [lead | vj] operand.
-        if m == 1:
-            lead = np.empty((n_rows + 1, 1))
-        else:
-            aim = self._block("_aim", n_rows + 1, 2 * m)
-            if n_rows + 1 > self._aim_vj_rows:  # after keep(), or more rows
-                aim[:, m:] = self.vj
-                self._aim_vj_rows = n_rows + 1
-            lead = aim[:, :m]
-        # Rows before 0 clamp to row 0, so lead[1 : still + 1] repeat lead[0].
+        # lead[i]: each leader's position at row max(lo - 1 - d + i, 0),
+        # which is the delayed leader the command of row lo + i sees.  Rows
+        # before 0 clamp to row 0, so lead[1 : still + 1] repeat lead[0].
+        lead = self._block("_lead", n_rows + 1, n_leaders)
         still = min(max(d + 1 - lo, 0), n_rows)
         lead[: still + 1] = self.leader
         lead[still + 1 :] = self.leader_step
         np.add.accumulate(lead[still:], axis=0, out=lead[still:])
+        self.leader = lead[-1].copy()
+        # The same rows for every column, whose rows 1.. become the gap.
+        column_lead = lead
+        if not np.array_equal(self.leader_of, np.arange(m)):
+            column_lead = self._block("_column_lead", n_rows + 1, m)
+            np.take(lead, self.leader_of, axis=1, out=column_lead, mode="clip")
         # rows[i]: positions, speeds and the commands that take them on,
         # each m long, at row lo - 1 + i.  Flat rows keep every operand of
         # the loop one contiguous vector.
@@ -107,14 +122,18 @@ class FollowerRuns:
             first = 1
         else:
             rows[0, : 2 * m] = self.state
-        if m == 1:
-            self._step_column(rows, lead[first:-1, 0], first)
+        if m <= self.float_columns:
+            self._step_columns(rows, lead[first:-1], first)
         else:
+            aim = self._block("_aim", n_rows + 1, 2 * m)
+            if n_rows + 1 > self._aim_vj_rows:  # after keep(), or more rows
+                aim[:, m:] = self.vj
+                self._aim_vj_rows = n_rows + 1
+            aim[:, :m] = column_lead
             self._step_batch(rows, aim[first:-1], first)
         self.row += n_rows
         self.state = rows[-1, : 2 * m].copy()
-        self.leader = lead[-1].copy()
-        gap = np.subtract(lead[1:], rows[1:, :m], out=self._block("_gap", n_rows, m))
+        gap = np.subtract(column_lead[1:], rows[1:, :m], out=column_lead[1:])
         return rows[1:, :m], rows[1:, m : 2 * m], rows[:-1, 2 * m :], gap
 
     def _block(self, name: str, n_rows: int, width: int) -> np.ndarray:
@@ -144,28 +163,37 @@ class FollowerRuns:
             multiply(rates, dt, delta)
             add(state, delta, nxt)
 
-    def _step_column(self, rows, lead, first: int) -> None:
-        """Step rows[first:] of a one-column block forward on floats."""
-        step = self.law.column_step(self.cfg)
-        dt, vj = self.cfg.dt, self.vj.item()
-        r, v = rows[first, :2].tolist()
-        rs, vs, cmds = [], [], []
-        for target in lead.tolist():
-            cmd = step(r, target, v, vj)
-            r, v = r + v * dt, v + cmd * dt
-            rs.append(r)
-            vs.append(v)
-            cmds.append(cmd)
-        rows[first + 1 :, 0] = rs
-        rows[first + 1 :, 1] = vs
-        rows[first:-1, 2] = cmds
+    def _step_columns(self, rows, lead, first: int) -> None:
+        """Step rows[first:] of the block forward on floats, column by
+        column; lead holds the delayed position of each leader."""
+        m, dt = len(self.vj), self.cfg.dt
+        leads = lead.T.tolist()
+        start = rows[first, : 2 * m].tolist()
+        for col, (leader, vj) in enumerate(zip(self.leader_of.tolist(), self.vj.tolist())):
+            step = self.law.column_step(self.cfg, col)
+            r, v = start[col], start[m + col]
+            rs, vs, cmds = [], [], []
+            for target in leads[leader]:
+                cmd = step(r, target, v, vj)
+                r, v = r + v * dt, v + cmd * dt
+                rs.append(r)
+                vs.append(v)
+                cmds.append(cmd)
+            rows[first + 1 :, col] = rs
+            rows[first + 1 :, m + col] = vs
+            rows[first:-1, 2 * m + col] = cmds
 
     def keep(self, mask: np.ndarray) -> None:
         if mask.all():
             return
         self.state = self.state[np.tile(mask, 2)]
-        for name in ("vj", "leader_step", "leader"):
-            setattr(self, name, getattr(self, name)[mask])
+        self.vj, self.leader_of = self.vj[mask], self.leader_of[mask]
+        # Leaders no column follows any more are dropped, the rest renumbered.
+        followed = np.zeros(len(self.leader), dtype=bool)
+        followed[self.leader_of] = True
+        if not followed.all():
+            self.leader_of = (np.cumsum(followed) - 1)[self.leader_of]
+            self.leader, self.leader_step = self.leader[followed], self.leader_step[followed]
         self._aim_vj_rows = 0
         self.law.keep(mask)
 

@@ -21,8 +21,13 @@ simulate_pair, so a single re-run of a cell's operating point reproduces
 any stored decision exactly.
 
 A block is built in place: the kernel hands out views of block buffers it
-reuses, and the scorer judges them in scratch buffers of its own, with no
-2-D accumulate.
+reuses, and the scorer judges them in scratch buffers of its own.  A block
+spends little on work that cannot change a decision: the kernel takes the
+running sum of a cell's leader once for all its candidates and steps a
+batch of _FLOAT_STEP_COLUMNS or fewer columns on floats, a wider one on
+arrays, and the scorer runs the gap and speed bands and the hold test only
+on the columns within their jerk and acceleration bands somewhere in the
+block.
 
 Lookup does its scalar work on Python floats.  Each AxisGrid keeps, per
 axis, one tuple of cuts: the largest float that snaps to each grid value
@@ -87,12 +92,26 @@ TIE_RULE = "min convergence time, then min comfort score, then smallest (gamma, 
 
 # Rows simulated between two scorings of a batch.  Decisions are exact at
 # any block length; a longer block amortizes the scoring over more steps
-# but runs a settled cell on for longer (half a block on average).
-_BLOCK_STEPS = 256
+# but runs a settled cell on for longer (half a block on average).  On
+# perfbench's serial pieces (in process, seeds 5 and 7-9), against the
+# build before the selective bands, shared leader sums and float steps,
+# with its 256-row blocks, time ratios were 0.62-0.69 (grid) and 0.79-0.82
+# (closing) at 96 rows, 0.67-0.72 and 0.78-0.85 at 128, and 0.70-0.76 at
+# 160-192 and 0.88 at 256 (grid).  96 and 128 tie within the noise, as does
+# the full production build; 128 scores each run fewer times.
+_BLOCK_STEPS = 128
+
+# A batch no wider than this steps each column on floats, a wider one on
+# arrays (dynamics.FollowerRuns); both give the same floats.  A float step
+# costs about 0.5 us per column, an array step about 7 us per row at any
+# such width.  Float over array time per row, medians of 9 interleaved
+# pairs of 128-row blocks: 0.84 at 8 columns, 0.93 at 9, 1.05 at 10.
+_FLOAT_STEP_COLUMNS = 9
 
 # Cells per batch, and per task of a parallel build.  Results do not depend
-# on it.  It stays at 48 although 192 builds 15-21 % faster: a worker's
-# buffers grow with the chunk (41 -> 65 MB peak RSS at 192 cells), and
+# on it.  It stays at 48 although 192 builds the full grid about 20 %
+# faster (serial CPU 4.3-4.8 s against 3.5-3.8 s, 4 alternations): a build
+# process's peak RSS grows with the chunk (40 -> 54 MB at 192 cells), and
 # perfbench's peak_rss_mb counts workers.
 _CELL_CHUNK = 48
 
@@ -538,7 +557,8 @@ def _evaluate_cells(args):
         law = ConsensusLaw(gamma[col : col + 1], k[col : col + 1])
         return simulate_pair(dr0[col], vi0[col], vj0[col], law, cfg)
 
-    runs = FollowerRuns(dr0, vi0, vj0, ConsensusLaw(gamma, k), cfg)
+    law = ConsensusLaw(gamma, k)
+    runs = FollowerRuns(dr0, vi0, vj0, law, cfg, float_columns=_FLOAT_STEP_COLUMNS)
     scorer = _CellScorer(vj0, pairs, n_samples, cfg, rerun)
     while len(scorer.cols):
         _, v, a, gap = runs.advance(min(_BLOCK_STEPS, n_samples - runs.row))

@@ -14,7 +14,11 @@ Every run is judged by one streaming scorer, _RunScorer, which folds rows
 into a few numbers per run and keeps none.  evaluate_run scores a whole
 run as one column in one block; the table build scores every candidate of
 a chunk of cells block by block, and gaintable only selects among the
-outcomes.
+outcomes.  The scorer takes the jerk and acceleration bands of every
+column first, and the gap and speed bands and the hold test only of the
+columns within both somewhere in the block: a held row is in all four
+bands, so any other column holds nowhere in the block and breaks at its
+last row.
 """
 
 from __future__ import annotations
@@ -185,39 +189,59 @@ def _speed_tolerance(v_leader_delayed, thresholds):
     return thresholds.eta_v * np.where(v_leader_delayed > 0.0, v_leader_delayed, 1.0)
 
 
-def _bands_ok(
-    gap, desired, v_leader_delayed, v_follower, accel, jerk, thresholds,
-    *, out, spare, speed_tol=None,
-):
-    """The four consensus bands; elementwise over arrays.
+def _rate_bands(accel, jerk, thresholds, *, out, spare):
+    """The jerk and acceleration bands into out; elementwise over arrays.
 
-    The bands are computed in buffers the caller owns and no array is
-    allocated: out and spare are bool arrays of the result's shape, desired
-    and jerk float arrays of that shape, and all four are overwritten.
-    speed_tol is _speed_tolerance(v_leader_delayed, thresholds), when
-    already known.
+    out and spare are bool arrays of the result's shape, jerk a float array
+    of that shape, and all three are overwritten.
     """
-    work, deviation = jerk, desired
-    if speed_tol is None:
-        speed_tol = _speed_tolerance(v_leader_delayed, thresholds)
-    # A deviation is taken in place where it can be: a buffer written while
-    # it is read costs less than a third one.  |x - y| and |y - x| are the
-    # same float.
-    np.abs(jerk, out=work)
-    np.less_equal(work, thresholds.delta_jerk, out=out)
+    np.abs(jerk, out=jerk)
+    np.less_equal(jerk, thresholds.delta_jerk, out=out)
+    np.abs(accel, out=jerk)
+    np.less_equal(jerk, thresholds.delta_a, out=spare)
+    out &= spare
+    return out
+
+
+def _track_bands(
+    gap, desired, v_leader_delayed, v_follower, speed_tol, thresholds,
+    *, out, spare, work,
+):
+    """AND the gap and speed bands into out; elementwise over arrays.
+
+    speed_tol is _speed_tolerance(v_leader_delayed, thresholds); spare is a
+    bool array and desired and work float arrays of out's shape, all three
+    overwritten.  A deviation is taken in place where it can be: a buffer
+    written while it is read costs less than a third one, and |x - y| and
+    |y - x| are the same float.
+    """
     np.multiply(thresholds.eta_r, desired, out=work)
-    np.subtract(desired, gap, out=deviation)
-    np.abs(deviation, out=deviation)
-    np.less_equal(deviation, work, out=spare)
+    np.subtract(desired, gap, out=desired)
+    np.abs(desired, out=desired)
+    np.less_equal(desired, work, out=spare)
     out &= spare
     np.subtract(v_follower, v_leader_delayed, out=work)
     np.abs(work, out=work)
     np.less_equal(work, speed_tol, out=spare)
     out &= spare
-    np.abs(accel, out=work)
-    np.less_equal(work, thresholds.delta_a, out=spare)
-    out &= spare
     return out
+
+
+def _bands_ok(
+    gap, desired, v_leader_delayed, v_follower, accel, jerk, thresholds, *, out, spare
+):
+    """The four consensus bands; elementwise over arrays.
+
+    The bands are computed in buffers the caller owns: out and spare are
+    bool arrays of the result's shape, desired and jerk float arrays of
+    that shape, and all four are overwritten.
+    """
+    _rate_bands(accel, jerk, thresholds, out=out, spare=spare)
+    speed_tol = _speed_tolerance(v_leader_delayed, thresholds)
+    return _track_bands(
+        gap, desired, v_leader_delayed, v_follower, speed_tol, thresholds,
+        out=out, spare=spare, work=jerk,
+    )
 
 
 def omega_score(metrics: RunMetrics, weights: ComfortWeights) -> float:
@@ -246,9 +270,10 @@ class _RunScorer:
 
     A block is scored in scratch buffers made for the largest block seen
     and viewed as (rows, columns): jerk and the desired gap in two float
-    arrays, the bands and a spare in two bool arrays.  The hold test is a
-    windowed AND of w + 1 rows over the bands, with w carried rows in front
-    of them, and every per-column search is an argmax or argmin.
+    arrays, the jerk and acceleration bands, the hold window and a spare in
+    three bool arrays.  The hold test is a windowed AND of w + 1 rows over
+    the four bands, with w carried rows in front of them, and every
+    per-column search is an argmax or argmin.
     """
 
     def __init__(self, cfg: BuildConfig, v_leader, n_samples):
@@ -269,7 +294,7 @@ class _RunScorer:
         self.arm_row = np.full(m, n_samples if unarmed else 0)
         self.first_violation = np.full(m, n_samples)
         self._jerk = self._desired = np.empty(0)
-        self._bands = self._spare = np.empty(0, dtype=bool)
+        self._bands = self._ok = self._spare = np.empty(0, dtype=bool)
 
     def score(self, v_follower, a_follower, gap) -> None:
         """Fold the next rows of every column into the carried state."""
@@ -278,16 +303,12 @@ class _RunScorer:
         n, m = a_follower.shape
         if n * m > self._spare.size:
             self._jerk, self._desired = np.empty(n * m), np.empty(n * m)
-            self._spare = np.empty(n * m, dtype=bool)
+            self._ok, self._spare = np.empty((2, n * m), dtype=bool)
         if (w + n) * m > self._bands.size:
             self._bands = np.empty((w + n) * m, dtype=bool)
-        jerk, desired, spare = (
-            buf[: n * m].reshape(n, m)
-            for buf in (self._jerk, self._desired, self._spare)
+        jerk, ok, spare = (
+            buf[: n * m].reshape(n, m) for buf in (self._jerk, self._ok, self._spare)
         )
-        # window[w + r] holds the bands of row lo + r, window[:w] rows before.
-        window = self._bands[: (w + n) * m].reshape(w + n, m)
-        ok = window[w:]
 
         # Jerk, carried across blocks; the first row of a run has none.
         if lo:
@@ -297,17 +318,16 @@ class _RunScorer:
         np.subtract(a_follower[1:], a_follower[:-1], out=jerk[1:])
         np.divide(jerk, self.dt, out=jerk)
         self.prev_accel = a_follower[-1].copy()
-        # controllers.desired_gap, in place: lj + v * (time gap + delay).
-        np.multiply(v_follower, self.headway, out=desired)
-        np.add(desired, lj, out=desired)
-        _bands_ok(
-            gap, desired, self.v_leader, v_follower, a_follower, jerk,
-            self.thresholds, speed_tol=self.speed_tol, out=ok, spare=spare,
-        )
-
-        held, self.last_break = _hold_scan(window, w, lo, self.last_break)
-        # The first held row closes the first run of w + 1 in-band rows.
-        _first_rows(held, self.first_hold < 0, self.first_hold, lo - w)
+        _rate_bands(a_follower, jerk, self.thresholds, out=ok, spare=spare)
+        # A held row is in band itself, so a column out of its jerk or
+        # acceleration band on every row holds nowhere in the block and
+        # breaks at its last row.  The gap and speed bands and the hold test
+        # run on the other columns alone.
+        cols = np.flatnonzero(ok.any(axis=0))
+        last_break = np.full(m, lo + n - 1)
+        if len(cols):
+            self._hold(cols, v_follower, gap, ok, last_break)
+        self.last_break = last_break
 
         below = spare
         np.less_equal(gap, lj, out=below)
@@ -315,7 +335,7 @@ class _RunScorer:
         if unarmed.any():
             # An unarmed column arms at its first gap above the floor, and
             # the rows before that row are not judged.
-            above = window[:n]
+            above = self._bands[: n * m].reshape(n, m)
             np.greater(gap, lj, out=above)
             _first_rows(above, unarmed, self.arm_row, lo)
             np.less_equal(self.arm_row, np.arange(lo, lo + n)[:, None], out=above)
@@ -323,6 +343,33 @@ class _RunScorer:
         unviolated = self.first_violation == self.n_samples
         _first_rows(below, unviolated, self.first_violation, lo)
         self.rows = lo + n
+
+    def _hold(self, cols, v_follower, gap, ok, last_break) -> None:
+        """The gap and speed bands and the hold test of the block's columns
+        cols, whose new last breaks go into last_break."""
+        w, (n, m), k = self.window, ok.shape, len(cols)
+        if k == m:  # every column: views, not copies
+            cols = slice(None)
+        else:
+            gap, v_follower = gap[:, cols], v_follower[:, cols]
+        # window[w + r] holds the bands of row lo + r, window[:w] rows before.
+        window = self._bands[: (w + n) * k].reshape(w + n, k)
+        window[w:] = ok[:, cols]
+        desired, work, spare = (
+            buf[: n * k].reshape(n, k) for buf in (self._desired, self._jerk, self._spare)
+        )
+        # controllers.desired_gap, in place: lj + v * (time gap + delay).
+        np.multiply(v_follower, self.headway, out=desired)
+        np.add(desired, self.leader_length, out=desired)
+        _track_bands(
+            gap, desired, self.v_leader[:, cols], v_follower, self.speed_tol[:, cols],
+            self.thresholds, out=window[w:], spare=spare, work=work,
+        )
+        held, last_break[cols] = _hold_scan(window, w, self.rows, self.last_break[cols])
+        # The first held row closes the first run of w + 1 in-band rows.
+        first_hold = self.first_hold[cols]
+        _first_rows(held, first_hold < 0, first_hold, self.rows - w)
+        self.first_hold[cols] = first_hold
 
     def keep(self, mask) -> None:
         """Drop the columns where mask is false."""

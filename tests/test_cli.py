@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import warnings
 from pathlib import Path
 from textwrap import dedent
@@ -325,6 +326,36 @@ def test_build_table_refuses_out_outside_a_directory_before_building(
     err = capsys.readouterr().err
     assert err.startswith(f"caccsim: error: --out {cli_env['root'] / out}: ")
     assert err.endswith(" is not a directory\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unwritable", [False, True], ids=["directory", "unwritable"])
+def test_build_table_refuses_out_it_cannot_write_before_building(
+    cli_env, monkeypatch, capsys, tmp_path, unwritable
+):
+    """An --out that is an existing directory, or that sits in a directory
+    that cannot be written, fails at once as one error line, not after the
+    build.  The unwritable directory is also made read-only, which a
+    superuser may still write, so os.access is told to refuse it."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_table was called")
+
+    monkeypatch.setattr(cli, "build_table", no_build)
+    if unwritable:
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0o500)
+        out, ends = locked / "table.txt", f": {locked} is not writable\n"
+        access = os.access
+        monkeypatch.setattr(
+            cli.os, "access", lambda path, mode: Path(path) != locked and access(path, mode)
+        )
+    else:
+        out, ends = tmp_path, ": is a directory\n"
+    rc = main(["build-table", "--axes", cli_env["axes"], "--candidates",
+               cli_env["candidates"], "--config", cli_env["build"],
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"caccsim: error: --out {out}{ends}"
 
 
 def test_suite_writes_reports(cli_env, capsys):

@@ -550,15 +550,22 @@ def test_build_with_markers_matches_per_cell_oracle(
     assert np.array_equal(table.gamma_cells, gamma_cells, equal_nan=True)
 
 
+@pytest.mark.parametrize("float_steps", ["never", "default", "always"])
 @pytest.mark.parametrize("mode", list(SafetyMode), ids=lambda mode: mode.value)
 @pytest.mark.parametrize("block_steps", [1, 7, 100, 101, 256])
 def test_build_matches_per_cell_oracle_at_any_block_length(
-    mixed_grid, mixed_grid_oracles, monkeypatch, block_steps, mode
+    mixed_grid, mixed_grid_oracles, monkeypatch, block_steps, mode, float_steps
 ):
     """Blocks shorter than, equal to and longer than the hold window (100
-    rows) settle every cell as the per-cell oracle does, in both modes."""
+    rows) settle every cell as the per-cell oracle does, in both modes, and
+    whether batches step on arrays at every width (crossover 0), on floats
+    at every width (a crossover above the batch width) or switch at the
+    default crossover."""
     axes, candidates, _ = mixed_grid
     cfg, (k_cells, gamma_cells, _) = mixed_grid_oracles[mode]
+    width = math.prod(axes.shape) * len(candidates.pairs())
+    crossover = {"never": 0, "default": gaintable._FLOAT_STEP_COLUMNS, "always": width + 1}
+    monkeypatch.setattr(gaintable, "_FLOAT_STEP_COLUMNS", crossover[float_steps])
     monkeypatch.setattr(gaintable, "_BLOCK_STEPS", block_steps)
     table = build_table(axes, candidates, cfg)
     assert np.array_equal(table.k_cells, k_cells, equal_nan=True)
@@ -585,10 +592,10 @@ def sliding_hold(ok, w, lo, last_break):
 
 
 @st.composite
-def band_blocks(draw):
+def band_blocks(draw, max_columns=3):
     """Bool columns made of alternating runs of 1 to 130 rows."""
     n = draw(st.integers(1, 400), label="rows")
-    m = draw(st.integers(1, 3), label="columns")
+    m = draw(st.integers(1, max_columns), label="columns")
     columns = []
     for _ in range(m):
         value, flags = draw(st.booleans()), []
@@ -624,6 +631,35 @@ def test_hold_scan_matches_a_sliding_scan(ok, w, data):
         want_held.any(axis=0), lo + want_held.argmax(axis=0) - w, -1
     )
     assert np.array_equal(first_hold, want_first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ok=band_blocks(max_columns=6), w=st.integers(0, 130), data=st.data())
+def test_hold_scan_of_a_column_subset_matches_the_whole_window(ok, w, data):
+    """The hold test run on a subset of the columns, as the scorer runs it
+    on the columns in their jerk and acceleration bands somewhere in the
+    block, gives those columns' held rows and last breaks of the scan over
+    every column and of the row-by-row scan."""
+    n, m = ok.shape
+    lo = data.draw(st.integers(0, 300), label="lo")
+    last_break = np.array(
+        data.draw(st.lists(st.integers(lo - w - 2, lo - 1), min_size=m, max_size=m))
+    )
+    cols = np.flatnonzero(data.draw(
+        st.lists(st.booleans(), min_size=m, max_size=m).filter(any), label="subset"
+    ))
+    want_held, want_breaks = sliding_hold(ok, w, lo, last_break)
+
+    window = np.empty((w + n, m), dtype=bool)
+    window[w:] = ok
+    whole_held, whole_breaks = _hold_scan(window, w, lo, last_break)
+    subset = np.empty((w + n, len(cols)), dtype=bool)
+    subset[w:] = ok[:, cols]
+    held, breaks = _hold_scan(subset, w, lo, last_break[cols])
+    assert np.array_equal(held, whole_held[:, cols])
+    assert np.array_equal(held, want_held[:, cols])
+    assert np.array_equal(breaks, whole_breaks[cols])
+    assert np.array_equal(breaks, want_breaks[cols])
 
 
 def test_time_tie_comfort_comes_from_re_simulated_runs(monkeypatch):

@@ -13,11 +13,10 @@ held.
 The step loop has two forms with the same arithmetic, chosen by the
 batch's width.  An array step costs the numpy calls it makes, about a
 microsecond each whatever their length, and a float step about half a
-microsecond per column.  So a batch wider than float_columns steps with a
-few in-place array operations shared by all its columns, and a narrower
-one steps each column on Python floats through the law's column_step.  A
-single column (a scheduled scenario run) always steps on floats; the
-table build sets its own crossover (gaintable._FLOAT_STEP_COLUMNS).
+microsecond per column.  So a batch wider than _FLOAT_STEP_COLUMNS steps
+with a few in-place array operations shared by all its columns, and a
+narrower one, a scheduled scenario's single column among them, steps each
+column on Python floats through the law's column_step.
 
 The rows advance() returns are views of block buffers that the kernel
 keeps and reuses, so they are valid until the next advance(): a caller
@@ -42,13 +41,21 @@ from .metrics import Trajectory
 
 __all__ = ["FollowerRuns", "simulate_pair"]
 
+# A batch no wider than this steps each column on floats, a wider one on
+# arrays; both give the same floats.  A float step costs about 0.5 us per
+# column, an array step about 7 us per row at any such width.  Float over
+# array time per row, medians of 9 interleaved pairs of 128-row blocks:
+# 0.84 at 8 columns, 0.93 at 9, 1.05 at 10.
+_FLOAT_STEP_COLUMNS = 9
+
 
 class FollowerRuns:
     """Batched car-following runs, one column per run.
 
     law is a control law of caccsim.controllers with one entry per column
     (only ConsensusLaw steps on arrays); cfg supplies dt, the delay and the
-    spacing policy.  A batch no wider than float_columns steps on floats.
+    spacing policy.  A batch no wider than _FLOAT_STEP_COLUMNS steps on
+    floats.
     advance() returns the next rows of follower position, speed,
     acceleration and delayed gap, as views valid until the next advance();
     keep() drops columns.
@@ -65,10 +72,9 @@ class FollowerRuns:
     order as a step-by-step update.
     """
 
-    def __init__(self, dr0, vi0, vj0, law, cfg, float_columns=1):
+    def __init__(self, dr0, vi0, vj0, law, cfg):
         self.cfg = cfg
         self.law = law
-        self.float_columns = float_columns
         self.row = 0
         self.delay = cfg.steps("comm_delay")
         # Follower (position, speed) at the last row returned.
@@ -81,6 +87,9 @@ class FollowerRuns:
         self.leader_of = np.array(
             [leaders.setdefault(bytes(s), len(leaders)) for s in starts], dtype=np.intp
         )
+        # Whether leader_of[c] == c for every column, so that the leaders'
+        # rows are the columns' rows and need no gather; kept by keep().
+        self._own_leaders = len(leaders) == len(starts)
         leader_dr0, leader_vj0 = np.frombuffer(b"".join(leaders)).reshape(-1, 2).T
         self.leader_step = leader_vj0 * cfg.dt
         # Each leader's position at row max(row - 1 - delay, 0).
@@ -108,7 +117,7 @@ class FollowerRuns:
         self.leader = lead[-1].copy()
         # The same rows for every column, whose rows 1.. become the gap.
         column_lead = lead
-        if not np.array_equal(self.leader_of, np.arange(m)):
+        if not self._own_leaders:
             column_lead = self._block("_column_lead", n_rows + 1, m)
             np.take(lead, self.leader_of, axis=1, out=column_lead, mode="clip")
         # rows[i]: positions, speeds and the commands that take them on,
@@ -122,7 +131,7 @@ class FollowerRuns:
             first = 1
         else:
             rows[0, : 2 * m] = self.state
-        if m <= self.float_columns:
+        if m <= _FLOAT_STEP_COLUMNS:
             self._step_columns(rows, lead[first:-1], first)
         else:
             aim = self._block("_aim", n_rows + 1, 2 * m)
@@ -194,6 +203,7 @@ class FollowerRuns:
         if not followed.all():
             self.leader_of = (np.cumsum(followed) - 1)[self.leader_of]
             self.leader, self.leader_step = self.leader[followed], self.leader_step[followed]
+        self._own_leaders = np.array_equal(self.leader_of, np.arange(len(self.vj)))
         self._aim_vj_rows = 0
         self.law.keep(mask)
 

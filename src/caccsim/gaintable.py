@@ -24,10 +24,9 @@ A block is built in place: the kernel hands out views of block buffers it
 reuses, and the scorer judges them in scratch buffers of its own.  A block
 spends little on work that cannot change a decision: the kernel takes the
 running sum of a cell's leader once for all its candidates and steps a
-batch of _FLOAT_STEP_COLUMNS or fewer columns on floats, a wider one on
-arrays, and the scorer runs the gap and speed bands and the hold test only
-on the columns within their jerk and acceleration bands somewhere in the
-block.
+narrow batch on floats, a wider one on arrays, and the scorer runs the gap
+and speed bands and the hold test only on the columns within their jerk
+and acceleration bands somewhere in the block.
 
 Lookup does its scalar work on Python floats.  Each AxisGrid keeps, per
 axis, one tuple of cuts: the largest float that snaps to each grid value
@@ -100,13 +99,6 @@ TIE_RULE = "min convergence time, then min comfort score, then smallest (gamma, 
 # 160-192 and 0.88 at 256 (grid).  96 and 128 tie within the noise, as does
 # the full production build; 128 scores each run fewer times.
 _BLOCK_STEPS = 128
-
-# A batch no wider than this steps each column on floats, a wider one on
-# arrays (dynamics.FollowerRuns); both give the same floats.  A float step
-# costs about 0.5 us per column, an array step about 7 us per row at any
-# such width.  Float over array time per row, medians of 9 interleaved
-# pairs of 128-row blocks: 0.84 at 8 columns, 0.93 at 9, 1.05 at 10.
-_FLOAT_STEP_COLUMNS = 9
 
 # Cells per batch, and per task of a parallel build.  Results do not depend
 # on it.  It stays at 48 although 192 builds the full grid about 20 %
@@ -558,7 +550,7 @@ def _evaluate_cells(args):
         return simulate_pair(dr0[col], vi0[col], vj0[col], law, cfg)
 
     law = ConsensusLaw(gamma, k)
-    runs = FollowerRuns(dr0, vi0, vj0, law, cfg, float_columns=_FLOAT_STEP_COLUMNS)
+    runs = FollowerRuns(dr0, vi0, vj0, law, cfg)
     scorer = _CellScorer(vj0, pairs, n_samples, cfg, rerun)
     while len(scorer.cols):
         _, v, a, gap = runs.advance(min(_BLOCK_STEPS, n_samples - runs.row))

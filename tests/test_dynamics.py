@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from caccsim.controllers import (
     consensus_command,
     linear_feedback_accel,
 )
+from caccsim import dynamics
 from caccsim.dynamics import FollowerRuns, simulate_pair
-from caccsim import gaintable
 from caccsim.gaintable import BuildConfig
 from caccsim.harness import ScenarioConfig
 
@@ -319,12 +320,12 @@ def test_reused_block_buffers_leave_the_rows_unchanged(data, comm_delay):
 @given(data=st.data(), comm_delay=st.sampled_from([0.0, 0.02, 0.06]))
 def test_float_and_array_steps_give_the_same_rows(data, comm_delay):
     """A batch stepped on arrays at every width, on floats at every width,
-    and at the build's crossover (on floats once keep() has narrowed it
+    and at the kernel's crossover (on floats once keep() has narrowed it
     that far) hands out the row bytes of each column run alone, for batches
     narrower and wider than the crossover whose columns share leaders in
     any order, with random blocks and keep() calls between them.  Leaders
     at 0.0 and -0.0 are different leaders."""
-    crossover = gaintable._FLOAT_STEP_COLUMNS
+    crossover = dynamics._FLOAT_STEP_COLUMNS
     m = data.draw(st.integers(1, 2 * crossover + 2), label="columns")
 
     def draw(values, size=m):
@@ -339,10 +340,13 @@ def test_float_and_array_steps_give_the_same_rows(data, comm_delay):
     vi0, gammas, ks = draw(speeds), draw(st.floats(0.5, 10.0)), draw(st.floats(0.01, 2.0))
     blocks = data.draw(st.lists(st.integers(1, 150), min_size=1, max_size=8))
     cfg = BuildConfig(t_max=10.0, comm_delay=comm_delay)
-    kernels = [
-        FollowerRuns(dr0, vi0, vj0, ConsensusLaw(gammas, ks), cfg, float_columns=width)
-        for width in (0, crossover, m)
-    ]
+    widths = (0, crossover, m)
+    kernels = [FollowerRuns(dr0, vi0, vj0, ConsensusLaw(gammas, ks), cfg) for _ in widths]
+
+    def advance(runs, width, rows):
+        with mock.patch.object(dynamics, "_FLOAT_STEP_COLUMNS", width):
+            return runs.advance(rows)
+
     alone = [
         FollowerRuns([dr0[c]], [vi0[c]], [vj0[c]], ConsensusLaw([gammas[c]], [ks[c]]), cfg)
         for c in range(m)
@@ -351,7 +355,8 @@ def test_float_and_array_steps_give_the_same_rows(data, comm_delay):
     for rows in blocks:
         ones = [alone[c].advance(rows) for c in open_cols]
         want = [np.concatenate(series, axis=1) for series in zip(*ones)]
-        for one, arrays, crossed, floats in zip(want, *(k.advance(rows) for k in kernels)):
+        got = (advance(runs, width, rows) for runs, width in zip(kernels, widths))
+        for one, arrays, crossed, floats in zip(want, *got):
             assert one.tobytes() == arrays.tobytes() == crossed.tobytes() == floats.tobytes()
         mask = np.array(draw(st.booleans(), len(open_cols)))
         if mask.any():

@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from caccsim.config import load_axes
 from caccsim.controllers import ConsensusLaw, GainPair, consensus_command, desired_gap
-from caccsim import gaintable
+from caccsim import dynamics, gaintable
 from caccsim.dynamics import FollowerRuns
 from caccsim.gaintable import (
     FORMAT_VERSION,
@@ -564,8 +564,8 @@ def test_build_matches_per_cell_oracle_at_any_block_length(
     axes, candidates, _ = mixed_grid
     cfg, (k_cells, gamma_cells, _) = mixed_grid_oracles[mode]
     width = math.prod(axes.shape) * len(candidates.pairs())
-    crossover = {"never": 0, "default": gaintable._FLOAT_STEP_COLUMNS, "always": width + 1}
-    monkeypatch.setattr(gaintable, "_FLOAT_STEP_COLUMNS", crossover[float_steps])
+    crossover = {"never": 0, "default": dynamics._FLOAT_STEP_COLUMNS, "always": width + 1}
+    monkeypatch.setattr(dynamics, "_FLOAT_STEP_COLUMNS", crossover[float_steps])
     monkeypatch.setattr(gaintable, "_BLOCK_STEPS", block_steps)
     table = build_table(axes, candidates, cfg)
     assert np.array_equal(table.k_cells, k_cells, equal_nan=True)

@@ -8,13 +8,12 @@ fallback used when no scheduled gain is available.
 
 Each law is a function on raw values (consensus_command,
 linear_feedback_accel), the reference, and a law object (ConsensusLaw,
-LinearFeedbackLaw) that the simulation kernel steps.  A one-column run,
-and each column of a narrow batch, steps on Python floats, and its step is
-the raw-value function itself, bound to the column's gains (the law's
-column_step).  Only the consensus law has an in-place array step too, for
-the table build's wider batches; it does the reference's arithmetic
-operation for operation, so both give the same floats.  The fallback only
-ever runs one column.
+LinearFeedbackLaw) that the simulation kernel steps.  A one-column run
+steps on Python floats, and its step is the raw-value function itself,
+bound to the law's gains (the law's column_step).  Only the consensus law
+has an in-place array step too, for the table build's batches; it does
+the reference's arithmetic operation for operation, so both give the same
+floats.  The fallback only ever runs one column.
 """
 
 from __future__ import annotations
@@ -149,8 +148,8 @@ def linear_feedback_accel(
     )
 
 
-# A law's column_step(cfg, col) returns the float step of the batch's
-# column col: step(r, r_leader, v, v_leader) returns the command.
+# A law's column_step(cfg) returns the step of a one-column batch on
+# floats: step(r, r_leader, v, v_leader) returns the command.
 # ConsensusLaw's command(cfg, m) returns the kernel's per-step callable for
 # m columns: step(state, speed, target, cmd) with state = [positions,
 # speeds] of the followers, speed its second half, target = [positions,
@@ -176,9 +175,9 @@ class ConsensusLaw:
     def keep(self, mask) -> None:
         self.gamma, self.k = self.gamma[mask], self.k[mask]
 
-    def column_step(self, cfg, col: int):
+    def column_step(self, cfg):
         lj, headway = cfg.leader_length, cfg.headway_time
-        k, gamma = self.k[col].item(), self.gamma[col].item()
+        k, gamma = self.k.item(), self.gamma.item()
 
         def step(r, r_leader, v, v_leader):
             return consensus_command(r, r_leader, v, v_leader, lj, headway, k, gamma)
@@ -215,7 +214,7 @@ class LinearFeedbackLaw:
     def __init__(self, gains: LinearFeedbackGains):
         self.gains = gains
 
-    def column_step(self, cfg, col: int):
+    def column_step(self, cfg):
         lj, time_gap, gains = cfg.leader_length, cfg.time_gap, self.gains
 
         def step(r, r_leader, v, v_leader):

@@ -10,13 +10,11 @@ acceleration of the next sample.  A delay is a whole number of steps and
 is never interpolated; before any delayed sample exists the initial one is
 held.
 
-The step loop has two forms with the same arithmetic, chosen by the
-batch's width.  An array step costs the numpy calls it makes, about a
-microsecond each whatever their length, and a float step about half a
-microsecond per column.  So a batch wider than _FLOAT_STEP_COLUMNS steps
-with a few in-place array operations shared by all its columns, and a
-narrower one, a scheduled scenario's single column among them, steps each
-column on Python floats through the law's column_step.
+The step loop has two forms with the same arithmetic.  A step's cost is the
+number of numpy calls it makes, about a microsecond each whatever their
+length, so a batch steps with a few in-place array operations shared by all
+its columns, while a single column (a scheduled scenario run) steps on
+Python floats, which make no such calls.
 
 The rows advance() returns are views of block buffers that the kernel
 keeps and reuses, so they are valid until the next advance(): a caller
@@ -24,9 +22,9 @@ that needs them longer copies them.  Columns that start from the same
 leader (dr0 and vj0 of the same bits), as all candidates of a table cell
 do, share one running sum of its delayed position per block, gathered
 into each column's rows, which then become the column's gap.  A batch
-stepped on arrays copies them into the step's [leader | vj] operand, whose
-vj half is filled again only after keep() or for a block longer than any
-before; a batch stepped on floats never makes that operand.
+copies them into the step's [leader | vj] operand, whose vj half is filled
+again only after keep() or for a block longer than any before; a
+one-column run never makes that operand.
 
 simulate_pair runs one scenario as a one-column batch and builds the run's
 Trajectory; a scheduled scenario and the table build's tie re-run both go
@@ -41,35 +39,25 @@ from .metrics import Trajectory
 
 __all__ = ["FollowerRuns", "simulate_pair"]
 
-# A batch no wider than this steps each column on floats, a wider one on
-# arrays; both give the same floats.  A float step costs about 0.5 us per
-# column, an array step about 7 us per row at any such width.  Float over
-# array time per row, medians of 9 interleaved pairs of 128-row blocks:
-# 0.84 at 8 columns, 0.93 at 9, 1.05 at 10.
-_FLOAT_STEP_COLUMNS = 9
-
 
 class FollowerRuns:
     """Batched car-following runs, one column per run.
 
     law is a control law of caccsim.controllers with one entry per column
-    (only ConsensusLaw steps on arrays); cfg supplies dt, the delay and the
-    spacing policy.  A batch no wider than _FLOAT_STEP_COLUMNS steps on
-    floats.
-    advance() returns the next rows of follower position, speed,
-    acceleration and delayed gap, as views valid until the next advance();
-    keep() drops columns.
+    (only ConsensusLaw steps more than one); cfg supplies dt, the delay and
+    the spacing policy.  advance() returns the next rows of follower
+    position, speed, acceleration and delayed gap, as views valid until the
+    next advance(); keep() drops columns.
 
     Only the step loop cannot be vectorized over rows, and its cost is
     the number of array operations per step, not their length, so it does
     as few as it can, writing into buffers of the block, with operand pairs
-    laid side by side so that one call serves both.  For a narrow batch
-    those calls would cost more than the arithmetic, so its loop runs on
-    Python floats, column by column, through the law's column_step, and
-    writes each column's rows into the block once.  Leader positions and
-    gaps are computed for the whole block outside the loop, once per
-    distinct leader; the running sum adds the leader's step in the same
-    order as a step-by-step update.
+    laid side by side so that one call serves both.  With one column those
+    calls would cost ten times the arithmetic, so that loop runs on Python
+    floats through the law's column_step instead and writes its rows into
+    the block once.  Leader positions and gaps are computed for the whole
+    block outside the loop, once per distinct leader; the running sum adds
+    the leader's step in the same order as a step-by-step update.
     """
 
     def __init__(self, dr0, vi0, vj0, law, cfg):
@@ -131,8 +119,8 @@ class FollowerRuns:
             first = 1
         else:
             rows[0, : 2 * m] = self.state
-        if m <= _FLOAT_STEP_COLUMNS:
-            self._step_columns(rows, lead[first:-1], first)
+        if m == 1:  # one column follows one leader
+            self._step_column(rows, lead[first:-1, 0], first)
         else:
             aim = self._block("_aim", n_rows + 1, 2 * m)
             if n_rows + 1 > self._aim_vj_rows:  # after keep(), or more rows
@@ -172,25 +160,21 @@ class FollowerRuns:
             multiply(rates, dt, delta)
             add(state, delta, nxt)
 
-    def _step_columns(self, rows, lead, first: int) -> None:
-        """Step rows[first:] of the block forward on floats, column by
-        column; lead holds the delayed position of each leader."""
-        m, dt = len(self.vj), self.cfg.dt
-        leads = lead.T.tolist()
-        start = rows[first, : 2 * m].tolist()
-        for col, (leader, vj) in enumerate(zip(self.leader_of.tolist(), self.vj.tolist())):
-            step = self.law.column_step(self.cfg, col)
-            r, v = start[col], start[m + col]
-            rs, vs, cmds = [], [], []
-            for target in leads[leader]:
-                cmd = step(r, target, v, vj)
-                r, v = r + v * dt, v + cmd * dt
-                rs.append(r)
-                vs.append(v)
-                cmds.append(cmd)
-            rows[first + 1 :, col] = rs
-            rows[first + 1 :, m + col] = vs
-            rows[first:-1, 2 * m + col] = cmds
+    def _step_column(self, rows, lead, first: int) -> None:
+        """Step rows[first:] of a one-column block forward on floats."""
+        step = self.law.column_step(self.cfg)
+        dt, vj = self.cfg.dt, self.vj.item()
+        r, v = rows[first, :2].tolist()
+        rs, vs, cmds = [], [], []
+        for target in lead.tolist():
+            cmd = step(r, target, v, vj)
+            r, v = r + v * dt, v + cmd * dt
+            rs.append(r)
+            vs.append(v)
+            cmds.append(cmd)
+        rows[first + 1 :, 0] = rs
+        rows[first + 1 :, 1] = vs
+        rows[first:-1, 2] = cmds
 
     def keep(self, mask: np.ndarray) -> None:
         if mask.all():

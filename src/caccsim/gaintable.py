@@ -23,10 +23,9 @@ any stored decision exactly.
 A block is built in place: the kernel hands out views of block buffers it
 reuses, and the scorer judges them in scratch buffers of its own.  A block
 spends little on work that cannot change a decision: the kernel takes the
-running sum of a cell's leader once for all its candidates and steps a
-narrow batch on floats, a wider one on arrays, and the scorer runs the gap
-and speed bands and the hold test only on the columns within their jerk
-and acceleration bands somewhere in the block.
+running sum of a cell's leader once for all its candidates, and the scorer
+runs the gap and speed bands and the hold test only on the columns within
+their jerk and acceleration bands somewhere in the block.
 
 Lookup does its scalar work on Python floats.  Each AxisGrid keeps, per
 axis, one tuple of cuts: the largest float that snaps to each grid value
@@ -92,19 +91,19 @@ TIE_RULE = "min convergence time, then min comfort score, then smallest (gamma, 
 # Rows simulated between two scorings of a batch.  Decisions are exact at
 # any block length; a longer block amortizes the scoring over more steps
 # but runs a settled cell on for longer (half a block on average).  On
-# perfbench's serial pieces (in process, seeds 5 and 7-9), against the
-# build before the selective bands, shared leader sums and float steps,
-# with its 256-row blocks, time ratios were 0.62-0.69 (grid) and 0.79-0.82
-# (closing) at 96 rows, 0.67-0.72 and 0.78-0.85 at 128, and 0.70-0.76 at
-# 160-192 and 0.88 at 256 (grid).  96 and 128 tie within the noise, as does
-# the full production build; 128 scores each run fewer times.
+# perfbench's serial pieces (in process, seeds 7 and 8), against the build
+# before the selective bands and shared leader sums, with its 256-row
+# blocks, CPU time ratios were 0.61-0.74 (grid) and 0.88-0.93 (closing) at
+# 96 rows, 0.71-0.76 and 0.90 at 128, 0.78-0.80 and 0.87-0.91 at 192, and
+# 0.79 and 0.93-0.94 at 256.  96 and 128 tie within the noise; 128 scores
+# each run fewer times.
 _BLOCK_STEPS = 128
 
 # Cells per batch, and per task of a parallel build.  Results do not depend
 # on it.  It stays at 48 although 192 builds the full grid about 20 %
-# faster (serial CPU 4.3-4.8 s against 3.5-3.8 s, 4 alternations): a build
-# process's peak RSS grows with the chunk (40 -> 54 MB at 192 cells), and
-# perfbench's peak_rss_mb counts workers.
+# faster (serial CPU 5.0-5.5 s, once 7.4 s, against 3.8-4.8 s, 4
+# alternations): a build process's peak RSS grows with the chunk (39 -> 51
+# MB at 192 cells), and perfbench's peak_rss_mb counts workers.
 _CELL_CHUNK = 48
 
 # What GainTable.cell returns for every marker cell.  GainPair is frozen.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from caccsim.controllers import (
     consensus_command,
     linear_feedback_accel,
 )
-from caccsim import dynamics
 from caccsim.dynamics import FollowerRuns, simulate_pair
 from caccsim.gaintable import BuildConfig
 from caccsim.harness import ScenarioConfig
@@ -318,15 +316,13 @@ def test_reused_block_buffers_leave_the_rows_unchanged(data, comm_delay):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), comm_delay=st.sampled_from([0.0, 0.02, 0.06]))
-def test_float_and_array_steps_give_the_same_rows(data, comm_delay):
-    """A batch stepped on arrays at every width, on floats at every width,
-    and at the kernel's crossover (on floats once keep() has narrowed it
-    that far) hands out the row bytes of each column run alone, for batches
-    narrower and wider than the crossover whose columns share leaders in
-    any order, with random blocks and keep() calls between them.  Leaders
-    at 0.0 and -0.0 are different leaders."""
-    crossover = dynamics._FLOAT_STEP_COLUMNS
-    m = data.draw(st.integers(1, 2 * crossover + 2), label="columns")
+def test_columns_sharing_leaders_give_the_rows_of_each_column_alone(data, comm_delay):
+    """A batch whose columns share leaders in any order hands out the row
+    bytes of each column run alone, with random blocks and keep() calls
+    between them, stepped on arrays and, once keep() has narrowed it to
+    one column, on floats.  Leaders at 0.0 and -0.0 are different
+    leaders."""
+    m = data.draw(st.integers(1, 20), label="columns")
 
     def draw(values, size=m):
         return data.draw(st.lists(values, min_size=size, max_size=size))
@@ -340,13 +336,7 @@ def test_float_and_array_steps_give_the_same_rows(data, comm_delay):
     vi0, gammas, ks = draw(speeds), draw(st.floats(0.5, 10.0)), draw(st.floats(0.01, 2.0))
     blocks = data.draw(st.lists(st.integers(1, 150), min_size=1, max_size=8))
     cfg = BuildConfig(t_max=10.0, comm_delay=comm_delay)
-    widths = (0, crossover, m)
-    kernels = [FollowerRuns(dr0, vi0, vj0, ConsensusLaw(gammas, ks), cfg) for _ in widths]
-
-    def advance(runs, width, rows):
-        with mock.patch.object(dynamics, "_FLOAT_STEP_COLUMNS", width):
-            return runs.advance(rows)
-
+    batch = FollowerRuns(dr0, vi0, vj0, ConsensusLaw(gammas, ks), cfg)
     alone = [
         FollowerRuns([dr0[c]], [vi0[c]], [vj0[c]], ConsensusLaw([gammas[c]], [ks[c]]), cfg)
         for c in range(m)
@@ -355,11 +345,9 @@ def test_float_and_array_steps_give_the_same_rows(data, comm_delay):
     for rows in blocks:
         ones = [alone[c].advance(rows) for c in open_cols]
         want = [np.concatenate(series, axis=1) for series in zip(*ones)]
-        got = (advance(runs, width, rows) for runs, width in zip(kernels, widths))
-        for one, arrays, crossed, floats in zip(want, *got):
-            assert one.tobytes() == arrays.tobytes() == crossed.tobytes() == floats.tobytes()
+        for one, got in zip(want, batch.advance(rows)):
+            assert one.tobytes() == got.tobytes()
         mask = np.array(draw(st.booleans(), len(open_cols)))
         if mask.any():
-            for runs in kernels:
-                runs.keep(mask)
+            batch.keep(mask)
             open_cols = open_cols[mask]

@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from caccsim.config import load_axes
 from caccsim.controllers import ConsensusLaw, GainPair, consensus_command, desired_gap
-from caccsim import dynamics, gaintable
+from caccsim import gaintable
 from caccsim.dynamics import FollowerRuns
 from caccsim.gaintable import (
     FORMAT_VERSION,
@@ -550,22 +550,15 @@ def test_build_with_markers_matches_per_cell_oracle(
     assert np.array_equal(table.gamma_cells, gamma_cells, equal_nan=True)
 
 
-@pytest.mark.parametrize("float_steps", ["never", "default", "always"])
 @pytest.mark.parametrize("mode", list(SafetyMode), ids=lambda mode: mode.value)
 @pytest.mark.parametrize("block_steps", [1, 7, 100, 101, 256])
 def test_build_matches_per_cell_oracle_at_any_block_length(
-    mixed_grid, mixed_grid_oracles, monkeypatch, block_steps, mode, float_steps
+    mixed_grid, mixed_grid_oracles, monkeypatch, block_steps, mode
 ):
     """Blocks shorter than, equal to and longer than the hold window (100
-    rows) settle every cell as the per-cell oracle does, in both modes, and
-    whether batches step on arrays at every width (crossover 0), on floats
-    at every width (a crossover above the batch width) or switch at the
-    default crossover."""
+    rows) settle every cell as the per-cell oracle does, in both modes."""
     axes, candidates, _ = mixed_grid
     cfg, (k_cells, gamma_cells, _) = mixed_grid_oracles[mode]
-    width = math.prod(axes.shape) * len(candidates.pairs())
-    crossover = {"never": 0, "default": dynamics._FLOAT_STEP_COLUMNS, "always": width + 1}
-    monkeypatch.setattr(dynamics, "_FLOAT_STEP_COLUMNS", crossover[float_steps])
     monkeypatch.setattr(gaintable, "_BLOCK_STEPS", block_steps)
     table = build_table(axes, candidates, cfg)
     assert np.array_equal(table.k_cells, k_cells, equal_nan=True)

@@ -203,8 +203,10 @@ def linear_scalar_loop(dr0, vi0, vj0, gains, n, cfg):
         # Exact equilibrium with negative feedback gains: both feedback
         # terms are -0.0, so only the feedforward k_a * 0 makes the sum +0.0.
         (13.0, 10.0, 10.0, LinearFeedbackGains(k_a=1.0, k_v=-0.5, k_d=-0.2)),
+        # A leader starting at -0.0 keeps its sign: the first gap is -0.0.
+        (-0.0, 10.0, 10.0, LinearFeedbackGains()),
     ],
-    ids=["defaults", "behind", "signed-zero"],
+    ids=["defaults", "behind", "signed-zero", "leader-at-minus-zero"],
 )
 def test_linear_law_matches_manual_scalar_loop(dr0, vi0, vj0, gains):
     """The kernel's linear feedback law, advanced in uneven blocks, equals a

@@ -18,7 +18,9 @@ outcomes.  The scorer takes the jerk and acceleration bands of every
 column first, and the gap and speed bands and the hold test only of the
 columns within both somewhere in the block: a held row is in all four
 bands, so any other column holds nowhere in the block and breaks at its
-last row.
+last row.  The hold test reads no row of an earlier block: a row holds when
+the last band break at or before it, a running maximum of the break rows
+carried from block to block, lies more than the persistence window back.
 """
 
 from __future__ import annotations
@@ -270,10 +272,10 @@ class _RunScorer:
 
     A block is scored in scratch buffers made for the largest block seen
     and viewed as (rows, columns): jerk and the desired gap in two float
-    arrays, the jerk and acceleration bands, the hold window and a spare in
-    three bool arrays.  The hold test is a windowed AND of w + 1 rows over
-    the four bands, with w carried rows in front of them, and every
-    per-column search is an argmax or argmin.
+    arrays, the bands and a spare in two bool arrays.  The hold test is a
+    running maximum of the break rows down the block, from the carried last
+    break, in the desired gap's buffer viewed as integers once the gap band
+    is taken; every per-column search is an argmax.
     """
 
     def __init__(self, cfg: BuildConfig, v_leader, n_samples):
@@ -294,18 +296,16 @@ class _RunScorer:
         self.arm_row = np.full(m, n_samples if unarmed else 0)
         self.first_violation = np.full(m, n_samples)
         self._jerk = self._desired = np.empty(0)
-        self._bands = self._ok = self._spare = np.empty(0, dtype=bool)
+        self._ok = self._spare = np.empty(0, dtype=bool)
 
     def score(self, v_follower, a_follower, gap) -> None:
         """Fold the next rows of every column into the carried state."""
-        w, lj = self.window, self.leader_length
+        lj = self.leader_length
         lo = self.rows
         n, m = a_follower.shape
         if n * m > self._spare.size:
             self._jerk, self._desired = np.empty(n * m), np.empty(n * m)
             self._ok, self._spare = np.empty((2, n * m), dtype=bool)
-        if (w + n) * m > self._bands.size:
-            self._bands = np.empty((w + n) * m, dtype=bool)
         jerk, ok, spare = (
             buf[: n * m].reshape(n, m) for buf in (self._jerk, self._ok, self._spare)
         )
@@ -334,8 +334,8 @@ class _RunScorer:
         unarmed = self.arm_row == self.n_samples
         if unarmed.any():
             # An unarmed column arms at its first gap above the floor, and
-            # the rows before that row are not judged.
-            above = self._bands[: n * m].reshape(n, m)
+            # the rows before that row are not judged.  ok is free by now.
+            above = ok
             np.greater(gap, lj, out=above)
             _first_rows(above, unarmed, self.arm_row, lo)
             np.less_equal(self.arm_row, np.arange(lo, lo + n)[:, None], out=above)
@@ -346,15 +346,12 @@ class _RunScorer:
 
     def _hold(self, cols, v_follower, gap, ok, last_break) -> None:
         """The gap and speed bands and the hold test of the block's columns
-        cols, whose new last breaks go into last_break."""
-        w, (n, m), k = self.window, ok.shape, len(cols)
+        cols, whose new last breaks go into last_break; ok is spent."""
+        w, lo, (n, m), k = self.window, self.rows, ok.shape, len(cols)
         if k == m:  # every column: views, not copies
-            cols = slice(None)
+            cols, bands = slice(None), ok
         else:
-            gap, v_follower = gap[:, cols], v_follower[:, cols]
-        # window[w + r] holds the bands of row lo + r, window[:w] rows before.
-        window = self._bands[: (w + n) * k].reshape(w + n, k)
-        window[w:] = ok[:, cols]
+            gap, v_follower, bands = gap[:, cols], v_follower[:, cols], ok[:, cols]
         desired, work, spare = (
             buf[: n * k].reshape(n, k) for buf in (self._desired, self._jerk, self._spare)
         )
@@ -363,12 +360,14 @@ class _RunScorer:
         np.add(desired, self.leader_length, out=desired)
         _track_bands(
             gap, desired, self.v_leader[:, cols], v_follower, self.speed_tol[:, cols],
-            self.thresholds, out=window[w:], spare=spare, work=work,
+            self.thresholds, out=bands, spare=spare, work=work,
         )
-        held, last_break[cols] = _hold_scan(window, w, self.rows, self.last_break[cols])
+        # desired is spent, and its buffer takes the break rows.
+        broke = desired.view(np.int64)
+        held, last_break[cols] = _hold_scan(bands, w, lo, self.last_break[cols], broke)
         # The first held row closes the first run of w + 1 in-band rows.
         first_hold = self.first_hold[cols]
-        _first_rows(held, first_hold < 0, first_hold, self.rows - w)
+        _first_rows(held, first_hold < 0, first_hold, lo - w)
         self.first_hold[cols] = first_hold
 
     def keep(self, mask) -> None:
@@ -390,37 +389,25 @@ def _first_rows(block: np.ndarray, wanted, into: np.ndarray, lo: int) -> None:
         into[cols] = lo + block[:, cols].argmax(axis=0)
 
 
-def _hold_scan(window: np.ndarray, w: int, lo: int, last_break: np.ndarray):
+def _hold_scan(bands: np.ndarray, w: int, lo: int, last_break, broke: np.ndarray):
     """Hold test of one block of band flags with a hold window of w rows.
 
-    window is a C-contiguous (w + n, m) bool block whose rows w.. are the
-    bands of rows lo .. lo + n - 1; it is overwritten.  A row before lo is
-    taken as in band iff it follows the carried last break.  Returns held,
-    (n, m) with held[r] true iff rows lo + r - w .. lo + r are all in band,
-    and the new last break of each column: its last row out of band in the
-    block, else the carried one.  held is a windowed AND of w + 1 rows,
-    built in place on the flat block by doubling the window, about log2(w)
-    passes in all.  The whole persistence window must lie inside the run,
-    so a tail of in-band rows shorter than it never holds.
+    bands is the (n, m) bool block of rows lo .. lo + n - 1, last_break each
+    column's last row out of band before lo, and broke an (n, m) integer
+    scratch; both blocks are overwritten.  broke takes the row number of
+    each row out of band and last_break on the rows in band, so its running
+    maximum down the block is the last break at or before each row.  Returns
+    held, in bands, true iff that break lies more than w rows back (rows
+    lo + r - w .. lo + r all in band), and each column's new last break.
+    The whole persistence window must lie inside the run, so a tail of
+    in-band rows shorter than it never holds.
     """
-    n_rows, m = window.shape
-    n = n_rows - w
-    back = window[w:][::-1]
-    since = back.argmin(axis=0)
-    broke = ~back[since, np.arange(m)]
-    new_break = np.where(broke, lo + n - 1 - since, last_break)
-    np.greater(np.arange(lo - w, lo)[:, None], last_break, out=window[:w])
-    # flat[i * m + c] becomes the AND of rows i .. i + span - 1 of column c.
-    flat = window.reshape(-1)
-    span = 1
-    while 2 * span <= w + 1:
-        size = (n_rows - 2 * span + 1) * m
-        np.logical_and(flat[:size], flat[span * m : span * m + size], out=flat[:size])
-        span *= 2
-    if w + 1 > span:
-        shift = (w + 1 - span) * m
-        np.logical_and(flat[: n * m], flat[shift : shift + n * m], out=flat[: n * m])
-    return window[:n], new_break
+    rows = np.arange(lo, lo + len(bands))[:, None]
+    broke[...] = rows
+    np.copyto(broke, last_break, where=bands)
+    np.maximum.accumulate(broke, axis=0, out=broke)
+    np.less(broke, rows - w, out=bands)
+    return bands, broke[-1].copy()
 
 
 def evaluate_run(trajectory: Trajectory) -> RunMetrics:

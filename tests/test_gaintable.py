@@ -602,7 +602,7 @@ def band_blocks(draw, max_columns=3):
 @settings(max_examples=200, deadline=None)
 @given(ok=band_blocks(), w=st.integers(0, 130), data=st.data())
 def test_hold_scan_matches_a_sliding_scan(ok, w, data):
-    """The windowed-AND hold test, its last break and the first held row
+    """The running-maximum hold test, its last break and the first held row
     equal a row-by-row scan, for hold windows of 1 to 131 rows and any
     carried last break."""
     lo = 0
@@ -612,9 +612,8 @@ def test_hold_scan_matches_a_sliding_scan(ok, w, data):
     )
     want_held, want_breaks = sliding_hold(ok, w, lo, last_break)
 
-    window = np.empty((w + n, m), dtype=bool)
-    window[w:] = ok
-    held, breaks = _hold_scan(window, w, lo, last_break)
+    broke = np.empty((n, m), dtype=np.int64)
+    held, breaks = _hold_scan(ok.copy(), w, lo, last_break, broke)
     assert np.array_equal(held, want_held)
     assert np.array_equal(breaks, want_breaks)
 
@@ -643,12 +642,10 @@ def test_hold_scan_of_a_column_subset_matches_the_whole_window(ok, w, data):
     ))
     want_held, want_breaks = sliding_hold(ok, w, lo, last_break)
 
-    window = np.empty((w + n, m), dtype=bool)
-    window[w:] = ok
-    whole_held, whole_breaks = _hold_scan(window, w, lo, last_break)
-    subset = np.empty((w + n, len(cols)), dtype=bool)
-    subset[w:] = ok[:, cols]
-    held, breaks = _hold_scan(subset, w, lo, last_break[cols])
+    broke = np.empty((n, m), dtype=np.int64)
+    whole_held, whole_breaks = _hold_scan(ok.copy(), w, lo, last_break, broke)
+    broke = np.empty((n, len(cols)), dtype=np.int64)
+    held, breaks = _hold_scan(ok[:, cols], w, lo, last_break[cols], broke)
     assert np.array_equal(held, whole_held[:, cols])
     assert np.array_equal(held, want_held[:, cols])
     assert np.array_equal(breaks, whole_breaks[cols])

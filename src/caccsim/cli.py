@@ -117,6 +117,8 @@ def _stability_report_pair(gains: GainPair, time_gap, comm_delay, sweep) -> bool
 
 
 def _cmd_stability(args) -> int:
+    if args.table and (args.gamma is not None or args.k is not None):
+        raise ValueError("stability takes either --table or --gamma and --k, not both")
     sweep = load_sweep(args.sweep) if args.sweep else FrequencySweep()
     if args.table:
         table = load_table(args.table)

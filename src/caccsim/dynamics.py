@@ -20,11 +20,11 @@ The rows advance() returns are views of block buffers that the kernel
 keeps and reuses, so they are valid until the next advance(): a caller
 that needs them longer copies them.  Columns that start from the same
 leader (dr0 and vj0 of the same bits), as all candidates of a table cell
-do, share one running sum of its delayed position per block, gathered
-into each column's rows, which then become the column's gap.  A batch
-copies them into the step's [leader | vj] operand, whose vj half is filled
-again only after keep() or for a block longer than any before; a
-one-column run never makes that operand.
+do, share one running sum of its delayed position per block.  A batch
+gathers its columns' leader rows and fills both halves of the step's
+[leader | vj] operand on every block; a single column reads its one
+leader's rows as its own and never makes that operand.  Each column's
+leader rows then become its gap.
 
 simulate_pair runs one scenario as a one-column batch and builds the run's
 Trajectory; a scheduled scenario and the table build's tie re-run both go
@@ -55,9 +55,10 @@ class FollowerRuns:
     laid side by side so that one call serves both.  With one column those
     calls would cost ten times the arithmetic, so that loop runs on Python
     floats through the law's column_step instead and writes its rows into
-    the block once.  Leader positions and gaps are computed for the whole
-    block outside the loop, once per distinct leader; the running sum adds
-    the leader's step in the same order as a step-by-step update.
+    the block once.  Leader positions are summed for the whole block
+    outside the loop, once per distinct leader, and a batch gathers them
+    per column on every block; the running sum adds the leader's step in
+    the same order as a step-by-step update.
     """
 
     def __init__(self, dr0, vi0, vj0, law, cfg):
@@ -75,16 +76,12 @@ class FollowerRuns:
         self.leader_of = np.array(
             [leaders.setdefault(bytes(s), len(leaders)) for s in starts], dtype=np.intp
         )
-        # Whether leader_of[c] == c for every column, so that the leaders'
-        # rows are the columns' rows and need no gather; kept by keep().
-        self._own_leaders = len(leaders) == len(starts)
         leader_dr0, leader_vj0 = np.frombuffer(b"".join(leaders)).reshape(-1, 2).T
         self.leader_step = leader_vj0 * cfg.dt
         # Each leader's position at row max(row - 1 - delay, 0).
         self.leader = leader_dr0.copy()
         # Flat block buffers, reused by every advance() that fits in them.
         self._rows = self._lead = self._column_lead = self._aim = np.empty(0)
-        self._aim_vj_rows = 0  # leading rows of _aim whose vj half is current
 
     def advance(self, n_rows: int):
         """Rows row .. row + n_rows - 1 as four (n_rows, columns) arrays.
@@ -103,11 +100,6 @@ class FollowerRuns:
         lead[still + 1 :] = self.leader_step
         np.add.accumulate(lead[still:], axis=0, out=lead[still:])
         self.leader = lead[-1].copy()
-        # The same rows for every column, whose rows 1.. become the gap.
-        column_lead = lead
-        if not self._own_leaders:
-            column_lead = self._block("_column_lead", n_rows + 1, m)
-            np.take(lead, self.leader_of, axis=1, out=column_lead, mode="clip")
         # rows[i]: positions, speeds and the commands that take them on,
         # each m long, at row lo - 1 + i.  Flat rows keep every operand of
         # the loop one contiguous vector.
@@ -119,17 +111,19 @@ class FollowerRuns:
             first = 1
         else:
             rows[0, : 2 * m] = self.state
-        if m == 1:  # one column follows one leader
+        if m == 1:  # one column follows one leader, whose rows are its own
+            column_lead = lead
             self._step_column(rows, lead[first:-1, 0], first)
-        else:
+        else:  # each column's leader rows, then [leader | vj] for the step
+            column_lead = self._block("_column_lead", n_rows + 1, m)
+            np.take(lead, self.leader_of, axis=1, out=column_lead, mode="clip")
             aim = self._block("_aim", n_rows + 1, 2 * m)
-            if n_rows + 1 > self._aim_vj_rows:  # after keep(), or more rows
-                aim[:, m:] = self.vj
-                self._aim_vj_rows = n_rows + 1
             aim[:, :m] = column_lead
+            aim[:, m:] = self.vj
             self._step_batch(rows, aim[first:-1], first)
         self.row += n_rows
         self.state = rows[-1, : 2 * m].copy()
+        # Each column's leader rows 1.. become its gap.
         gap = np.subtract(column_lead[1:], rows[1:, :m], out=column_lead[1:])
         return rows[1:, :m], rows[1:, m : 2 * m], rows[:-1, 2 * m :], gap
 
@@ -187,8 +181,6 @@ class FollowerRuns:
         if not followed.all():
             self.leader_of = (np.cumsum(followed) - 1)[self.leader_of]
             self.leader, self.leader_step = self.leader[followed], self.leader_step[followed]
-        self._own_leaders = np.array_equal(self.leader_of, np.arange(len(self.vj)))
-        self._aim_vj_rows = 0
         self.law.keep(mask)
 
 

@@ -285,7 +285,7 @@ class TableFormatError(ValueError):
     """Raised when a table file cannot be parsed or fails validation."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GainTable:
     """Built gain table: axes, candidate sets, settings, and cell gains.
 
@@ -317,11 +317,11 @@ class GainTable:
                 raise ValueError(
                     f"{name} has {cells.size} values, but the axes have {n_cells} cells"
                 )
-            setattr(self, name, cells.reshape(shape))
+            object.__setattr__(self, name, cells.reshape(shape))
         if not np.array_equal(np.isnan(self.k_cells), np.isnan(self.gamma_cells)):
             raise ValueError("k and gamma markers disagree on some cells")
         _validate_members(self.k_cells, self.gamma_cells, self.candidates)
-        self._cells = _cell_index(self.k_cells, self.gamma_cells)
+        object.__setattr__(self, "_cells", _cell_index(self.k_cells, self.gamma_cells))
 
     @property
     def shape(self) -> tuple[int, int, int]:

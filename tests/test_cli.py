@@ -290,11 +290,16 @@ def test_run_lookup_without_table_raises(cli_env, tmp_path, capsys):
         (["run", "--scenario", "{scenario_unsafe}", "--config", "{run_short}",
           "--out-dir", "{axes}"], "File exists"),
         (["stability", "--gamma", "2"], "needs either --table or both --gamma and --k"),
+        (["stability", "--table", "{table}", "--gamma", "1", "--k", "1"],
+         "either --table or --gamma and --k, not both"),
+        (["stability", "--table", "{table}", "--k", "1"],
+         "either --table or --gamma and --k, not both"),
         (["inspect-table", "{table}", "--cell", "0", "0", "2"],
          "--cell: cell index (0, 0, 2) outside 2x2x2"),
     ],
     ids=["stability-gamma-0", "workers-0", "bad-config", "bad-table", "missing-table",
-         "out-dir-is-a-file", "stability-without-gains", "cell-outside"],
+         "out-dir-is-a-file", "stability-without-gains", "stability-table-and-gains",
+         "stability-table-and-k", "cell-outside"],
 )
 def test_bad_input_is_an_error_line_not_a_traceback(
     cli_env, tmp_path, capsys, argv, message

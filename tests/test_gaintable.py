@@ -819,6 +819,16 @@ def test_axis_grid_arrays_are_read_only():
     assert dr.flags.writeable  # the caller's array is copied, not frozen
 
 
+def test_gain_table_fields_cannot_be_assigned():
+    """cell and lookup read an index built from the cell arrays, so a table
+    keeps the fields it was built with."""
+    table = index_table(AxisGrid(dr=[0.0, 1.0], vi=[2.0], vj=[3.0]))
+    for name in ("axes", "candidates", "config", "k_cells", "gamma_cells"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(table, name, getattr(table, name))
+    assert table.cell(1, 0, 0).k == 2.0
+
+
 def index_table(axes, markers=()):
     """A table whose cell at flat index i holds k = i + 1, so a hit names its
     cell, except the flat indices in markers, which hold the NaN marker.  Its

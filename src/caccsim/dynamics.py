@@ -20,11 +20,12 @@ The rows advance() returns are views of block buffers that the kernel
 keeps and reuses, so they are valid until the next advance(): a caller
 that needs them longer copies them.  Columns that start from the same
 leader (dr0 and vj0 of the same bits), as all candidates of a table cell
-do, share one running sum of its delayed position per block.  A batch
+do, share one running sum of its delayed position per block.  The leaders
+are numbered once, by their bits, and kept for the batch's life.  A batch
 gathers its columns' leader rows and fills both halves of the step's
-[leader | vj] operand on every block; a single column reads its one
-leader's rows as its own and never makes that operand.  Each column's
-leader rows then become its gap.
+[leader | vj] operand on every block; a single column reads its leader's
+rows as a view and never makes that operand.  Each column's leader rows
+then become its gap.
 
 simulate_pair runs one scenario as a one-column batch and builds the run's
 Trajectory; a scheduled scenario and the table build's tie re-run both go
@@ -47,7 +48,7 @@ class FollowerRuns:
     (only ConsensusLaw steps more than one); cfg supplies dt, the delay and
     the spacing policy.  advance() returns the next rows of follower
     position, speed, acceleration and delayed gap, as views valid until the
-    next advance(); keep() drops columns.
+    next advance(); keep() drops columns and keeps every leader.
 
     Only the step loop cannot be vectorized over rows, and its cost is
     the number of array operations per step, not their length, so it does
@@ -56,9 +57,9 @@ class FollowerRuns:
     calls would cost ten times the arithmetic, so that loop runs on Python
     floats through the law's column_step instead and writes its rows into
     the block once.  Leader positions are summed for the whole block
-    outside the loop, once per distinct leader, and a batch gathers them
-    per column on every block; the running sum adds the leader's step in
-    the same order as a step-by-step update.
+    outside the loop, once per leader numbered at construction, and a
+    batch gathers them per column on every block; the running sum adds
+    the leader's step in the same order as a step-by-step update.
     """
 
     def __init__(self, dr0, vi0, vj0, law, cfg):
@@ -70,13 +71,12 @@ class FollowerRuns:
         self.state = np.concatenate([np.zeros(len(vi0)), np.array(vi0, dtype=float)])
         self.vj = np.array(vj0, dtype=float)
         # Columns whose (dr0, vj0) have the same bits share one leader;
-        # leader_of[c] is column c's, leaders numbered as they first appear.
+        # leader_of[c] is column c's, leaders numbered in the order of bits.
         starts = np.stack([np.array(dr0, dtype=float), self.vj], axis=1)
-        leaders = {}
-        self.leader_of = np.array(
-            [leaders.setdefault(bytes(s), len(leaders)) for s in starts], dtype=np.intp
+        _, first, self.leader_of = np.unique(
+            starts.view(np.int64), axis=0, return_index=True, return_inverse=True
         )
-        leader_dr0, leader_vj0 = np.frombuffer(b"".join(leaders)).reshape(-1, 2).T
+        leader_dr0, leader_vj0 = starts[first].T
         self.leader_step = leader_vj0 * cfg.dt
         # Each leader's position at row max(row - 1 - delay, 0).
         self.leader = leader_dr0.copy()
@@ -111,9 +111,10 @@ class FollowerRuns:
             first = 1
         else:
             rows[0, : 2 * m] = self.state
-        if m == 1:  # one column follows one leader, whose rows are its own
-            column_lead = lead
-            self._step_column(rows, lead[first:-1, 0], first)
+        if m == 1:  # one column reads its leader's rows as its own
+            i = self.leader_of.item()
+            column_lead = lead[:, i : i + 1]
+            self._step_column(rows, column_lead[first:-1, 0], first)
         else:  # each column's leader rows, then [leader | vj] for the step
             column_lead = self._block("_column_lead", n_rows + 1, m)
             np.take(lead, self.leader_of, axis=1, out=column_lead, mode="clip")
@@ -175,12 +176,6 @@ class FollowerRuns:
             return
         self.state = self.state[np.tile(mask, 2)]
         self.vj, self.leader_of = self.vj[mask], self.leader_of[mask]
-        # Leaders no column follows any more are dropped, the rest renumbered.
-        followed = np.zeros(len(self.leader), dtype=bool)
-        followed[self.leader_of] = True
-        if not followed.all():
-            self.leader_of = (np.cumsum(followed) - 1)[self.leader_of]
-            self.leader, self.leader_step = self.leader[followed], self.leader_step[followed]
         self.law.keep(mask)
 
 

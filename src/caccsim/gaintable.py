@@ -100,10 +100,11 @@ TIE_RULE = "min convergence time, then min comfort score, then smallest (gamma, 
 _BLOCK_STEPS = 128
 
 # Cells per batch, and per task of a parallel build.  Results do not depend
-# on it.  It stays at 48 although 192 builds the full grid about 20 %
-# faster (serial CPU 5.0-5.5 s, once 7.4 s, against 3.8-4.8 s, 4
-# alternations): a build process's peak RSS grows with the chunk (39 -> 51
-# MB at 192 cells), and perfbench's peak_rss_mb counts workers.
+# on it.  192 builds the full grid about 20 % faster (serial CPU 3.8-4.8 s
+# against 5.0-5.5 s).  Its 2-worker build's workers peak at 52.4 MB RSS
+# (43.1 at 48), below the 59.7 MB that perfbench's grid pass reaches in its
+# own process, so peak_rss_mb would not move; 48 stays until 192 is
+# measured end to end.
 _CELL_CHUNK = 48
 
 # What GainTable.cell returns for every marker cell.  GainPair is frozen.
@@ -533,14 +534,12 @@ def _evaluate_cells(args):
     flat_indices, axes, candidates, cfg = args
     pairs = candidates.pairs()
     n_cand = len(pairs)
-    shape = axes.shape
 
-    cells = [np.unravel_index(i, shape) for i in flat_indices]
-    dr0 = np.repeat([float(axes.dr[c[0]]) for c in cells], n_cand)
-    vi0 = np.repeat([float(axes.vi[c[1]]) for c in cells], n_cand)
-    vj0 = np.repeat([float(axes.vj[c[2]]) for c in cells], n_cand)
-    gamma = np.tile([p[0] for p in pairs], len(cells))
-    k = np.tile([p[1] for p in pairs], len(cells))
+    i_dr, i_vi, i_vj = np.unravel_index(flat_indices, axes.shape)
+    dr0 = np.repeat(axes.dr[i_dr], n_cand)
+    vi0 = np.repeat(axes.vi[i_vi], n_cand)
+    vj0 = np.repeat(axes.vj[i_vj], n_cand)
+    gamma, k = np.tile(np.array(pairs).T, len(flat_indices))
 
     n_samples = cfg.steps("t_max") + 1
 

@@ -323,28 +323,37 @@ def test_columns_sharing_leaders_give_the_rows_of_each_column_alone(data, comm_d
     bytes of each column run alone, with random blocks and keep() calls
     between them, stepped on arrays and, once keep() has narrowed it to
     one column, on floats.  Leaders at 0.0 and -0.0 are different
-    leaders.  Some batches give each column a leader of its own, and
-    some are cut by their first keep() to columns with a leader each,
-    numbered in another order than the columns."""
+    leaders, and some batches follow two leaders that differ only there.
+    Some batches give each column a leader of its own, and some are cut
+    by their first keep() to columns with a leader each, numbered in
+    another order than the columns.  A keep() may drop every column of
+    the lowest-numbered leader still followed, or cut the batch to one
+    column of the highest-numbered one, so the leaders kept from the
+    start outlive the columns that follow them."""
     m = data.draw(st.integers(1, 20), label="columns")
-    shape = data.draw(st.sampled_from(["shared", "own", "reordered"]), label="shape")
+    shape = data.draw(st.sampled_from(["shared", "own", "reordered", "signed-zero"]), label="shape")
 
     def draw(values, size=None):
         size = m if size is None else size
         return data.draw(st.lists(values, min_size=size, max_size=size))
 
-    leaders = data.draw(st.lists(
-        st.tuples(st.sampled_from([0.0, -0.0, 30.0]) | st.floats(-60.0, 120.0), speeds),
-        min_size=1 if shape == "shared" else m, max_size=m,
-        unique_by=lambda leader: np.array(leader).tobytes(),
-    ), label="leaders")
+    if shape == "signed-zero":  # both leaders followed, by two columns or more
+        vj = data.draw(speeds, label="vj")
+        leaders = [(0.0, vj), (-0.0, vj)]
+        of, m = [0, 1, *draw(st.integers(0, 1))], m + 2
+    else:
+        leaders = data.draw(st.lists(
+            st.tuples(st.sampled_from([0.0, -0.0, 30.0]) | st.floats(-60.0, 120.0), speeds),
+            min_size=1 if shape == "shared" else m, max_size=m,
+            unique_by=lambda leader: np.array(leader).tobytes(),
+        ), label="leaders")
     if shape == "shared":
         of = draw(st.integers(0, len(leaders) - 1))
-    else:
+    elif shape != "signed-zero":
         of = data.draw(st.permutations(range(m)), label="order")
     if shape == "reordered":
         # Column 0 shares the last column's leader and is dropped first, so
-        # that the rest follow leaders numbered 1, 2, .., m - 1 and then 0.
+        # that leader lives on in a column it was not first read from.
         of, m = [of[-1], *of], m + 1
     dr0, vj0 = ([leaders[i][j] for i in of] for j in (0, 1))
     vi0, gammas, ks = draw(speeds), draw(st.floats(0.5, 10.0)), draw(st.floats(0.01, 2.0))
@@ -361,8 +370,13 @@ def test_columns_sharing_leaders_give_the_rows_of_each_column_alone(data, comm_d
         want = [np.concatenate(series, axis=1) for series in zip(*ones)]
         for one, got in zip(want, batch.advance(rows)):
             assert one.tobytes() == got.tobytes()
+        cut = data.draw(st.sampled_from(["any", "lowest", "one"]), label="keep")
         if shape == "reordered" and len(open_cols) == m:
             mask = open_cols > 0
+        elif cut == "lowest":
+            mask = batch.leader_of != batch.leader_of.min()
+        elif cut == "one":
+            mask = np.arange(len(open_cols)) == batch.leader_of.argmax()
         else:
             mask = np.array(draw(st.booleans(), len(open_cols)))
         if mask.any():

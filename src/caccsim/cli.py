@@ -106,43 +106,34 @@ def _cmd_suite(args) -> int:
     return 0
 
 
-def _stability_report_pair(gains: GainPair, time_gap, comm_delay, sweep) -> bool:
-    margin = string_stability_margin(
-        gains, time_gap=time_gap, comm_delay=comm_delay, sweep=sweep
-    )
-    verdict = "stable" if margin.stable else "UNSTABLE"
-    print(f"gamma={gains.gamma:g} k={gains.k:g}: max|G|={margin.max_magnitude:.6f} "
-          f"at omega={margin.worst_omega:.4g} rad/s -> {verdict}")
-    return margin.stable
-
-
 def _cmd_stability(args) -> int:
     if args.table and (args.gamma is not None or args.k is not None):
         raise ValueError("stability takes either --table or --gamma and --k, not both")
     sweep = load_sweep(args.sweep) if args.sweep else FrequencySweep()
     if args.table:
         table = load_table(args.table)
-        cfg = table.config
-        pairs = table.distinct_valid_pairs()
+        cfg, pairs = table.config, table.distinct_valid_pairs()
         if not pairs:
             print("table holds no valid cells")
             return 1
-        all_stable = True
-        for gamma, k in pairs:
-            stable = _stability_report_pair(
-                GainPair(k=k, gamma=gamma), cfg.time_gap, cfg.comm_delay, sweep
-            )
-            all_stable = all_stable and stable
+    elif args.gamma is None or args.k is None:
+        raise ValueError("stability needs either --table or both --gamma and --k")
+    else:
+        cfg, pairs = BuildConfig(), [(args.gamma, args.k)]
+    all_stable = True
+    for gamma, k in pairs:
+        margin = string_stability_margin(
+            GainPair(k=k, gamma=gamma), time_gap=cfg.time_gap,
+            comm_delay=cfg.comm_delay, sweep=sweep,
+        )
+        all_stable = all_stable and margin.stable
+        print(f"gamma={gamma:g} k={k:g}: max|G|={margin.max_magnitude:.6f} "
+              f"at omega={margin.worst_omega:.4g} rad/s -> "
+              f"{'stable' if margin.stable else 'UNSTABLE'}")
+    if args.table:
         print(f"{len(pairs)} distinct stored gain pairs; "
               f"{'all stable' if all_stable else 'instability found'}")
-        return 0 if all_stable else 1
-    if args.gamma is None or args.k is None:
-        raise ValueError("stability needs either --table or both --gamma and --k")
-    cfg = BuildConfig()
-    stable = _stability_report_pair(
-        GainPair(k=args.k, gamma=args.gamma), cfg.time_gap, cfg.comm_delay, sweep
-    )
-    return 0 if stable else 1
+    return 0 if all_stable else 1
 
 
 def _cmd_inspect_table(args) -> int:

@@ -100,12 +100,12 @@ TIE_RULE = "min convergence time, then min comfort score, then smallest (gamma, 
 _BLOCK_STEPS = 128
 
 # Cells per batch, and per task of a parallel build.  Results do not depend
-# on it.  192 builds the full grid about 20 % faster (serial CPU 3.8-4.8 s
-# against 5.0-5.5 s).  Its 2-worker build's workers peak at 52.4 MB RSS
-# (43.1 at 48), below the 59.7 MB that perfbench's grid pass reaches in its
-# own process, so peak_rss_mb would not move; 48 stays until 192 is
-# measured end to end.
-_CELL_CHUNK = 48
+# on it.  Wider batches spread each step's fixed numpy cost over more
+# columns: the shipped grid builds in 5.1-5.4 s serially (5.6-6.0 at 48) and
+# 2.8-3.4 s with 2 workers (3.5-3.9), at 51 MB RSS against 40 (2-CPU VM).
+# perfbench cannot see it: each serial piece is one chunk of at most 48
+# cells, and the 2-worker build's workers stay under the bench's own peak.
+_CELL_CHUNK = 192
 
 # What GainTable.cell returns for every marker cell.  GainPair is frozen.
 _MARKER = GainPair.invalid()

@@ -13,7 +13,16 @@ import pytest
 
 from caccsim import cli
 from caccsim.cli import main
-from caccsim.gaintable import load_table
+from caccsim.controllers import GainPair
+from caccsim.gaintable import (
+    AxisGrid,
+    BuildConfig,
+    CandidateSets,
+    GainTable,
+    load_table,
+    save_table,
+)
+from caccsim.stability import string_stability_margin
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -419,6 +428,43 @@ def test_stability_table_mode(cli_env, capsys):
     assert rc == 0
     assert "distinct stored gain pairs" in out
     assert "all stable" in out
+
+
+def _stability_line(gamma, k, time_gap, comm_delay):
+    margin = string_stability_margin(
+        GainPair(k=k, gamma=gamma), time_gap=time_gap, comm_delay=comm_delay
+    )
+    verdict = "stable" if margin.stable else "UNSTABLE"
+    return (f"gamma={gamma:g} k={k:g}: max|G|={margin.max_magnitude:.6f} "
+            f"at omega={margin.worst_omega:.4g} rad/s -> {verdict}")
+
+
+def test_each_stability_mode_judges_its_pairs_under_its_own_settings(tmp_path, capsys):
+    """A table's pairs are judged at the table's own time gap and delay, an
+    explicit pair at BuildConfig()'s; each printed line is exactly the line
+    of that pair's margin."""
+    table = GainTable(
+        AxisGrid(dr=[10, 20], vi=[10], vj=[10]),
+        CandidateSets(gammas=[2, 5], ks=[0.1]),
+        BuildConfig(time_gap=1.0),
+        k_cells=[0.1, 0.1],
+        gamma_cells=[5, 2],
+    )
+    path = tmp_path / "time_gap_1.txt"
+    save_table(table, path)
+    defaults = BuildConfig()
+    own = [_stability_line(g, 0.1, time_gap=1.0, comm_delay=0.06) for g in (2, 5)]
+    at_defaults = [_stability_line(g, 0.1, defaults.time_gap, defaults.comm_delay)
+                   for g in (2, 5)]
+    assert all(a != b for a, b in zip(own, at_defaults))
+
+    assert main(["stability", "--table", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == own + [
+        "2 distinct stored gain pairs; all stable"
+    ]
+    for gamma, line in zip(("2", "5"), at_defaults):
+        assert main(["stability", "--gamma", gamma, "--k", "0.1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [line]
 
 
 def test_stability_requires_arguments(capsys):

@@ -42,7 +42,7 @@ m = report.metrics
 print(f"scenario: leader {scenario.dr0:+.0f} m ahead at {scenario.vj0:.0f} m/s, "
       f"follower at {scenario.vi0:.0f} m/s")
 print(f"gains: gamma={report.gains.gamma:g} k={report.gains.k:g}")
-if m.consensus_reached:
+if math.isfinite(m.t_consensus):
     print(f"consensus after {m.t_consensus:.2f} s "
           f"(bands held for {cfg.hold_window:.1f} s)")
 else:
@@ -62,7 +62,7 @@ desired = trajectory.desired_gaps()
 error = trajectory.gap - desired
 step = round(5.0 / cfg.dt)
 t_stop = cfg.t_max
-if m.consensus_reached:
+if math.isfinite(m.t_consensus):
     t_stop = min(t_stop, m.t_consensus + 10.0)
 last = round(t_stop / cfg.dt)
 for idx in range(0, last + 1, step):

@@ -71,10 +71,10 @@ class FollowerRuns:
         self.state = np.concatenate([np.zeros(len(vi0)), np.array(vi0, dtype=float)])
         self.vj = np.array(vj0, dtype=float)
         # Columns whose (dr0, vj0) have the same bits share one leader;
-        # leader_of[c] is column c's, leaders numbered in the order of bits.
+        # leader_of[c] is column c's, leaders numbered in the order of bytes.
         starts = np.stack([np.array(dr0, dtype=float), self.vj], axis=1)
         _, first, self.leader_of = np.unique(
-            starts.view(np.int64), axis=0, return_index=True, return_inverse=True
+            starts.view((np.void, 16)).ravel(), return_index=True, return_inverse=True
         )
         leader_dr0, leader_vj0 = starts[first].T
         self.leader_step = leader_vj0 * cfg.dt

@@ -49,8 +49,10 @@ formats the cell block from flat tolist() columns, its index tokens from
 _index_tokens.  Load accepts exactly what save writes, with any line
 ends.  It reads the block as columns: whole-block string operations
 certify the layout, each distinct gain token is parsed once and the gain
-columns are mapped through those values (_read_cell_block).  Only a
-refused block is walked line by line, to name its first faulty line.
+columns are mapped through those values (_read_cell_block).  A block
+refused there, or whose cells the table refuses (_validate_members), is
+walked line by line (_raise_cell_fault) to name its first faulty line,
+whichever rule that line breaks.
 """
 
 from __future__ import annotations
@@ -123,10 +125,10 @@ def _cut(a: float, b: float) -> float:
     lo / 2 + hi / 2 is one of the two, so they are neighbours.  The two
     roundings keep the cut within an ulp of b - a of the midpoint, so the
     search starts from the floats just outside that band, clamped to
-    [a, b], when the rule holds at the lower one and fails at the upper one:
-    most cuts then take one to three halvings.  Otherwise it starts from
-    [a, b].  A start that straddles 0 takes more, as the halvings run down
-    the exponents first: 56 for [-1, 1], 107 for the widest finite grid.
+    [a, b], where the rule holds at the lower one and fails at the upper
+    one: most cuts then take one to three halvings.  A start that straddles
+    0 takes more, as the halvings run down the exponents first: 56 for
+    [-1, 1], 107 for the widest finite grid.
     """
 
     def to_a(q: float) -> bool:
@@ -135,8 +137,6 @@ def _cut(a: float, b: float) -> float:
     mid, ulp = a / 2 + b / 2, math.ulp(b - a)
     lo = max(a, math.nextafter(mid - ulp, -math.inf))
     hi = min(b, math.nextafter(mid + ulp, math.inf))
-    if not (to_a(lo) and not to_a(hi)):
-        lo, hi = a, b
     while (q := lo / 2 + hi / 2) != lo and q != hi:
         if to_a(q):
             lo = q
@@ -292,8 +292,9 @@ class GainTable:
 
     k_cells and gamma_cells have the axes shape; NaN in both marks a cell
     where no candidate passed the gap floor or none converged.  Every other
-    cell holds a valid gain pair, both gains positive and finite and members
-    of the candidate sets, so every table saves a file that loads.
+    cell holds a valid gain pair, both gains members of the candidate sets,
+    so positive and finite.  _validate_members refuses any other cell,
+    naming the first, so every table saves a file that loads.
 
     A table's cells are fixed when it is built: __post_init__ builds _cells,
     the shared GainPair of every cell as nested lists [i1 + 1][i2 + 1][i3 + 1]
@@ -319,8 +320,6 @@ class GainTable:
                     f"{name} has {cells.size} values, but the axes have {n_cells} cells"
                 )
             object.__setattr__(self, name, cells.reshape(shape))
-        if not np.array_equal(np.isnan(self.k_cells), np.isnan(self.gamma_cells)):
-            raise ValueError("k and gamma markers disagree on some cells")
         _validate_members(self.k_cells, self.gamma_cells, self.candidates)
         object.__setattr__(self, "_cells", _cell_index(self.k_cells, self.gamma_cells))
 
@@ -601,30 +600,29 @@ def build_table(
     )
 
 
-def _validate_members(
-    k_cells: np.ndarray,
-    gamma_cells: np.ndarray,
-    cands: CandidateSets,
-    first_line: int | None = None,
-) -> None:
-    """Every cell that is not a marker must hold gains from the candidate
-    sets, checked on the arrays by GainTable.  The sets hold only positive,
-    finite values, so this is also the check that a cell's gains are valid.
-    The fault names the first bad cell: its line when first_line, the line
-    of cell 0, is given, else its indices."""
-    k = k_cells.ravel()
-    gamma = gamma_cells.ravel()
-    bad = ~np.isnan(k) & ~(np.isin(gamma, cands.gammas) & np.isin(k, cands.ks))
-    if bad.any():
-        i = int(bad.argmax())
-        if first_line is None:
-            where = f"cell {tuple(map(int, np.unravel_index(i, k_cells.shape)))}: "
-        else:
-            where = f"line {first_line + i}: "
-        raise TableFormatError(
-            f"{where}stored gains (gamma={gamma[i].item()!r}, k={k[i].item()!r}) "
-            "are not candidate members"
-        )
+def _validate_members(k_cells: np.ndarray, gamma_cells: np.ndarray, cands) -> None:
+    """The content rule of _cell_fault on the cell arrays, which GainTable
+    checks: every cell holds NaN in both gains or candidate members in both.
+    The fault names the first bad cell by its indices, in _cell_fault's text."""
+    k, gamma = k_cells.ravel(), gamma_cells.ravel()
+    good = np.isnan(k) & np.isnan(gamma)
+    good |= np.isin(gamma, cands.gammas) & np.isin(k, cands.ks)
+    if not good.all():
+        i = int(good.argmin())
+        where = tuple(map(int, np.unravel_index(i, k_cells.shape)))
+        fault = _cell_fault(k[i].item(), gamma[i].item(), cands)
+        raise TableFormatError(f"cell {where}: {fault}")
+
+
+def _cell_fault(k: float, gamma: float, cands: CandidateSets) -> str | None:
+    """The content rule of one stored cell: None when its gains are NaN in
+    both or candidate members in both (the sets hold only positive, finite
+    values), else the fault."""
+    if math.isnan(k) != math.isnan(gamma):
+        return "marker cell must have NaN for both gains"
+    if math.isnan(k) or (gamma in cands.gammas and k in cands.ks):
+        return None
+    return f"stored gains (gamma={gamma!r}, k={k!r}) are not candidate members"
 
 
 def lookup(table: GainTable, dr: float, vi: float, vj: float) -> GainPair | None:
@@ -736,10 +734,10 @@ def load_table(path) -> GainTable:
 
     Only the layout save_table writes loads, with any line ends: the file
     is read with universal newlines.  The cell block is read as columns
-    (_read_cell_block, about 6 ms for the 6069 cells of the production
-    table on a 2-CPU VM).  A fault names its line, a gain outside the
-    candidate sets too: the table checks membership when it is built, and
-    only a refused table is checked again, to name the line.  A file that
+    (_read_cell_block, about 5 ms for the 6069 cells of the production
+    table on a 2-CPU VM).  A fault names its line, whichever rule the line
+    breaks: the table checks its cells' content when it is built, and the
+    block of a refused table is walked to name the line.  A file that
     is not UTF-8 raises TableFormatError too.  The table's AxisGrid finds
     the cuts that lookup bisects here, and the table builds its cell index
     (about 0.8 ms of the load for the production table), so a lookup
@@ -780,16 +778,15 @@ def load_table(path) -> GainTable:
             f"line {5 + found}: end of file, expected {expected} cell lines, "
             f"found {found}"
         )
-    k_cells, gamma_cells = _read_cell_block(body, shape)
+    cands = header["candidates"]
+    k_cells, gamma_cells = _read_cell_block(body, shape, cands)
     try:
         return GainTable(**header, k_cells=k_cells, gamma_cells=gamma_cells)
-    except ValueError:
-        # Shape and markers are sound, so the fault is a gain off the sets.
-        _validate_members(k_cells, gamma_cells, header["candidates"], first_line=5)
-        raise
+    except TableFormatError:
+        _raise_cell_fault(body, shape, cands)
 
 
-def _read_cell_block(body: str, shape) -> tuple[np.ndarray, np.ndarray]:
+def _read_cell_block(body: str, shape, cands) -> tuple[np.ndarray, np.ndarray]:
     """The k and gamma cells of a block of exactly the lines save_table
     writes; raises the fault of the first faulty line otherwise.
 
@@ -799,9 +796,10 @@ def _read_cell_block(body: str, shape) -> tuple[np.ndarray, np.ndarray]:
     with its newlines as spaces (so no tab, doubled or trailing space, or
     blank line), every newline is followed by "cell ", every sixth token
     is "cell" and the index tokens are those of _index_tokens.  Each
-    distinct gain token is parsed once, and the marker and finiteness rules
-    are checked on the arrays.  A block fails a check only when one of its
-    lines breaks the line rule of _raise_cell_fault, which names the first.
+    distinct gain token is parsed once.  A block fails a check only when one
+    of its lines breaks the layout or number rule of _raise_cell_fault,
+    which names the first faulty line; cands is passed on to it.  The cells'
+    content is left to GainTable.
     """
     n = shape[0] * shape[1] * shape[2]
     tokens = body.split()
@@ -812,29 +810,25 @@ def _read_cell_block(body: str, shape) -> tuple[np.ndarray, np.ndarray]:
         or [tokens[1::6], tokens[2::6], tokens[3::6]] != _index_tokens(shape)
         or " ".join(tokens) != body.replace("\n", " ")
     ):
-        _raise_cell_fault(body, shape)
+        _raise_cell_fault(body, shape, cands)
     k_text, gamma_text = tokens[4::6], tokens[5::6]
     del tokens  # the other four columns are not needed past the checks
     try:
         value = {t: _parse_float(t, "cell") for t in {*k_text, *gamma_text}}
     except TableFormatError:
-        _raise_cell_fault(body, shape)
+        _raise_cell_fault(body, shape, cands)
     k = np.array(list(map(value.__getitem__, k_text)))
     gamma = np.array(list(map(value.__getitem__, gamma_text)))
-    # Both gains finite, or both NaN.
-    both = (np.isfinite(k) & np.isfinite(gamma)) | (np.isnan(k) & np.isnan(gamma))
-    if not both.all():
-        _raise_cell_fault(body, shape)
     return k, gamma
 
 
-def _raise_cell_fault(body: str, shape) -> typing.NoReturn:
+def _raise_cell_fault(body: str, shape, cands) -> typing.NoReturn:
     """Raise the fault of the first cell line of body that save_table would
     not write, naming the line.
 
     A line is "cell", three indices and two gains, joined by single spaces;
     an index as str(i) writes it, in row-major order; a gain as _parse_float
-    reads it; both gains finite, or both NaN.
+    reads it; the gains hold the content rule of _cell_fault.
     """
     for lineno, (line, index) in enumerate(zip(body.split("\n"), np.ndindex(shape)), 5):
         parts = line.split()
@@ -853,10 +847,6 @@ def _raise_cell_fault(body: str, shape) -> typing.NoReturn:
             )
         k = _parse_float(parts[4], f"line {lineno} k")
         gamma = _parse_float(parts[5], f"line {lineno} gamma")
-        if math.isnan(k) != math.isnan(gamma):
-            raise TableFormatError(
-                f"line {lineno}: marker cell must have NaN for both gains"
-            )
-        if math.isinf(k) or math.isinf(gamma):
-            raise TableFormatError(f"line {lineno}: gains must be finite or NaN")
+        if fault := _cell_fault(k, gamma, cands):
+            raise TableFormatError(f"line {lineno}: {fault}")
     raise AssertionError("a refused cell block has no faulty line")

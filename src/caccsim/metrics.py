@@ -171,10 +171,6 @@ class RunMetrics:
     min_gap: float
     safety_violated: bool
 
-    @property
-    def consensus_reached(self) -> bool:
-        return math.isfinite(self.t_consensus)
-
 
 def jerk_series(trajectory: Trajectory) -> np.ndarray:
     """Backward-difference jerk per sample (m/s^3); first sample is zero."""

@@ -6,12 +6,12 @@ candidates' whole-run outcomes.
 
 oracle_cells is the oracle that property tests pin
 caccsim.gaintable.load_table's column reader to: it counts the cell lines,
-then checks them one at a time in row-major order, then checks candidate
-membership, and raises the fault of the first faulty line with
-load_table's text.  It reads the layout save_table writes and nothing else:
-tokens joined by single spaces, indices as str(i) writes them, gains as
-float() reads them or "NaN".  The module shares only TableFormatError with
-caccsim.
+then checks them one at a time in row-major order, each line's layout,
+numbers and content (NaN in both gains, or candidate members in both), and
+raises the fault of the first faulty line with load_table's text.  It
+reads the layout save_table writes and nothing else: tokens joined by
+single spaces, indices as str(i) writes them, gains as float() reads them
+or "NaN".  The module shares only TableFormatError with caccsim.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ def oracle_cells(path, table) -> tuple[np.ndarray, np.ndarray]:
             f"line {5 + found}: end of file, expected {expected} cell lines, "
             f"found {found}"
         )
+    members_k = table.candidates.ks.tolist()
+    members_gamma = table.candidates.gammas.tolist()
     ks, gammas = [], []
     for lineno, (line, index) in enumerate(zip(lines, np.ndindex(table.shape)), 5):
         parts = line.split(" ")
@@ -67,23 +69,17 @@ def oracle_cells(path, table) -> tuple[np.ndarray, np.ndarray]:
             )
         k = oracle_number(parts[4], f"line {lineno} k")
         gamma = oracle_number(parts[5], f"line {lineno} gamma")
-        if not (math.isfinite(k) and math.isfinite(gamma)):
-            if math.isnan(k) != math.isnan(gamma):
-                raise TableFormatError(
-                    f"line {lineno}: marker cell must have NaN for both gains"
-                )
-            if math.isinf(k) or math.isinf(gamma):
-                raise TableFormatError(f"line {lineno}: gains must be finite or NaN")
-        ks.append(k)
-        gammas.append(gamma)
-    members_k = table.candidates.ks.tolist()
-    members_gamma = table.candidates.gammas.tolist()
-    for lineno, (k, gamma) in enumerate(zip(ks, gammas), 5):
-        if math.isfinite(k) and not (gamma in members_gamma and k in members_k):
+        if math.isnan(k) != math.isnan(gamma):
+            raise TableFormatError(
+                f"line {lineno}: marker cell must have NaN for both gains"
+            )
+        if not math.isnan(k) and not (gamma in members_gamma and k in members_k):
             raise TableFormatError(
                 f"line {lineno}: stored gains (gamma={gamma!r}, k={k!r}) "
                 "are not candidate members"
             )
+        ks.append(k)
+        gammas.append(gamma)
     return np.array(ks), np.array(gammas)
 
 

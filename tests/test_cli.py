@@ -467,6 +467,32 @@ def test_each_stability_mode_judges_its_pairs_under_its_own_settings(tmp_path, c
         assert capsys.readouterr().out.splitlines() == [line]
 
 
+@pytest.fixture
+def marker_table(tmp_path):
+    """A saved one-cell table whose cell is a marker."""
+    path = tmp_path / "markers.txt"
+    save_table(GainTable(
+        AxisGrid(dr=[10], vi=[12], vj=[14]),
+        CandidateSets(gammas=[2, 5], ks=[0.1]),
+        BuildConfig(),
+        k_cells=[float("nan")],
+        gamma_cells=[float("nan")],
+    ), path)
+    return str(path)
+
+
+def test_stability_on_a_table_of_only_markers_exits_1(marker_table, capsys):
+    assert main(["stability", "--table", marker_table]) == 1
+    assert capsys.readouterr().out == "table holds no valid cells\n"
+
+
+def test_inspect_table_cell_peek_on_a_marker_cell(marker_table, capsys):
+    assert main(["inspect-table", marker_table, "--cell", "0", "0", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "cell (0, 0, 0) [dr=10 m, vi=12 m/s, vj=14 m/s]: marker (no admissible candidate)"
+    )
+
+
 def test_stability_requires_arguments(capsys):
     rc = main(["stability"])
     err = capsys.readouterr().err

@@ -103,6 +103,40 @@ def test_build_config_delay_steps():
         BuildConfig(t_max=0.5, hold_window=1.0)
 
 
+def test_build_config_t_max_must_span_one_step():
+    """A t_max of zero whole steps passes the whole-steps rule and is
+    refused by its own."""
+    with pytest.raises(ValueError) as caught:
+        BuildConfig(t_max=1e-12, hold_window=0.0)
+    assert str(caught.value) == "t_max 1e-12 must span at least one step of dt 0.01"
+
+
+def test_grids_candidates_and_tables_differ_when_one_value_does(tiny_table):
+    """Equality sees every compared value, a NaN marker against a number
+    too, and a value of another type is never equal."""
+    axes, cands = tiny_table.axes, tiny_table.candidates
+
+    def table(**changes):
+        return replace(tiny_table, **changes)
+
+    assert AxisGrid(axes.dr, axes.vi, axes.vj) == axes
+    assert AxisGrid(axes.dr, axes.vi, [10.0, 15.0]) != axes
+    assert CandidateSets(cands.gammas, cands.ks) == cands
+    assert CandidateSets(cands.gammas, [0.1, 0.2]) != cands
+    assert table() == tiny_table
+    assert table(config=replace(tiny_table.config, time_gap=1.0)) != tiny_table
+    gamma = tiny_table.gamma_cells.copy()
+    gamma[1, 1, 1] = 2.0
+    assert table(gamma_cells=gamma) != tiny_table
+    k, gamma = tiny_table.k_cells.copy(), tiny_table.gamma_cells.copy()
+    k[0, 0, 0] = gamma[0, 0, 0] = math.nan
+    marked = table(k_cells=k, gamma_cells=gamma)
+    assert marked != tiny_table and tiny_table != marked
+    assert marked == table(k_cells=k.copy(), gamma_cells=gamma.copy())
+    for value in (axes, cands, tiny_table):
+        assert value != "value" and not value == object()
+
+
 @pytest.mark.parametrize(
     "field, kwargs",
     [
@@ -393,7 +427,7 @@ def test_streaming_decision_matches_per_column_evaluation(data):
         whole.runs.score(v[lo:hi], a[lo:hi], gap[lo:hi])
     for col, m in enumerate(metrics):
         hold = int(whole.runs.first_hold[col])
-        assert (hold >= 0) == m.consensus_reached
+        assert (hold >= 0) == math.isfinite(m.t_consensus)
         end = hold if hold >= 0 else n - 1
         if hold >= 0:
             assert hold * cfg.dt == m.t_consensus
@@ -509,7 +543,7 @@ def per_cell_oracle(axes, candidates, cfg):
             kinds.add("valid")
         elif all(m.safety_violated for m in metrics) and all(early_floor):
             kinds.add("early-floor marker")
-        elif not any(m.consensus_reached for m in metrics):
+        elif not any(math.isfinite(m.t_consensus) for m in metrics):
             kinds.add("unconverged marker")
     return k_cells, gamma_cells, kinds
 
@@ -741,7 +775,7 @@ def test_build_rejects_bad_worker_count(tiny_axes, tiny_candidates, tiny_cfg):
 def test_gain_table_rejects_mismatched_markers(tiny_candidates, tiny_cfg):
     k_cells = np.full((1, 1, 1), math.nan)
     gamma_cells = np.full((1, 1, 1), 2.0)
-    with pytest.raises(ValueError, match="markers disagree"):
+    with pytest.raises(TableFormatError) as caught:
         GainTable(
             axes=AxisGrid(dr=[0.0], vi=[1.0], vj=[1.0]),
             candidates=tiny_candidates,
@@ -749,6 +783,7 @@ def test_gain_table_rejects_mismatched_markers(tiny_candidates, tiny_cfg):
             k_cells=k_cells,
             gamma_cells=gamma_cells,
         )
+    assert str(caught.value) == "cell (0, 0, 0): marker cell must have NaN for both gains"
 
 
 @pytest.mark.parametrize("name", ["k_cells", "gamma_cells"])
@@ -1290,8 +1325,12 @@ def test_load_rejects_infinite_gains(tiny_table, tmp_path, k, gamma):
     def mutate(lines):
         lines[5] = f"cell 0 0 1 {k} {gamma}"
 
-    with pytest.raises(TableFormatError, match="line 6: gains must be finite or NaN"):
+    with pytest.raises(TableFormatError) as caught:
         load_table(corrupt(path, tmp_path, mutate))
+    assert str(caught.value) == (
+        f"line 6: stored gains (gamma={float(gamma)!r}, k={float(k)!r}) "
+        "are not candidate members"
+    )
 
 
 def test_load_rejects_nonmember_gains(tiny_table, tmp_path):
@@ -1316,6 +1355,18 @@ def test_load_rejects_mangled_header(tiny_table, tmp_path):
 
     with pytest.raises(TableFormatError, match="dr"):
         load_table(corrupt(path, tmp_path, mutate))
+
+
+@pytest.mark.parametrize("kept", [1, 2, 3])
+def test_load_rejects_a_file_cut_inside_the_header(tiny_table, tmp_path, kept):
+    path = tmp_path / "table.txt"
+    save_table(tiny_table, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    cut = tmp_path / "cut.txt"
+    cut.write_text("".join(lines[:kept]), encoding="utf-8")
+    with pytest.raises(TableFormatError) as caught:
+        load_table(cut)
+    assert str(caught.value) == "truncated file: missing header lines"
 
 
 def test_load_rejects_empty_file(tmp_path):
@@ -1428,7 +1479,7 @@ def drop_lines(n):
         ),
         (
             set_lines(line7="cell 0 1 0 0.2 2.0", line9="cell 1 0 0 0.1 x"),
-            "line 9 gamma: bad number 'x'",
+            "line 7: stored gains (gamma=2.0, k=0.2) are not candidate members",
         ),
         # A wrong number of cell lines names the first line past the block,
         # or the end of the file.

@@ -240,7 +240,7 @@ def test_run_scenario_lookup_hit(tiny_table, tiny_cfg):
     report, _ = run_scenario(scenario, tiny_cfg, table=tiny_table)
     assert not report.fallback_engaged
     assert report.gains == tiny_table.cell(1, 1, 1)
-    assert report.metrics.consensus_reached
+    assert math.isfinite(report.metrics.t_consensus)
     assert not report.metrics.safety_violated
 
 
@@ -249,7 +249,7 @@ def test_run_scenario_lookup_miss_engages_fallback(tiny_table, tiny_cfg):
     report, _ = run_scenario(scenario, tiny_cfg, table=tiny_table)
     assert report.fallback_engaged
     assert report.gains is None
-    assert report.metrics.consensus_reached
+    assert math.isfinite(report.metrics.t_consensus)
 
 
 def test_run_scenario_lookup_without_table_is_an_error(tiny_cfg):
@@ -273,7 +273,7 @@ def test_run_scenario_linear_feedback(tiny_cfg):
     report, _ = run_scenario(scenario, tiny_cfg)
     assert report.gains is None
     assert not report.fallback_engaged
-    assert report.metrics.consensus_reached
+    assert math.isfinite(report.metrics.t_consensus)
 
 
 def test_linear_feedback_scenario_runs_its_own_gains(tiny_cfg):

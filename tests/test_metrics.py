@@ -90,7 +90,7 @@ def gap_floor(trajectory, mode):
         run, thresholds=ConsensusThresholds(), weights=ComfortWeights(),
         safety_mode=mode, hold_window=1.0,
     )
-    assert not metrics.consensus_reached
+    assert not math.isfinite(metrics.t_consensus)
     return metrics.safety_violated, metrics.min_gap
 
 
@@ -388,7 +388,7 @@ def test_evaluate_run_immediate_equilibrium():
     traj = equilibrium_trajectory(500, safety_mode=SafetyMode.SAME_LANE)
     metrics = evaluate_run(traj)
     assert metrics.t_consensus == 0.0
-    assert metrics.consensus_reached
+    assert math.isfinite(metrics.t_consensus)
     assert metrics.omega == 0.0
     assert metrics.min_gap == GAP_EQ
     assert not metrics.safety_violated
@@ -416,7 +416,7 @@ def test_evaluate_run_whole_run_when_not_converged():
     traj = flagged_trajectory(n, np.zeros(n, dtype=bool))
     traj.gap[700] = 2.0
     metrics = judge(traj, safety_mode=SafetyMode.SAME_LANE)
-    assert not metrics.consensus_reached
+    assert not math.isfinite(metrics.t_consensus)
     assert metrics.safety_violated
     assert metrics.min_gap == 2.0
 

@@ -30,6 +30,13 @@ def test_frequency_sweep_validation_and_spacing():
     assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
 
+@pytest.mark.parametrize("omega_min, omega_max", [(2.0, 1.0), (2.0, 2.0)])
+def test_frequency_sweep_refuses_bounds_out_of_order(omega_min, omega_max):
+    with pytest.raises(ValueError) as caught:
+        FrequencySweep(omega_min=omega_min, omega_max=omega_max)
+    assert str(caught.value) == "omega_max must exceed omega_min"
+
+
 @pytest.mark.parametrize("points", [2.5, 400.0, "400"])
 def test_frequency_sweep_refuses_non_integral_points_naming_it(points):
     """points = 2.5 used to construct and then fail inside np.logspace with a

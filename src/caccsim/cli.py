@@ -46,6 +46,8 @@ def _cmd_build_table(args) -> int:
         raise ValueError(f"--out {args.out}: {out.parent} is not a directory")
     if not os.access(out.parent, os.W_OK | os.X_OK):
         raise ValueError(f"--out {args.out}: {out.parent} is not writable")
+    if out.exists() and not os.access(out, os.W_OK):
+        raise ValueError(f"--out {args.out}: is not writable")
     axes = load_axes(args.axes)
     candidates = load_candidates(args.candidates)
     cfg = load_build_config(args.config)

@@ -39,20 +39,22 @@ stored (k, gamma), padded with a face of None on every side.  A table's
 cells are thus fixed when it is built.  A query makes no range check: it
 bisects each axis's tuple once and indexes the cell index, where a query
 outside the grid or NaN lands on the None face.  A query takes about
-0.6 us on a 2-CPU VM (perfbench's medians: 0.62 on grid, 0.47 on closing).
+0.5-0.7 us on a 2-CPU VM (perfbench's medians: 0.65-0.72 on grid, 0.46-0.48
+on closing).
 
 Save writes the header lines from _HEADER, which names each line's keys
 and the fields they hold, and load reads them back through it with
 _read_settings, the one reader of settings text, which config's sections
-go through too; a header fault is prefixed with "line <n>: ".  Save
-formats the cell block from flat tolist() columns, its index tokens from
-_index_tokens.  Load accepts exactly what save writes, with any line
-ends.  It reads the block as columns: whole-block string operations
-certify the layout, each distinct gain token is parsed once and the gain
-columns are mapped through those values (_read_cell_block).  A block
-refused there, or whose cells the table refuses (_validate_members), is
-walked line by line (_raise_cell_fault) to name its first faulty line,
-whichever rule that line breaks.
+go through too; a header fault is prefixed with "line <n>: ".  The cell
+block's layout is stated once, by _cell_block, which builds the block
+from the cells' gain tokens.  Save writes its cells through it.  Load
+accepts exactly what save writes, with any line ends: it splits the block
+into tokens once and accepts the layout only when _cell_block, given the
+gain tokens read there, rebuilds the block exactly.  Each distinct gain
+token is then parsed once.  A block refused there, or whose cells the
+table refuses (_validate_members), is walked line by line
+(_raise_cell_fault) to name its first faulty line, whichever rule that
+line breaks.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from itertools import chain, repeat
+from itertools import product
 from operator import attrgetter
 
 import numpy as np
@@ -620,7 +622,7 @@ def _cell_fault(k: float, gamma: float, cands: CandidateSets) -> str | None:
     values), else the fault."""
     if math.isnan(k) != math.isnan(gamma):
         return "marker cell must have NaN for both gains"
-    if math.isnan(k) or (gamma in cands.gammas and k in cands.ks):
+    if math.isnan(k) or (gamma in cands.gammas.tolist() and k in cands.ks.tolist()):
         return None
     return f"stored gains (gamma={gamma!r}, k={k!r}) are not candidate members"
 
@@ -633,9 +635,10 @@ def lookup(table: GainTable, dr: float, vi: float, vj: float) -> GainPair | None
     checks: each axis bisects its AxisGrid cut tuple once (see _cut for the
     tie rule), and a query below the first value, NaN or -inf lands on the
     None face of the padded cell index, as does one above the last value or
-    +inf.  About 0.6 us a query.  The queries are floats: an int past 2**53
-    that lies between the first value and the float below it bisects into
-    the grid.  The pair returned is shared (see GainTable.cell) and frozen.
+    +inf.  About 0.5-0.7 us a query.  The queries are floats: an int past
+    2**53 that lies between the first value and the float below it bisects
+    into the grid.  The pair returned is shared (see GainTable.cell) and
+    frozen.
     """
     axes = table.axes
     return table._cells[bisect_left(axes._dr_cuts, dr)][
@@ -657,15 +660,16 @@ def _fmt_value(value) -> str:
     return value.value if isinstance(value, Enum) else _fmt(value)
 
 
-def _index_tokens(shape) -> list[list[str]]:
-    """The index tokens of the cell lines, one list per axis, in row-major
-    order: cell line j is "cell" and the j-th token of each list, then k
-    and gamma, joined by single spaces."""
-    n1, n2, n3 = shape
-    return [
-        list(chain.from_iterable(repeat(str(i), inner) for i in range(n))) * outer
-        for n, inner, outer in ((n1, n2 * n3, 1), (n2, n3, n1), (n3, 1, n1 * n2))
-    ]
+def _cell_block(shape, k_text, gamma_text) -> str:
+    """The cell block exactly as save_table writes it, without a newline
+    after the last line: one line per cell in row-major order, "cell", the
+    three indices as str(i) writes them, then the cell's k and gamma tokens,
+    joined by single spaces."""
+    index = product(*(map(str, range(n)) for n in shape))
+    return "\n".join([
+        f"cell {i1} {i2} {i3} {k} {gamma}"
+        for (i1, i2, i3), k, gamma in zip(index, k_text, gamma_text)
+    ])
 
 
 def save_table(table: GainTable, path) -> None:
@@ -681,10 +685,7 @@ def save_table(table: GainTable, path) -> None:
         lines.append(" ".join([prefix, *map("{}={}".format, keys, values)]))
     k_text = map(_fmt, table.k_cells.ravel().tolist())
     gamma_text = map(_fmt, table.gamma_cells.ravel().tolist())
-    lines += [
-        f"cell {i1} {i2} {i3} {k} {gamma}"
-        for i1, i2, i3, k, gamma in zip(*_index_tokens(table.shape), k_text, gamma_text)
-    ]
+    lines.append(_cell_block(table.shape, k_text, gamma_text))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
@@ -733,15 +734,17 @@ def load_table(path) -> GainTable:
     """Parse a table file, validating structure, order, and membership.
 
     Only the layout save_table writes loads, with any line ends: the file
-    is read with universal newlines.  The cell block is read as columns
-    (_read_cell_block, about 5 ms for the 6069 cells of the production
-    table on a 2-CPU VM).  A fault names its line, whichever rule the line
-    breaks: the table checks its cells' content when it is built, and the
-    block of a refused table is walked to name the line.  A file that
-    is not UTF-8 raises TableFormatError too.  The table's AxisGrid finds
-    the cuts that lookup bisects here, and the table builds its cell index
-    (about 0.8 ms of the load for the production table), so a lookup
-    builds nothing.
+    is read with universal newlines.  The cell block is split into tokens
+    once, and its layout is accepted only when _cell_block, given the gain
+    tokens, rebuilds the block exactly; each distinct gain token is then
+    parsed once.  The load takes about 4.3-5 ms for the 6069 cells of the
+    production table on a 2-CPU VM, about 2 ms of it the layout check.  A
+    fault names its line, whichever rule the line breaks: the table checks
+    its cells' content when it is built, and the block of a refused layout
+    or table is walked to name the line.  A file that is not UTF-8 raises
+    TableFormatError too.  The table's AxisGrid finds the cuts that lookup
+    bisects here, and the table builds its cell index (about 0.6-0.9 ms of
+    the load for the production table), so a lookup builds nothing.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -779,47 +782,20 @@ def load_table(path) -> GainTable:
             f"found {found}"
         )
     cands = header["candidates"]
-    k_cells, gamma_cells = _read_cell_block(body, shape, cands)
-    try:
-        return GainTable(**header, k_cells=k_cells, gamma_cells=gamma_cells)
-    except TableFormatError:
-        _raise_cell_fault(body, shape, cands)
-
-
-def _read_cell_block(body: str, shape, cands) -> tuple[np.ndarray, np.ndarray]:
-    """The k and gamma cells of a block of exactly the lines save_table
-    writes; raises the fault of the first faulty line otherwise.
-
-    body is the block without its last newline, one line per cell
-    (load_table has counted its newlines).  Whole-block string operations
-    certify the layout: 6n tokens, joined by single spaces they give body
-    with its newlines as spaces (so no tab, doubled or trailing space, or
-    blank line), every newline is followed by "cell ", every sixth token
-    is "cell" and the index tokens are those of _index_tokens.  Each
-    distinct gain token is parsed once.  A block fails a check only when one
-    of its lines breaks the layout or number rule of _raise_cell_fault,
-    which names the first faulty line; cands is passed on to it.  The cells'
-    content is left to GainTable.
-    """
-    n = shape[0] * shape[1] * shape[2]
     tokens = body.split()
-    if (
-        len(tokens) != 6 * n
-        or body.count("\ncell ") != n - 1
-        or tokens[0::6] != ["cell"] * n
-        or [tokens[1::6], tokens[2::6], tokens[3::6]] != _index_tokens(shape)
-        or " ".join(tokens) != body.replace("\n", " ")
-    ):
-        _raise_cell_fault(body, shape, cands)
     k_text, gamma_text = tokens[4::6], tokens[5::6]
-    del tokens  # the other four columns are not needed past the checks
+    if len(tokens) != 6 * expected or _cell_block(shape, k_text, gamma_text) != body:
+        _raise_cell_fault(body, shape, cands)
+    del tokens  # the other four columns are not needed past the check
     try:
         value = {t: _parse_float(t, "cell") for t in {*k_text, *gamma_text}}
+        return GainTable(
+            **header,
+            k_cells=np.array(list(map(value.__getitem__, k_text))),
+            gamma_cells=np.array(list(map(value.__getitem__, gamma_text))),
+        )
     except TableFormatError:
         _raise_cell_fault(body, shape, cands)
-    k = np.array(list(map(value.__getitem__, k_text)))
-    gamma = np.array(list(map(value.__getitem__, gamma_text)))
-    return k, gamma
 
 
 def _raise_cell_fault(body: str, shape, cands) -> typing.NoReturn:

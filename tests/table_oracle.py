@@ -5,10 +5,12 @@ _CellScorer.decide is pinned to: it picks one cell's stored gains from its
 candidates' whole-run outcomes.
 
 oracle_cells is the oracle that property tests pin
-caccsim.gaintable.load_table's column reader to: it counts the cell lines,
-then checks them one at a time in row-major order, each line's layout,
-numbers and content (NaN in both gains, or candidate members in both), and
-raises the fault of the first faulty line with load_table's text.  It
+caccsim.gaintable.load_table to, which accepts a cell block only when the
+block rebuilt from its gain tokens equals it.  The oracle counts the cell
+lines, then checks them one at a time in row-major order, each line's
+layout, numbers and content (NaN in both gains, or candidate members in
+both), and raises the fault of the first faulty line with load_table's
+text.  It
 reads the layout save_table writes and nothing else: tokens joined by
 single spaces, indices as str(i) writes them, gains as float() reads them
 or "NaN".  The module shares only TableFormatError with caccsim.

@@ -342,28 +342,34 @@ def test_build_table_refuses_out_outside_a_directory_before_building(
     assert err.endswith(" is not a directory\n") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("unwritable", [False, True], ids=["directory", "unwritable"])
+@pytest.mark.parametrize("case", ["directory", "unwritable", "unwritable-file"])
 def test_build_table_refuses_out_it_cannot_write_before_building(
-    cli_env, monkeypatch, capsys, tmp_path, unwritable
+    cli_env, monkeypatch, capsys, tmp_path, case
 ):
-    """An --out that is an existing directory, or that sits in a directory
-    that cannot be written, fails at once as one error line, not after the
-    build.  The unwritable directory is also made read-only, which a
-    superuser may still write, so os.access is told to refuse it."""
+    """An --out that is an existing directory, that sits in a directory
+    that cannot be written, or that is an existing file that cannot be
+    written, fails at once as one error line, not after the build.  The
+    unwritable directory and file are also made read-only, which a
+    superuser may still write, so os.access is told to refuse them."""
     def no_build(*args, **kwargs):
         raise AssertionError("build_table was called")
 
     monkeypatch.setattr(cli, "build_table", no_build)
-    if unwritable:
+    if case == "directory":
+        out, locked, ends = tmp_path, None, ": is a directory\n"
+    elif case == "unwritable":
         locked = tmp_path / "locked"
         locked.mkdir(mode=0o500)
         out, ends = locked / "table.txt", f": {locked} is not writable\n"
-        access = os.access
-        monkeypatch.setattr(
-            cli.os, "access", lambda path, mode: Path(path) != locked and access(path, mode)
-        )
     else:
-        out, ends = tmp_path, ": is a directory\n"
+        locked = out = tmp_path / "table.txt"
+        out.write_text("kept\n")
+        out.chmod(0o400)
+        ends = ": is not writable\n"
+    access = os.access
+    monkeypatch.setattr(
+        cli.os, "access", lambda path, mode: Path(path) != locked and access(path, mode)
+    )
     rc = main(["build-table", "--axes", cli_env["axes"], "--candidates",
                cli_env["candidates"], "--config", cli_env["build"],
                "--out", str(out)])

@@ -1699,6 +1699,13 @@ LINE_MUTATIONS = {
     "trailing tab": append_text("\t"),
     "crlf": append_text("\r"),
     "cr inside a line": set_separator("\r"),
+    # Whitespace that str.split() splits on, other than space, tab and CR.
+    "vertical tab": set_separator("\x0b"),
+    "form feed": set_separator("\x0c"),
+    "unit separator": set_separator("\x1f"),
+    "next line": set_separator("\x85"),
+    "line separator": set_separator("\u2028"),
+    "trailing no-break space": append_text("\xa0"),
     "index +1, 01 or -1": signed_or_padded_index,
     "shifted cell token": shifted_cell_token,
     "blank first cell line": lambda lines, row, draw: blank_first_cell(lines),

@@ -34,6 +34,7 @@ from caccsim.harness import (
     CONTROLLER_KINDS,
     BaselineConfig,
     ScenarioConfig,
+    SuiteResult,
     format_suite_summary,
     run_scenario,
     run_suite,
@@ -342,6 +343,17 @@ def test_run_suite_structure(tiny_table, tiny_cfg, tmp_path, monkeypatch):
     assert list(bare_dir.iterdir()) == []
     # repr, since min_gap is NaN when the floor never armed.
     assert repr(bare) == repr(result)
+
+
+def test_suite_verdict_is_read_from_the_scenario_verdicts():
+    """all_scenarios_beat_fixed is computed from lookup_beats_fixed, so the
+    two cannot disagree, and it cannot be given."""
+    result = SuiteResult(reports=[], lookup_beats_fixed={"a": True, "b": True})
+    assert result.all_scenarios_beat_fixed
+    result.lookup_beats_fixed["b"] = False
+    assert not result.all_scenarios_beat_fixed
+    with pytest.raises(TypeError):
+        SuiteResult(reports=[], lookup_beats_fixed={}, all_scenarios_beat_fixed=True)
 
 
 def test_run_suite_holds_one_trajectory_at_a_time(tiny_table, tiny_cfg, tmp_path):
